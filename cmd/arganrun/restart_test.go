@@ -196,7 +196,7 @@ func TestServeKillNineRestartSoak(t *testing.T) {
 	c2 := &serve.Client{Base: base2, Retries: 10, Backoff: 50 * time.Millisecond}
 
 	if s := out2.String(); !strings.Contains(s, "recovered     : 1 datasets") ||
-		!strings.Contains(s, "torn tail truncated") {
+		!strings.Contains(s, " ms, torn tail truncated") {
 		t.Fatalf("recovery banner missing or wrong:\n%s", s)
 	}
 	infos, err := c2.Datasets()
@@ -215,6 +215,9 @@ func TestServeKillNineRestartSoak(t *testing.T) {
 	}
 	if st.Recovery.WarmReseeded < 1 {
 		t.Fatalf("recovery stats = %+v, want at least one warm fixpoint reseeded", st.Recovery)
+	}
+	if st.Recovery.DurationMS <= 0 {
+		t.Fatalf("recovery stats = %+v, want the replay's duration", st.Recovery)
 	}
 
 	// The acceptance gate: the first post-restart job must be incremental

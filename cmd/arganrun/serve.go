@@ -71,8 +71,8 @@ func runServe(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) in
 		if rec.TruncatedTail {
 			tail = ", torn tail truncated"
 		}
-		fmt.Fprintf(stdout, "recovered     : %d datasets, %d wal records (%d bytes) replayed, %d warm fixpoints reseeded (%d skipped)%s\n",
-			rec.Datasets, rec.Records, rec.Bytes, rec.WarmReseeded, rec.WarmSkipped, tail)
+		fmt.Fprintf(stdout, "recovered     : %d datasets, %d wal records (%d bytes) replayed, %d warm fixpoints reseeded (%d skipped) in %.0f ms%s\n",
+			rec.Datasets, rec.Records, rec.Bytes, rec.WarmReseeded, rec.WarmSkipped, rec.DurationMS, tail)
 	}
 
 	for _, spec := range strings.Split(*preload, ",") {

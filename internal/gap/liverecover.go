@@ -186,7 +186,7 @@ func (st *liveState[V]) applyFrom(s int, seq uint64, msgs []ace.Message[V]) {
 	rs := st.rs
 	var hits []undoHit[V]
 	for _, m := range msgs {
-		lv, ok := st.local(m.V)
+		lv, ok := st.frag.Local(m.V)
 		if !ok {
 			continue
 		}

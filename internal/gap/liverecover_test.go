@@ -26,7 +26,7 @@ func recTestState(t *testing.T) (*liveState[float64], uint32) {
 	prog := algorithms.NewPageRank()()
 	st := newLiveState(0, fs[0], prog, ace.Query{Eps: 1e-3})
 	st.rs = newRecoverState[float64](2, prog.(ace.Inverter[float64]).Invert)
-	lv, ok := st.local(fs[0].Global(0))
+	lv, ok := st.frag.Local(fs[0].Global(0))
 	if !ok {
 		t.Fatal("fragment's own vertex not resolvable")
 	}

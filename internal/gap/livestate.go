@@ -118,9 +118,8 @@ type liveState[V any] struct {
 	// default pipeline carries no sequencing overhead.
 	rs *recoverState[V]
 
-	pool   *batchPool[V]
-	tune   liveTuning
-	lookup []uint32 // global id -> local id + 1; 0 = not present (pooled path)
+	pool *batchPool[V]
+	tune liveTuning
 	// combine coalesces two outgoing values for one vertex (the program's
 	// Combiner, falling back to an Aggregate fold); nil appends without
 	// coalescing (legacy mode indexes by map instead).
@@ -163,10 +162,6 @@ func newLiveStateWith[V any](id int, f *graph.Fragment, prog ace.Program[V], q a
 	} else {
 		for j := range st.out {
 			st.out[j] = liveOutAcc[V]{gen: 1}
-		}
-		st.lookup = make([]uint32, f.GlobalVertices())
-		for l := uint32(0); int(l) < f.NumLocal(); l++ {
-			st.lookup[f.Global(l)] = l + 1
 		}
 		if !tune.noCombine {
 			if c, ok := any(prog).(ace.Combiner[V]); ok {
@@ -317,23 +312,10 @@ func (st *liveState[V]) ctxActivate(l uint32) {
 	}
 }
 
-// local resolves a global id to the local index through the dense lookup
-// when available (pooled path), falling back to the fragment's map.
-func (st *liveState[V]) local(g graph.VID) (uint32, bool) {
-	if st.lookup != nil {
-		if int(g) < len(st.lookup) {
-			l := st.lookup[g]
-			return l - 1, l != 0
-		}
-		return 0, false
-	}
-	return st.frag.Local(g)
-}
-
 // ingest applies one batch to Ψ (h_in) and re-activates dependents.
 func (st *liveState[V]) ingest(msgs []ace.Message[V]) {
 	for _, m := range msgs {
-		lv, ok := st.local(m.V)
+		lv, ok := st.frag.Local(m.V)
 		if !ok {
 			continue
 		}
@@ -393,7 +375,7 @@ func (st *liveState[V]) restoreOut(peer int, msgs []ace.Message[V]) {
 			o.slotIdx = make([]uint32, st.frag.NumLocal())
 		}
 		for k, m := range o.msgs {
-			if l, ok := st.local(m.V); ok {
+			if l, ok := st.frag.Local(m.V); ok {
 				o.slotGen[l] = o.gen
 				o.slotIdx[l] = uint32(k)
 			}

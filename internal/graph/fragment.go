@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"runtime"
+	"sync"
 )
 
 // Fragment is the part of a partitioned graph held by one worker, following
@@ -18,6 +20,11 @@ import (
 //     a ghost contains only arcs into owned vertices;
 //   - symmetrically for the in-adjacency.
 //
+// Global ids resolve to local ones through a dense array over all of V
+// (Local), built once with the fragment and shared read-only by every job
+// that runs on it: 4·|V| bytes per fragment, which is what each live job used
+// to allocate per worker for a private lookup table of its own.
+//
 // Replica routing: for an owned border vertex v, ReplicasOut(v) lists the
 // workers that hold v as a ghost because v has an out-edge into their owned
 // set (they need v's value when update functions read in-neighbors), and
@@ -28,9 +35,9 @@ type Fragment struct {
 	directed   bool
 
 	numOwned int
-	locals   []VID          // local -> global
-	index    map[VID]uint32 // global -> local
-	owner    []uint16       // global -> owning worker (shared, read-only)
+	locals   []VID    // local -> global
+	index    []uint32 // global -> local, noLocal where the vertex is absent
+	owner    []uint16 // global -> owning worker (shared, read-only)
 
 	outIndex []int64
 	outTo    []uint32 // local indices
@@ -90,10 +97,17 @@ func (f *Fragment) IsOwned(local uint32) bool { return int(local) < f.numOwned }
 // Global maps a local index to its global vertex id.
 func (f *Fragment) Global(local uint32) VID { return f.locals[local] }
 
-// Local maps a global id to the local index, if the vertex is present.
+// noLocal marks a global vertex that is neither owned nor a ghost here.
+const noLocal = ^uint32(0)
+
+// Local maps a global id to the local index, if the vertex is present. Ids
+// outside the graph (a corrupt message) are reported absent.
 func (f *Fragment) Local(v VID) (uint32, bool) {
-	l, ok := f.index[v]
-	return l, ok
+	if int(v) >= len(f.index) {
+		return 0, false
+	}
+	l := f.index[v]
+	return l, l != noLocal
 }
 
 // OwnerOf returns the worker owning global vertex v.
@@ -185,52 +199,89 @@ func BuildFragments(g *Graph, owner []uint16, numWorkers int) ([]*Fragment, erro
 		}
 	}
 	frags := make([]*Fragment, numWorkers)
-	for i := range frags {
-		frags[i] = buildFragment(g, owner, numWorkers, i)
-	}
+	buildMissing(frags, g, owner)
 	return frags, nil
 }
 
-func buildFragment(g *Graph, owner []uint16, numWorkers, worker int) *Fragment {
-	w := uint16(worker)
-	// Collect owned vertices and the ghosts induced by their edges.
-	var owned []VID
-	ghostSet := map[VID]struct{}{}
-	for v := 0; v < g.n; v++ {
-		if owner[v] != w {
+// buildMissing builds the fragment of every worker whose slot in frags is
+// still nil, one goroutine each over at most GOMAXPROCS at a time. Builds
+// share only read-only inputs (g, owner) and write distinct slots.
+func buildMissing(frags []*Fragment, g *Graph, owner []uint16) {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, f := range frags {
+		if f != nil {
 			continue
 		}
-		owned = append(owned, VID(v))
-		for _, u := range g.OutNeighbors(VID(v)) {
-			if owner[u] != w {
-				ghostSet[u] = struct{}{}
-			}
+		if cap(sem) == 1 {
+			frags[i] = buildFragment(g, owner, len(frags), i)
+			continue
 		}
-		for _, u := range g.InNeighbors(VID(v)) {
-			if owner[u] != w {
-				ghostSet[u] = struct{}{}
-			}
-		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			frags[i] = buildFragment(g, owner, len(frags), i)
+			<-sem
+		}()
 	}
-	ghosts := make([]VID, 0, len(ghostSet))
-	for u := range ghostSet {
-		ghosts = append(ghosts, u)
-	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	wg.Wait()
+}
 
+// buildFragment builds one worker's fragment in four sequential passes over
+// the global CSR, hashing and sorting nothing: every order it needs (locals by
+// global id, adjacency by local index, parallel arcs by weight) is g's own.
+func buildFragment(g *Graph, owner []uint16, numWorkers, worker int) *Fragment {
+	w := uint16(worker)
 	f := &Fragment{
 		worker:      worker,
 		numWorkers:  numWorkers,
 		directed:    g.directed,
-		numOwned:    len(owned),
-		locals:      append(append([]VID{}, owned...), ghosts...),
-		index:       make(map[VID]uint32, len(owned)+len(ghosts)),
+		index:       make([]uint32, g.n),
 		owner:       owner,
 		globalN:     g.n,
 		globalEdges: len(g.outTo),
 	}
-	for l, v := range f.locals {
-		f.index[v] = uint32(l)
+
+	// Pass 1: flag every neighbour of an owned vertex (pass 2 tells ghosts
+	// from owned ones) and count E_i: the distinct out-arcs of owned vertices
+	// plus their in-arcs from remote sources. The store is unconditional:
+	// under hash ownership "is u remote" mispredicts on every other arc.
+	for v := range f.index {
+		f.index[v] = noLocal
+	}
+	const flagged = noLocal - 1
+	arcs := 0
+	for v := 0; v < g.n; v++ {
+		if owner[v] != w {
+			continue
+		}
+		f.numOwned++
+		for dir, adj := range [2][]VID{g.OutNeighbors(VID(v)), g.InNeighbors(VID(v))} {
+			for i, u := range adj {
+				if i > 0 && adj[i-1] == u {
+					continue
+				}
+				f.index[u] = flagged
+				if dir == 0 || owner[u] != w {
+					arcs++
+				}
+			}
+		}
+	}
+
+	// Pass 2: number the locals, owned then ghosts, each by global id.
+	f.locals = make([]VID, f.numOwned)
+	nextOwned := uint32(0)
+	for v := range f.index {
+		switch {
+		case owner[v] == w:
+			f.index[v], f.locals[nextOwned] = nextOwned, VID(v)
+			nextOwned++
+		case f.index[v] == flagged:
+			f.index[v] = uint32(len(f.locals))
+			f.locals = append(f.locals, VID(v))
+		}
 	}
 	if g.labels != nil {
 		f.labels = make([]int32, len(f.locals))
@@ -239,138 +290,88 @@ func buildFragment(g *Graph, owner []uint16, numWorkers, worker int) *Fragment {
 		}
 	}
 
-	// Localized arcs of E_i: every arc with at least one owned endpoint.
-	var arcs []localArc
-	seen := map[[2]VID]struct{}{}
-	addArcsOf := func(v VID) {
-		lv := f.index[v]
-		for i, u := range g.OutNeighbors(v) {
-			if owner[v] != w && owner[u] != w {
-				continue
-			}
-			lu, ok := f.index[u]
-			if !ok {
-				continue // neighbor of a ghost outside this fragment
-			}
-			key := [2]VID{v, u}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			arcs = append(arcs, localArc{lv, lu, g.OutWeights(v)[i]})
-		}
-	}
-	for _, v := range f.locals {
-		addArcsOf(v)
-	}
-	// For undirected graphs the Graph CSR already stores both directions, so
-	// the arc set above is symmetric where both endpoints are local.
+	// Pass 3: localized adjacency. For undirected graphs the Graph CSR
+	// already stores both directions, so both calls read the same arrays.
+	f.outIndex, f.outTo, f.outW = f.localCSR(g.outIndex, g.outTo, g.outW, arcs)
+	f.inIndex, f.inTo, f.inW = f.localCSR(g.inIndex, g.inTo, g.inW, arcs)
 
-	nl := len(f.locals)
-	f.outIndex, f.outTo, f.outW = buildLocalCSR(nl, arcs, false)
-	f.inIndex, f.inTo, f.inW = buildLocalCSR(nl, arcs, true)
-
-	// Replica routing tables for owned vertices.
-	f.repOutIdx, f.repOut = buildReplicas(f, g, owned, w, true)
+	// Pass 4: replica routing tables for owned vertices.
+	f.repOutIdx, f.repOut = f.replicas(g.outIndex, g.outTo)
 	if g.directed {
-		f.repInIdx, f.repIn = buildReplicas(f, g, owned, w, false)
+		f.repInIdx, f.repIn = f.replicas(g.inIndex, g.inTo)
 	} else {
 		f.repInIdx, f.repIn = f.repOutIdx, f.repOut
 	}
 	return f
 }
 
-type localArc struct {
-	src, dst uint32
-	w        float64
-}
-
-func buildLocalCSR(n int, arcs []localArc, reverse bool) ([]int64, []uint32, []float64) {
-	index := make([]int64, n+1)
-	for _, a := range arcs {
-		k := a.src
-		if reverse {
-			k = a.dst
+// localCSR translates one direction of the global CSR (gIdx/gTo/gW) into the
+// fragment's local CSR holding arcs distinct arcs. An owned vertex keeps its
+// whole adjacency, a ghost only its arcs to owned vertices; of parallel arcs
+// the first (smallest weight) is kept. Global adjacency is sorted by target
+// and both local groups are numbered by global id, so emitting a vertex's
+// owned neighbours and then its ghost ones yields local-index order.
+func (f *Fragment) localCSR(gIdx []int64, gTo []VID, gW []float64, arcs int) ([]int64, []uint32, []float64) {
+	idx := make([]int64, len(f.locals)+1)
+	// Branch-free as pass 1: an arc is stored at both cursors before it is
+	// known which one advances, hence one slot of slack.
+	to := make([]uint32, arcs+1)
+	ws := make([]float64, arcs+1)
+	var ghostTo []uint32 // ghost neighbours of the current vertex
+	var ghostW []float64
+	numOwned := uint64(f.numOwned)
+	k := 0
+	for l, v := range f.locals {
+		lo, hi := gIdx[v], gIdx[v+1]
+		if int(hi-lo) > len(ghostTo) {
+			ghostTo, ghostW = make([]uint32, hi-lo), make([]float64, hi-lo)
 		}
-		index[k+1]++
-	}
-	for i := 0; i < n; i++ {
-		index[i+1] += index[i]
-	}
-	to := make([]uint32, len(arcs))
-	ws := make([]float64, len(arcs))
-	cursor := make([]int64, n)
-	for _, a := range arcs {
-		k, other := a.src, a.dst
-		if reverse {
-			k, other = a.dst, a.src
+		nGhost := 0
+		for p := lo; p < hi; p++ {
+			u := gTo[p]
+			if p > lo && gTo[p-1] == u {
+				continue
+			}
+			lu, w := f.index[u], gW[p]
+			to[k], ws[k] = lu, w
+			ghostTo[nGhost], ghostW[nGhost] = lu, w
+			owned := int((uint64(lu) - numOwned) >> 63) // 1 when lu < numOwned
+			k += owned
+			nGhost += 1 - owned
 		}
-		p := index[k] + cursor[k]
-		cursor[k]++
-		to[p] = other
-		ws[p] = a.w
+		if l < f.numOwned { // every neighbour of an owned vertex is local
+			copy(to[k:], ghostTo[:nGhost])
+			copy(ws[k:], ghostW[:nGhost])
+			k += nGhost
+		}
+		idx[l+1] = int64(k)
 	}
-	for v := 0; v < n; v++ {
-		lo, hi := index[v], index[v+1]
-		sortLocalAdj(to[lo:hi], ws[lo:hi])
-	}
-	return index, to, ws
+	return idx, to[:arcs], ws[:arcs]
 }
 
-func sortLocalAdj(to []uint32, w []float64) {
-	sort.Sort(&localAdjSorter{to, w})
-}
-
-type localAdjSorter struct {
-	to []uint32
-	w  []float64
-}
-
-func (s *localAdjSorter) Len() int { return len(s.to) }
-func (s *localAdjSorter) Swap(i, j int) {
-	s.to[i], s.to[j] = s.to[j], s.to[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-func (s *localAdjSorter) Less(i, j int) bool {
-	if s.to[i] != s.to[j] {
-		return s.to[i] < s.to[j]
-	}
-	return s.w[i] < s.w[j]
-}
-
-// buildReplicas computes, for each owned vertex, the sorted set of remote
-// workers owning its out-neighbors (outDir) or in-neighbors (!outDir).
-func buildReplicas(f *Fragment, g *Graph, owned []VID, w uint16, outDir bool) ([]int32, []uint16) {
+// replicas computes, for each owned vertex, the ascending set of remote
+// workers owning its neighbours in one direction of the global CSR. Ghost
+// entries keep empty ranges.
+func (f *Fragment) replicas(gIdx []int64, gTo []VID) ([]int32, []uint16) {
 	idx := make([]int32, len(f.locals)+1)
 	var flat []uint16
-	var set [256]bool // numWorkers <= 256 in this repo
-	for l, v := range owned {
-		var nbrs []VID
-		if outDir {
-			nbrs = g.OutNeighbors(v)
-		} else {
-			nbrs = g.InNeighbors(v)
+	set := make([]uint64, (f.numWorkers+63)/64) // workers seen for the current vertex
+	for l, v := range f.locals[:f.numOwned] {
+		for _, u := range gTo[gIdx[v]:gIdx[v+1]] {
+			o := f.owner[u]
+			set[o/64] |= 1 << (o % 64)
 		}
-		var touched []uint16
-		for _, u := range nbrs {
-			o := g.ownerOf(u, f.owner)
-			if o != w && !set[o] {
-				set[o] = true
-				touched = append(touched, o)
+		set[f.worker/64] &^= 1 << (f.worker % 64)
+		for i, word := range set {
+			for ; word != 0; word &= word - 1 {
+				flat = append(flat, uint16(i*64+bits.TrailingZeros64(word)))
 			}
-		}
-		sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-		flat = append(flat, touched...)
-		for _, o := range touched {
-			set[o] = false
+			set[i] = 0
 		}
 		idx[l+1] = int32(len(flat))
 	}
-	// Ghost entries keep empty ranges.
-	for l := len(owned); l < len(f.locals); l++ {
+	for l := f.numOwned; l < len(f.locals); l++ {
 		idx[l+1] = idx[l]
 	}
 	return idx, flat
 }
-
-func (g *Graph) ownerOf(v VID, owner []uint16) uint16 { return owner[v] }

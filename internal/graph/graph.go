@@ -382,9 +382,8 @@ func (g *Graph) CheckFrozen() error {
 
 // HasEdge reports whether the arc src->dst exists.
 func (g *Graph) HasEdge(src, dst VID) bool {
-	adj := g.OutNeighbors(src)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= dst })
-	return i < len(adj) && adj[i] == dst
+	_, ok := g.EdgeWeight(src, dst)
+	return ok
 }
 
 // EdgeWeight returns the weight of the arc src->dst and whether it exists.

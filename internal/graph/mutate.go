@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Streaming mutations over immutable CSR graphs. A MutationBatch is applied
@@ -39,24 +40,15 @@ func (b MutationBatch) Size() int { return len(b.Inserts) + len(b.Deletes) }
 // planners: any structural change is confined to the adjacency of these
 // vertices.
 func (b MutationBatch) Endpoints() []VID {
-	seen := make(map[VID]struct{}, 2*b.Size())
-	var out []VID
-	add := func(v VID) {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-	}
+	out := make([]VID, 0, 2*b.Size())
 	for _, e := range b.Deletes {
-		add(e.Src)
-		add(e.Dst)
+		out = append(out, e.Src, e.Dst)
 	}
 	for _, e := range b.Inserts {
-		add(e.Src)
-		add(e.Dst)
+		out = append(out, e.Src, e.Dst)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // edgeKey identifies an edge for mutation matching: ordered endpoints for
@@ -68,29 +60,13 @@ func edgeKey(directed bool, src, dst VID) [2]VID {
 	return [2]VID{src, dst}
 }
 
-// logicalEdges reconstructs the builder-level edge list from the CSR: every
-// arc for a directed graph; each undirected edge once (smaller endpoint
-// first, self-loops included) for an undirected one.
-func (g *Graph) logicalEdges() []Edge {
-	out := make([]Edge, 0, len(g.outTo))
-	for v := 0; v < g.n; v++ {
-		adj, ws := g.OutNeighbors(VID(v)), g.OutWeights(VID(v))
-		for i, u := range adj {
-			if !g.directed && u < VID(v) {
-				continue // the (u,v) arc carries this undirected edge
-			}
-			out = append(out, Edge{VID(v), u, ws[i]})
-		}
-	}
-	return out
-}
-
 // ApplyMutations applies the batch to a copy of the graph and returns the
 // new graph (version+1, unfrozen — callers freeze before sharing) together
 // with the exact inverse batch: applying the inverse to the result restores
 // a graph with a bit-identical fingerprint. The receiver is never modified,
 // so it is safe to mutate "from" a frozen shared instance. The vertex set is
-// fixed: edges must stay within [0, NumVertices). Cost is O(|E| + |B|).
+// fixed: edges must stay within [0, NumVertices). Cost is one sequential copy
+// of the CSR arrays plus O(|B| log |B| + Σ deg(Endpoints)): see spliceCSR.
 //
 // Semantics per operation (deletes first, then inserts):
 //   - delete (u,v): removes the edge, all parallel copies included; an
@@ -109,10 +85,6 @@ func (g *Graph) ApplyMutations(b MutationBatch) (*Graph, MutationBatch, error) {
 		}
 	}
 
-	dels := make(map[[2]VID]bool, len(b.Deletes))
-	for _, e := range b.Deletes {
-		dels[edgeKey(g.directed, e.Src, e.Dst)] = true
-	}
 	// Last insert of a key wins within one batch, like a sequential replay.
 	ins := make(map[[2]VID]Edge, len(b.Inserts))
 	insOrder := make([][2]VID, 0, len(b.Inserts))
@@ -124,68 +96,114 @@ func (g *Graph) ApplyMutations(b MutationBatch) (*Graph, MutationBatch, error) {
 		ins[k] = e
 	}
 
-	// One pass over the old edge list: record the prior copy of every edge
-	// the batch names (for the inverse), keep everything the batch does not
-	// replace or delete.
-	nb := NewBuilder(g.n, g.directed)
-	oldCopy := make(map[[2]VID]Edge, len(dels)+len(ins))
-	for _, e := range g.logicalEdges() {
-		k := edgeKey(g.directed, e.Src, e.Dst)
-		_, inserted := ins[k]
-		if dels[k] || inserted {
-			if _, seen := oldCopy[k]; !seen {
-				// Parallel copies collapse: the inverse restores one edge,
-				// matching the "delete removes all copies" semantics.
-				oldCopy[k] = e
-			}
-			continue
-		}
-		nb.AddWeighted(e.Src, e.Dst, e.W)
+	// prior is the copy of edge k that the batch replaces, for the inverse.
+	// Parallel copies collapse to the smallest weight: the inverse restores
+	// one edge, matching the "delete removes all copies" semantics.
+	prior := func(k [2]VID) (Edge, bool) {
+		w, ok := g.EdgeWeight(k[0], k[1])
+		return Edge{k[0], k[1], w}, ok
 	}
-	for k := range dels {
-		if _, ok := oldCopy[k]; !ok {
-			return nil, MutationBatch{}, fmt.Errorf("%w: delete (%d,%d): no such edge", ErrNoSuchEdge, k[0], k[1])
+	// Every named key replaces all arcs between its endpoints by the
+	// inserted one, or by nothing: fwd rewrites cell (src,dst), rev its
+	// mirror (the in-CSR's, or an undirected edge's second arc).
+	var fwd, rev []arcOp
+	rewrite := func(k [2]VID) {
+		e, add := ins[k]
+		fwd = append(fwd, arcOp{k[0], k[1], e.W, add})
+		if g.directed || k[0] != k[1] {
+			rev = append(rev, arcOp{k[1], k[0], e.W, add})
 		}
 	}
 
 	var inverse MutationBatch
 	// Pure deletions (not re-inserted in the same batch): restore the edge.
+	deleted := make(map[[2]VID]bool, len(b.Deletes))
 	for _, e := range b.Deletes {
 		k := edgeKey(g.directed, e.Src, e.Dst)
-		if old, ok := oldCopy[k]; ok {
-			if _, reinserted := ins[k]; !reinserted {
-				inverse.Inserts = append(inverse.Inserts, old)
-				delete(oldCopy, k) // emit each restored edge once
-			}
+		old, ok := prior(k)
+		if !ok {
+			return nil, MutationBatch{}, fmt.Errorf("%w: delete (%d,%d): no such edge", ErrNoSuchEdge, k[0], k[1])
 		}
+		if _, reinserted := ins[k]; reinserted || deleted[k] {
+			continue
+		}
+		deleted[k] = true // a repeated delete restores the edge once
+		inverse.Inserts = append(inverse.Inserts, old)
+		rewrite(k)
 	}
 	// Inserts: replacements restore the old weight; fresh edges are deleted.
 	for _, k := range insOrder {
-		e := ins[k]
-		nb.AddWeighted(e.Src, e.Dst, e.W)
-		if old, ok := oldCopy[k]; ok {
+		if old, ok := prior(k); ok {
 			inverse.Inserts = append(inverse.Inserts, old)
 		} else {
-			inverse.Deletes = append(inverse.Deletes, Edge{Src: e.Src, Dst: e.Dst})
+			inverse.Deletes = append(inverse.Deletes, Edge{Src: ins[k].Src, Dst: ins[k].Dst})
 		}
+		rewrite(k)
 	}
 
-	if g.labels != nil {
-		for v, l := range g.labels {
-			if l != 0 {
-				nb.SetLabel(VID(v), l)
+	ng := &Graph{n: g.n, directed: g.directed, labels: g.labels, version: g.version + 1}
+	if g.directed {
+		ng.outIndex, ng.outTo, ng.outW = spliceCSR(g.outIndex, g.outTo, g.outW, fwd)
+		ng.inIndex, ng.inTo, ng.inW = spliceCSR(g.inIndex, g.inTo, g.inW, rev)
+	} else {
+		ng.outIndex, ng.outTo, ng.outW = spliceCSR(g.outIndex, g.outTo, g.outW, append(fwd, rev...))
+		ng.inIndex, ng.inTo, ng.inW = ng.outIndex, ng.outTo, ng.outW
+	}
+	return ng, inverse, nil
+}
+
+// arcOp rewrites one (row, col) cell of a CSR: every stored copy of the arc
+// is dropped and, when add is set, a single one with weight w takes its place.
+type arcOp struct {
+	row, col VID
+	w        float64
+	add      bool
+}
+
+// spliceCSR returns a copy of the CSR with ops applied (at most one op per
+// cell). Rows no op names are copied in bulk, a memcpy per gap between named
+// rows; a named row is merged with its ops in one walk, which keeps it sorted
+// by (target, weight) because an op's arc lands where the copies it replaces
+// stood. Cost is O(|V| + |E|) sequential copying plus O(Σ deg(named rows)).
+func spliceCSR(idx []int64, to []VID, ws []float64, ops []arcOp) ([]int64, []VID, []float64) {
+	slices.SortFunc(ops, func(a, b arcOp) int {
+		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.col, b.col))
+	})
+	nIdx := make([]int64, len(idx))
+	nTo := make([]VID, len(to)+len(ops)) // cut to size once the drops are known
+	nW := make([]float64, len(ws)+len(ops))
+
+	from, k := int64(0), int64(0) // arcs [0,from) of the old CSR are placed in [0,k)
+	row := 0                      // rows [0,row) have their new index entries
+	// fill copies the arcs up to end and closes the rows up to upTo; the
+	// first of them may be a merged row whose tail the copy completes.
+	fill := func(upTo int, end int64) {
+		k += int64(copy(nTo[k:], to[from:end]))
+		copy(nW[k-(end-from):], ws[from:end])
+		for shift := k - end; row < upTo; row++ {
+			nIdx[row+1] = idx[row+1] + shift
+		}
+		from = end
+	}
+	for i := 0; i < len(ops); {
+		r := int(ops[i].row)
+		fill(r, idx[r]) // everything before row r, verbatim
+		for end := idx[r+1]; i < len(ops) && int(ops[i].row) == r; i++ {
+			op := ops[i]
+			for ; from < end && to[from] < op.col; from, k = from+1, k+1 {
+				nTo[k], nW[k] = to[from], ws[from]
+			}
+			for from < end && to[from] == op.col {
+				from++
+			}
+			if op.add {
+				nTo[k], nW[k] = op.col, op.w
+				k++
 			}
 		}
-		if len(g.labels) > 0 {
-			nb.SetLabel(0, g.labels[0]) // force the labeled state even if all labels are 0
-		}
 	}
-	ng, err := nb.Build()
-	if err != nil {
-		return nil, MutationBatch{}, err
-	}
-	ng.version = g.version + 1
-	return ng, inverse, nil
+	fill(len(idx)-1, int64(len(to)))
+	return nIdx, nTo[:k], nW[:k]
 }
 
 // ErrNoSuchEdge is returned by ApplyMutations when a delete names an edge
@@ -226,7 +244,6 @@ func UpdateFragments(oldFrags []*Fragment, newG *Graph, touched []VID) ([]*Fragm
 		// A fragment with spilled edges cannot share its spill file with a
 		// sibling version (close/ownership would double up), so rebuild it.
 		if dirty[i] || f.espill != nil {
-			out[i] = buildFragment(newG, owner, numWorkers, i)
 			rebuilt = append(rebuilt, i)
 			continue
 		}
@@ -234,5 +251,6 @@ func UpdateFragments(oldFrags []*Fragment, newG *Graph, touched []VID) ([]*Fragm
 		cp.globalEdges = len(newG.outTo)
 		out[i] = &cp
 	}
+	buildMissing(out, newG, owner)
 	return out, rebuilt, nil
 }

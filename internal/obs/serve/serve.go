@@ -4,7 +4,8 @@
 //	/metrics      Prometheus text exposition (format version 0.0.4)
 //	/status       JSON dump of the recorder snapshot, health and run config
 //	/healthz      liveness: 200 while the control plane reports progress
-//	/readyz       readiness: 200 once a run is attached and recoverable
+//	/readyz       readiness: 200 once a run (or a resident service) is attached,
+//	              recoverable and not draining
 //	/debug/pprof  the standard Go profiling endpoints
 //
 // The server is deliberately passive: it holds an *obs.Recorder (the same
@@ -33,9 +34,13 @@ import (
 
 // Health mirrors the live driver's control-plane view (gap.Health) without
 // importing the driver: the binary that wires the two together adapts one
-// struct to the other. Field meanings are identical.
+// struct to the other. Field meanings are identical, plus Resident: the
+// health is a long-lived service's rather than one run's, so there is no run
+// to wait for and it is ready from the moment it is attached (the service
+// attaches after its state and preloads are in place).
 type Health struct {
 	Running       bool          `json:"running"`
+	Resident      bool          `json:"resident,omitempty"`
 	Completed     int64         `json:"completed"`
 	Failed        int64         `json:"failed"`
 	Err           string        `json:"err,omitempty"`
@@ -353,7 +358,8 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // readyz is readiness: 200 once a run has been attached (started or already
-// finished) and the cluster is recoverable.
+// finished) or the attached health is a resident service's, the process is
+// not draining and the cluster is recoverable.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	hfn := s.healthFn
@@ -369,7 +375,7 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not ready: draining", http.StatusServiceUnavailable)
 		return
 	}
-	if !h.Running && h.Completed+h.Failed == 0 {
+	if !h.Resident && !h.Running && h.Completed+h.Failed == 0 {
 		http.Error(w, "not ready: run not started", http.StatusServiceUnavailable)
 		return
 	}

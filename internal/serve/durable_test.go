@@ -6,12 +6,14 @@ package serve
 // retrying API client. The real-binary kill -9 soak lives in cmd/arganrun.
 
 import (
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,6 +89,9 @@ func TestDurableRestartWarmResume(t *testing.T) {
 	}
 	if rec.WarmReseeded < 1 {
 		t.Fatalf("recovery reseeded %d warm fixpoints, want >= 1", rec.WarmReseeded)
+	}
+	if rec.DurationMS <= 0 {
+		t.Fatalf("recovery of 4 records reports duration %v ms, want > 0", rec.DurationMS)
 	}
 	infos := s2.Datasets()
 	if len(infos) != 1 || infos[0].Version != 4 {
@@ -358,5 +363,39 @@ func TestClientGetRetriedAfterSend(t *testing.T) {
 	defer mu.Unlock()
 	if gets < 2 {
 		t.Fatalf("GET attempted %d times, want a retry after the killed attempt", gets)
+	}
+}
+
+// TestWaitTerminalShortJob: a job that runs 5 ms is reported terminal within
+// 15 ms (a fixed 20 ms poll quantised every short job up to 20 ms). The
+// status endpoint is a stub, so the job's length is exact; the best of a few
+// tries is taken so that one descheduled poll on a loaded box is not a
+// verdict.
+func TestWaitTerminalShortJob(t *testing.T) {
+	var startNS atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		state := StateRunning
+		if time.Now().UnixNano()-startNS.Load() >= int64(5*time.Millisecond) {
+			state = StateDone
+		}
+		json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: state})
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+	if _, err := c.Status("j1"); err != nil { // open the keep-alive connection
+		t.Fatal(err)
+	}
+	best := time.Hour
+	for try := 0; try < 5; try++ {
+		start := time.Now()
+		startNS.Store(start.UnixNano())
+		st, err := c.WaitTerminal("j1", time.Second)
+		if err != nil || st.State != StateDone {
+			t.Fatalf("WaitTerminal: %+v, %v", st, err)
+		}
+		best = min(best, time.Since(start))
+	}
+	if best >= 15*time.Millisecond {
+		t.Fatalf("a 5 ms job was reported terminal after %v, want < 15 ms", best)
 	}
 }

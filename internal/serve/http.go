@@ -160,14 +160,16 @@ func (s *Service) Attach(srv *obsserve.Server) error {
 }
 
 // healthFn aggregates per-job health into the telemetry plane's Health:
-// the service is "running" while any job is, and stops being ready the
-// moment a drain starts.
+// the service is "running" while any job is, ready while idle (Attach comes
+// after Open and the preloads), and stops being ready the moment a drain
+// starts.
 func (s *Service) healthFn() func() obsserve.Health {
 	return func() obsserve.Health {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		h := obsserve.Health{
 			Running:   s.running > 0,
+			Resident:  true,
 			Draining:  s.draining,
 			Completed: s.completed,
 			Failed:    s.failed + s.canceled,
@@ -404,10 +406,12 @@ func (c *Client) Datasets() ([]DatasetInfo, error) {
 }
 
 // WaitTerminal polls until the job reaches a terminal state or the timeout
-// lapses, returning the final status.
+// lapses, returning the final status. The poll interval starts at 1 ms and
+// doubles up to 20 ms, so a job is reported at most about its own run time
+// late, and a long one costs five polls more than a fixed 20 ms would.
 func (c *Client) WaitTerminal(id string, timeout time.Duration) (JobStatus, error) {
 	deadline := time.Now().Add(timeout)
-	for {
+	for wait := time.Millisecond; ; wait = min(2*wait, 20*time.Millisecond) {
 		st, err := c.Status(id)
 		if err != nil {
 			return st, err
@@ -419,6 +423,6 @@ func (c *Client) WaitTerminal(id string, timeout time.Duration) (JobStatus, erro
 		if time.Now().After(deadline) {
 			return st, fmt.Errorf("job %s still %s after %v", id, st.State, timeout)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(wait)
 	}
 }

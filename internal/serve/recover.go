@@ -37,6 +37,9 @@ type dsRecovery struct {
 	// SnapshotDiscarded reports the snapshot file was present but corrupt;
 	// recovery proceeded cold from the WAL.
 	SnapshotDiscarded bool
+	// DurationMS is the wall time of recoverDurable: WAL open-scan, replay
+	// and warm reseed, not the build of the base graph they start from.
+	DurationMS float64
 }
 
 // RecoveryStats aggregates startup recovery across every dataset with
@@ -56,6 +59,10 @@ type RecoveryStats struct {
 	WarmSkipped  int `json:"warm_skipped"`
 	// SnapshotsDiscarded counts corrupt snapshot files ignored.
 	SnapshotsDiscarded int `json:"snapshots_discarded"`
+	// DurationMS is the wall time spent on WAL open-scan, replay and warm
+	// reseed, summed over the datasets (they recover one after another);
+	// building the base graphs is not in it.
+	DurationMS float64 `json:"duration_ms"`
 }
 
 // parseDSKey inverts dsName: "HW@0.25" → ("HW", 0.25). %g formatting makes
@@ -93,6 +100,8 @@ func appWarmKind(app string) (uint32, bool) {
 // needed; ds.g is the base graph at version 0 on entry and the last
 // durable version on return.
 func (ds *dsState) recoverDurable(store *durable.Store) error {
+	start := time.Now()
+	defer func() { ds.rec.DurationMS = float64(time.Since(start)) / float64(time.Millisecond) }()
 	wal, recs, stats, err := store.OpenWAL(ds.key)
 	if err != nil {
 		return fmt.Errorf("open wal: %w", err)
@@ -226,6 +235,7 @@ func (s *Service) recoverAll() (RecoveryStats, error) {
 		if ds.rec.SnapshotDiscarded {
 			rs.SnapshotsDiscarded++
 		}
+		rs.DurationMS += ds.rec.DurationMS
 	}
 	return rs, nil
 }

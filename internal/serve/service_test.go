@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -355,6 +356,34 @@ func TestHTTPAPI(t *testing.T) {
 	st, err = c.WaitTerminal(sid, 10*time.Second)
 	if err != nil || st.State != StateCanceled {
 		t.Fatalf("canceled: %+v err %v", st, err)
+	}
+}
+
+// TestReadyzIdleService: a freshly attached service that has run nothing is
+// ready (a rollout gate must pass on an idle server) until a drain starts.
+func TestReadyzIdleService(t *testing.T) {
+	s := New(Config{Cores: 2})
+	srv := obsserve.New()
+	if err := s.Attach(srv); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	readyz := func() (int, string) {
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatalf("GET /readyz: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := readyz(); code != http.StatusOK {
+		t.Fatalf("idle service: /readyz = %d %q, want 200", code, body)
+	}
+	s.Drain(time.Second)
+	if code, body := readyz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+		t.Fatalf("draining service: /readyz = %d %q, want 503 draining", code, body)
 	}
 }
 
