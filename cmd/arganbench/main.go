@@ -8,9 +8,8 @@
 //	arganbench -list                 # available experiment ids
 //
 // Extensions beyond the paper carry machine-readable results via -json,
-// e.g. the live hot-path baseline and the recovery-strategy comparison:
+// e.g. the recovery-strategy comparison and the re-convergence study:
 //
-//	arganbench -exp perf -json BENCH_perf.json
 //	arganbench -exp recovery -json BENCH_recovery.json
 //	arganbench -exp incremental -json BENCH_incremental.json
 package main
@@ -32,7 +31,7 @@ func main() {
 	scale := flag.Float64("scale", 0, "override dataset scale (0 = per -full/-quick default)")
 	workers := flag.String("workers", "", "comma-separated worker counts, e.g. 16,32,64,128")
 	queries := flag.Int("queries", 0, "query repetitions per point (paper uses 5)")
-	jsonPath := flag.String("json", "", "write machine-readable results here (experiments that support it, e.g. -exp perf or -exp recovery)")
+	jsonPath := flag.String("json", "", "write machine-readable results here (-exp recovery, memory or incremental)")
 	flag.Parse()
 
 	if *list {

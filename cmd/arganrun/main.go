@@ -62,7 +62,7 @@
 //	                   the live control plane, and /debug/pprof. The server
 //	                   spans every soak iteration.
 //	-report FILE       after the run, write the critical-path straggler
-//	                   attribution report (per-worker compute/merge/wait/
+//	                   attribution report (per-worker compute/wait/
 //	                   replay/spill/throttle shares, straggler chain) as
 //	                   text to FILE ("-" = stdout).
 //	-report-json FILE  the same report as JSON ("-" = stdout).

@@ -292,17 +292,6 @@ type Combiner[V any] interface {
 	Combine(a, b V) V
 }
 
-// ShardSafe is an optional Program extension marking Update as safe for
-// intra-worker sharded evaluation: when ShardSafe reports true, the runtime
-// may invoke Update concurrently for distinct vertices of the same program
-// instance, provided every Ctx effect is buffered (the sharded evaluator
-// buffers Set/Send/Activate and merges them in shard order). A conforming
-// Update only reads Ψ and the fragment, and only writes per-vertex
-// auxiliary state of the vertex being updated.
-type ShardSafe interface {
-	ShardSafe() bool
-}
-
 // Prioritizer is an optional Program extension: when implemented, the
 // engine's active set becomes a priority queue popping the smallest
 // priority first (parallelized Dijkstra processes nearest vertices first).

@@ -169,10 +169,6 @@ func (p *PageRank) Output(ctx *ace.Ctx[float64], local uint32) float64 { return 
 // coalescing preserves the fixpoint exactly).
 func (p *PageRank) Combine(a, b float64) float64 { return a + b }
 
-// ShardSafe implements ace.ShardSafe: Update reads only the vertex's own
-// delta and writes only rank[local], so sweeps may be sharded.
-func (p *PageRank) ShardSafe() bool { return true }
-
 // Invert implements ace.Inverter: addition is the aggregate, so removing a
 // previously folded contribution is subtraction. Localized recovery uses it
 // to un-apply the post-checkpoint deltas a rolled-back sender re-sends; the

@@ -165,10 +165,6 @@ func (p *SSSP) Combine(a, b float64) float64 {
 	return a
 }
 
-// ShardSafe implements ace.ShardSafe: Update only reads the vertex's own
-// distance and the fragment, so sweeps may be sharded across goroutines.
-func (p *SSSP) ShardSafe() bool { return true }
-
 // IdempotentAggregate implements ace.IdempotentAggregator: min is a lattice
 // join, so re-folding a replayed distance is harmless and localized recovery
 // can repair survivors by re-ingestion alone.

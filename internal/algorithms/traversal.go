@@ -121,9 +121,6 @@ func (p *BFS) Combine(a, b int32) int32 {
 	return a
 }
 
-// ShardSafe implements ace.ShardSafe.
-func (p *BFS) ShardSafe() bool { return true }
-
 // IdempotentAggregate implements ace.IdempotentAggregator (min fold).
 func (p *BFS) IdempotentAggregate() bool { return true }
 
@@ -251,9 +248,6 @@ func (p *WCC) Combine(a, b uint32) uint32 {
 	}
 	return a
 }
-
-// ShardSafe implements ace.ShardSafe.
-func (p *WCC) ShardSafe() bool { return true }
 
 // IdempotentAggregate implements ace.IdempotentAggregator (min-label fold).
 func (p *WCC) IdempotentAggregate() bool { return true }

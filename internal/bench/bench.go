@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -45,8 +46,8 @@ type Options struct {
 	// figure.
 	Trace func(trial string) obs.Tracer
 	// JSONPath, when non-empty, makes experiments with machine-readable
-	// results (currently "perf" and "recovery") write them to this file in
-	// addition to the rendered rows.
+	// results ("recovery", "memory" and "incremental") write them to this
+	// file in addition to the rendered rows.
 	JSONPath string
 }
 
@@ -106,12 +107,18 @@ func All() []Experiment {
 		{"fig6l", "Fig 6l: scalability vs |G|", Fig6l},
 		{"ablation", "Extension: per-rule ablation of GAP (R1/R2/R3/tuner)", Ablation},
 		{"faults", "Extension: crash-recovery and link-fault overhead sweep", FaultSweep},
-		{"perf", "Extension: live hot-path baseline (pooled batches, intra-worker shards)", Perf},
 		{"recovery", "Extension: lost work and latency, global rollback vs localized recovery", Recovery},
 		{"memory", "Extension: wall-clock vs memory cap — spill tier, backpressure, degradation ladder", Memory},
 		{"incremental", "Extension: re-convergence after 1% churn vs full recompute (evolving graphs)", Incremental},
 	}
 }
+
+// ErrGate marks an experiment failure that is a missed measurement target —
+// a comparison whose outcome depends on wall-clock scheduling — not a wrong
+// answer. The rows are complete when it is returned. arganbench exits
+// non-zero on it (the CI bench job's gate); the test suite only logs it, so
+// tier-1 gives the same verdict on every machine.
+var ErrGate = errors.New("bench: measurement gate missed")
 
 // ByID resolves an experiment label.
 func ByID(id string) (Experiment, error) {

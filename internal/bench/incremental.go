@@ -363,8 +363,8 @@ func Incremental(o Options) error {
 	}
 	for _, a := range rep.Apps {
 		if a.Enforced && !a.RatioMet {
-			return fmt.Errorf("incremental: %s mean ratio %.1f%% misses the %.0f%% target",
-				a.App, 100*a.MeanRatio, 100*incRatioTarget)
+			return fmt.Errorf("%w: incremental: %s mean ratio %.1f%% misses the %.0f%% target",
+				ErrGate, a.App, 100*a.MeanRatio, 100*incRatioTarget)
 		}
 	}
 	return nil

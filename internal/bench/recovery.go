@@ -208,8 +208,8 @@ func Recovery(o Options) error {
 		fmt.Fprintf(o.Out, "wrote %s\n", o.JSONPath)
 	}
 	if !rep.LocalBeatsGlobal {
-		return fmt.Errorf("recovery: localized recovery lost %.1f%% vs global %.1f%% — local must lose strictly less",
-			100*lost(gap.RecoveryLocal), 100*lost(gap.RecoveryGlobal))
+		return fmt.Errorf("%w: recovery: localized recovery lost %.1f%% vs global %.1f%% — local must lose strictly less",
+			ErrGate, 100*lost(gap.RecoveryLocal), 100*lost(gap.RecoveryGlobal))
 	}
 	return nil
 }

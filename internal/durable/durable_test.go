@@ -404,3 +404,59 @@ func TestStoreLayoutAndKeys(t *testing.T) {
 		t.Fatal("corrupt snapshot decoded without error")
 	}
 }
+
+// TestDirectorySyncs counts parent-directory fsyncs through the syncDir seam:
+// a created file or directory and a renamed snapshot must each be followed by
+// one, reopening what already exists by none, and an append by none (the
+// mutate path pays only the log's own fsync).
+func TestDirectorySyncs(t *testing.T) {
+	real := syncDir
+	var synced []string
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return real(dir)
+	}
+	defer func() { syncDir = real }()
+
+	root := t.TempDir()
+	st, err := OpenStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyDir := filepath.Join(root, "HW@0.05")
+	var w *WAL
+	for _, step := range []struct {
+		name string
+		do   func() error
+		want []string
+	}{
+		{"new dataset dir and WAL", func() (err error) { w, _, _, err = st.OpenWAL("HW@0.05"); return }, []string{root, keyDir}},
+		{"append", func() error { return w.Append(Record{Version: 1, Batch: batchN(1)}) }, nil},
+		{"reopen existing WAL", func() error {
+			if err := w.Close(); err != nil {
+				return err
+			}
+			w, _, _, err = st.OpenWAL("HW@0.05")
+			return err
+		}, nil},
+		{"snapshot write", func() error { return st.WriteSnapshot("HW@0.05", testSnapshot()) }, []string{keyDir}},
+	} {
+		synced = nil
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !reflect.DeepEqual(synced, step.want) {
+			t.Errorf("%s: synced %v, want %v", step.name, synced, step.want)
+		}
+	}
+	w.Close()
+
+	// A failed directory sync fails the operation instead of being dropped.
+	syncDir = func(string) error { return os.ErrPermission }
+	if err := st.WriteSnapshot("HW@0.05", testSnapshot()); err == nil {
+		t.Error("WriteSnapshot swallowed the directory sync error")
+	}
+	if _, _, _, err := st.OpenWAL("DP@0.25"); err == nil {
+		t.Error("OpenWAL swallowed the directory sync error")
+	}
+}

@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,6 +37,34 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("durable: state dir: %w", err)
 	}
 	return &Store{dir: dir}, nil
+}
+
+// syncDir fsyncs a directory, making entries just created in or renamed
+// into it survive power loss. A variable so tests can count the calls.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("durable: sync dir %s: %w", dir, err)
+	}
+	return d.Close()
+}
+
+// keyDir returns the dataset's directory, creating it — and fsyncing its
+// entry in the state directory — when absent.
+func (s *Store) keyDir(key string) (string, error) {
+	dir := filepath.Join(s.dir, key)
+	err := os.Mkdir(dir, 0o755)
+	if errors.Is(err, fs.ErrExist) {
+		return dir, nil
+	}
+	if err != nil {
+		return "", err
+	}
+	return dir, syncDir(s.dir)
 }
 
 // Dir returns the state directory root.
@@ -83,22 +113,22 @@ func (s *Store) OpenWAL(key string) (*WAL, []Record, RecoverStats, error) {
 	if err := validKey(key); err != nil {
 		return nil, nil, RecoverStats{}, err
 	}
-	if err := os.MkdirAll(filepath.Join(s.dir, key), 0o755); err != nil {
+	if _, err := s.keyDir(key); err != nil {
 		return nil, nil, RecoverStats{}, err
 	}
 	return OpenWAL(s.WALPath(key))
 }
 
 // WriteSnapshot persists the dataset's warm cache atomically: encode to a
-// temp file in the same directory, fsync, rename over the live snapshot. A
-// crash at any point leaves either the old snapshot or the new one, never a
-// torn hybrid.
+// temp file in the same directory, fsync, rename over the live snapshot,
+// fsync the directory. A crash at any point leaves either the old snapshot
+// or the new one, never a torn hybrid.
 func (s *Store) WriteSnapshot(key string, snap *Snapshot) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	dir := filepath.Join(s.dir, key)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := s.keyDir(key)
+	if err != nil {
 		return err
 	}
 	tmp, err := os.CreateTemp(dir, snapFile+".tmp-*")
@@ -117,7 +147,10 @@ func (s *Store) WriteSnapshot(key string, snap *Snapshot) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), s.SnapshotPath(key))
+	if err := os.Rename(tmp.Name(), s.SnapshotPath(key)); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // ReadSnapshot loads the dataset's snapshot. A missing file returns

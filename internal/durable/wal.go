@@ -9,10 +9,13 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"argan/internal/graph"
@@ -127,14 +130,24 @@ func decodePayload(payload []byte) (Record, error) {
 // matching ApplyMutations' version chain from the deterministic base at
 // version 0). The scan stops at the first bad frame and truncates the file
 // there: a kill -9 mid-append leaves a short or garbage tail, and cutting
-// it loses only the one record that was never acknowledged durable.
+// it loses only the one record that was never acknowledged durable. A log
+// created here has its directory entry fsynced before OpenWAL returns, so
+// no append is acknowledged into a file a power loss could unlink.
 func OpenWAL(path string) (*WAL, []Record, RecoverStats, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	created := false
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		created = true
+		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	}
 	if err != nil {
 		return nil, nil, RecoverStats{}, err
 	}
 	w := &WAL{path: path, f: f}
 	recs, stats, err := w.scan()
+	if err == nil && created {
+		err = syncDir(filepath.Dir(path))
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, stats, err

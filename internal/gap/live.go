@@ -75,25 +75,6 @@ type LiveConfig struct {
 	// can never hang silently (e.g. a permanently dead worker holding
 	// unacknowledged messages). Default 30s; < 0 disables.
 	Watchdog time.Duration
-	// IntraParallelism shards each worker's f_step sweep across a small
-	// goroutine pool (intra-worker parallel local evaluation). Every wave
-	// of updates reads the pre-wave state, per-shard effects are buffered,
-	// and the buffers merge in fixed shard order, so results are a pure
-	// function of the work list — independent of the shard count and of
-	// goroutine scheduling. 0 (the default) resolves to
-	// GOMAXPROCS/NumWorkers, min 1; 1 evaluates serially on the worker
-	// goroutine (the classic pop-loop). Values > 1 apply only to programs
-	// that declare ace.ShardSafe; others fall back to serial evaluation.
-	IntraParallelism int
-	// LegacyBatches restores the pre-pooling message pipeline (a fresh
-	// map-indexed out-accumulator per flush, slice copies, map-based
-	// global→local resolution on ingest). Benchmarks use it as the
-	// baseline the pooled pipeline is measured against.
-	LegacyBatches bool
-	// NoCombine disables outgoing message coalescing in the pooled
-	// pipeline (append-only accumulators); isolates the per-algorithm
-	// combiner's contribution in benchmarks.
-	NoCombine bool
 	// Mem attaches a memory governor to the run: the recovery logs, local
 	// checkpoints, batch pool, reorder buffers and fragment edge payloads
 	// register with it, and the driver degrades through the governor's
@@ -207,9 +188,12 @@ type LiveMetrics struct {
 	// Replayed counts messages re-delivered from the sender-side logs to
 	// restored workers (local mode only).
 	Replayed int64
-	// RecoveryMS is the total wall-clock spent between failure detection
-	// and worker respawn, summed over recoveries (local mode only; global
-	// recoveries park the whole cluster instead).
+	// RecoveryMS is the total wall-clock spent between acting on a detected
+	// failure and the worker respawn, summed over recoveries. Local mode
+	// times each victim from the tick the monitor stages its death while
+	// the survivors keep computing; global mode times the rollback that
+	// succeeded, from the start of the park barrier, with the whole cluster
+	// stopped. Both include the plan's restart delay.
 	RecoveryMS float64
 
 	// Memory-governance accounting (zero when no governor is attached).
@@ -390,9 +374,7 @@ type liveDriver[V any] struct {
 	beatEvery  time.Duration
 	retrySleep time.Duration
 
-	pool   *batchPool[V]
-	pooled bool // recycle batches through the pool (off under LegacyBatches)
-	shards int  // effective intra-worker shard count (1 = serial sweep)
+	pool *batchPool[V]
 
 	// Exactly-once / localized-recovery plumbing (see liverecover.go).
 	// seqOn stamps envelopes with (inc, seq) and routes drains through the
@@ -506,13 +488,10 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	d.ctrl = newLiveCtrl(n)
 	d.updCount = make([]atomic.Int64, n)
 	d.pool = &batchPool[V]{}
-	d.pooled = !cfg.LegacyBatches
-	tune := liveTuning{legacy: cfg.LegacyBatches, noCombine: cfg.NoCombine}
 	d.states = make([]*liveState[V], n)
 	for i := range d.states {
-		d.states[i] = newLiveStateWith(i, frags[i], factory(), q, d.pool, tune)
+		d.states[i] = newLiveState(i, frags[i], factory(), q, d.pool)
 	}
-	d.shards = resolveShards(cfg.IntraParallelism, n, d.states[0].prog)
 
 	// Recovery strategy and the exactly-once layer. Local recovery needs a
 	// program the protocol can repair survivors of (idempotent aggregation
@@ -741,13 +720,6 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	if d.hasLink {
 		hold = make([][]ace.Message[V], d.n)
 	}
-	var ev *waveEval[V] // sharded local evaluation (IntraParallelism > 1)
-	if d.shards > 1 {
-		ev = newWaveEval(st, d.shards)
-		if tr != nil {
-			ev.tr, ev.ts, ev.id = tr, ts, id
-		}
-	}
 
 	beat := func() { d.ctrl.beats[id].Store(int64(sinceFn(d.start))) }
 	beat()
@@ -781,8 +753,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	// Batches arriving from the transport are owned by this worker once
 	// received: after h_in they are recycled into the driver's pool (the
 	// senders' takeOut draws replacements from it), closing the
-	// zero-allocation loop. Legacy mode skips recycling to stay a faithful
-	// pre-pooling baseline. Every drained envelope is counted as received —
+	// zero-allocation loop. Every drained envelope is counted as received —
 	// even ones the exactly-once layer then drops or buffers — because the
 	// termination ledger balances transport deliveries, not applications.
 	ingest := func(env liveEnvelope[V]) {
@@ -797,13 +768,11 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 			d.wrecv[id].Add(k)
 		}
 		if st.rs != nil {
-			st.seqIngest(env, d.pool, d.pooled)
+			st.seqIngest(env)
 			return
 		}
 		st.ingest(env.msgs)
-		if d.pooled {
-			d.pool.put(env.msgs)
-		}
+		d.pool.put(env.msgs)
 	}
 	drain := func() int {
 		got := 0
@@ -812,9 +781,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 			case env := <-d.chans[id]:
 				if env.epoch != myEpoch {
 					// Pre-rollback leftover: discard uncounted.
-					if d.pooled {
-						d.pool.put(env.msgs)
-					}
+					d.pool.put(env.msgs)
 					continue
 				}
 				ingest(env)
@@ -904,7 +871,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	pauseCheck := func() bool {
 		// A closed run (failure, cancellation, or quiescence declared while
 		// we computed) ends the incarnation at the next check: cancellation
-		// latency is one CheckEvery wave, not the rest of the active set.
+		// latency is one CheckEvery interval, not the rest of the active set.
 		select {
 		case <-d.coord.done:
 			return true
@@ -990,11 +957,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 						// the dedup layer (when on) drops the second.
 						env := stamp(j, msgs)
 						cp := env
-						if d.pooled {
-							cp.msgs = append(d.pool.get(), msgs...)
-						} else {
-							cp.msgs = append([]ace.Message[V](nil), msgs...)
-						}
+						cp.msgs = append(d.pool.get(), msgs...)
 						send(j, env)
 						send(j, cp)
 						sentFresh = true
@@ -1004,9 +967,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 						// a crash loses nothing the checkpoint replay
 						// would miss (held mass is re-derived from Ψ).
 						hold[j] = append(hold[j], msgs...)
-						if d.pooled {
-							d.pool.put(msgs)
-						}
+						d.pool.put(msgs)
 					default:
 						send(j, stamp(j, msgs))
 						sentFresh = true
@@ -1178,41 +1139,17 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 			return false
 		}
 		steps := 0
-		if ev != nil {
-			// Sharded sweep: waves stay smaller than CheckEvery because
-			// in-wave sends only land after the wave merges — oversized
-			// waves process stale deltas and inflate the update count. The
-			// indicator check (with its R3 flush) runs after every wave;
-			// the eager flushing propagates deltas sooner and measurably
-			// shortens convergence.
-			wave := ce
-			if wave > liveWaveCap {
-				wave = liveWaveCap
+		for !st.active.Empty() {
+			v := st.active.Pop()
+			st.prog.Update(st.ctx, v)
+			d.updates.Add(1)
+			if d.hasCrashes {
+				d.updCount[id].Add(1)
 			}
-			for !st.active.Empty() {
-				nw := ev.runWave(wave)
-				steps += nw
-				d.updates.Add(int64(nw))
-				if d.hasCrashes {
-					d.updCount[id].Add(int64(nw))
-				}
+			steps++
+			if steps%ce == 0 {
 				if checkStep() {
 					return
-				}
-			}
-		} else {
-			for !st.active.Empty() {
-				v := st.active.Pop()
-				st.prog.Update(st.ctx, v)
-				d.updates.Add(1)
-				if d.hasCrashes {
-					d.updCount[id].Add(1)
-				}
-				steps++
-				if steps%ce == 0 {
-					if checkStep() {
-						return
-					}
 				}
 			}
 		}

@@ -36,126 +36,46 @@ func BenchmarkFragmentBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalEval compares one worker's f_step sweep through the serial
-// pop-loop against the sharded wave evaluator (inline and spawned), on an
-// identical re-seeded active set each iteration.
-func BenchmarkLocalEval(b *testing.B) {
-	g := benchGraph(b)
-	fs := benchFrags(b, g, 4)
-	run := func(b *testing.B, shards int, spawn bool) {
-		st := newLiveState(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4})
-		ev := newWaveEval(st, shards)
-		if spawn {
-			ev.forceSpawn = true
-		} else {
-			ev.forceInline = true
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l := uint32(0); int(l) < st.frag.NumOwned(); l++ {
-				st.active.Push(l)
-			}
-			for !st.active.Empty() {
-				ev.runWave(256)
-			}
-			for j := range st.out {
-				if msgs := st.takeOut(j); msgs != nil {
-					st.pool.put(msgs)
-				}
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, false) })
-	b.Run("sharded4_inline", func(b *testing.B) { run(b, 4, false) })
-	b.Run("sharded4_spawn", func(b *testing.B) { run(b, 4, true) })
-}
-
 // BenchmarkFlushIngest measures the flush → transport → h_in round trip
-// between two workers, pooled pipeline vs the legacy pre-PR pipeline.
+// between two workers.
 func BenchmarkFlushIngest(b *testing.B) {
 	g := benchGraph(b)
 	fs := benchFrags(b, g, 2)
-	run := func(b *testing.B, tune liveTuning) {
-		pool := &batchPool[float64]{}
-		s0 := newLiveStateWith(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool, tune)
-		s1 := newLiveStateWith(1, fs[1], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool, tune)
-		// Drain the InitialSync payloads so iterations start clean.
-		for j := range s0.out {
-			s0.takeOut(j)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l := uint32(0); int(l) < s0.frag.NumOwned(); l++ {
-				for _, r := range s0.frag.ReplicasOut(l) {
-					s0.enqueue(int(r), l, s0.frag.Global(l), 0.5)
-				}
-			}
-			msgs := s0.takeOut(1)
-			if msgs == nil {
-				b.Fatal("no cross-fragment traffic; enlarge the bench graph")
-			}
-			s1.ingest(msgs)
-			if !tune.legacy {
-				pool.put(msgs)
-			}
-		}
+	pool := &batchPool[float64]{}
+	s0 := newLiveState(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
+	s1 := newLiveState(1, fs[1], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
+	// Drain the InitialSync payloads so iterations start clean.
+	for j := range s0.out {
+		s0.takeOut(j)
 	}
-	b.Run("pooled", func(b *testing.B) { run(b, liveTuning{}) })
-	b.Run("legacy", func(b *testing.B) { run(b, liveTuning{legacy: true}) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for l := uint32(0); int(l) < s0.frag.NumOwned(); l++ {
+			for _, r := range s0.frag.ReplicasOut(l) {
+				s0.enqueue(int(r), l, s0.frag.Global(l), 0.5)
+			}
+		}
+		msgs := s0.takeOut(1)
+		if msgs == nil {
+			b.Fatal("no cross-fragment traffic; enlarge the bench graph")
+		}
+		s1.ingest(msgs)
+		pool.put(msgs)
+	}
 }
 
-// BenchmarkCombiner isolates outgoing coalescing: enqueueing the same
-// border vertices repeatedly with the combiner on (dense slot index folds
-// duplicates) and off (append-only batches).
-func BenchmarkCombiner(b *testing.B) {
-	g := benchGraph(b)
-	fs := benchFrags(b, g, 2)
-	run := func(b *testing.B, tune liveTuning) {
-		st := newLiveStateWith(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, &batchPool[float64]{}, tune)
-		for j := range st.out {
-			st.takeOut(j)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for rep := 0; rep < 8; rep++ {
-				for l := uint32(0); int(l) < st.frag.NumOwned(); l++ {
-					for _, r := range st.frag.ReplicasOut(l) {
-						st.enqueue(int(r), l, st.frag.Global(l), 0.25)
-					}
-				}
-			}
-			for j := range st.out {
-				if msgs := st.takeOut(j); msgs != nil {
-					st.pool.put(msgs)
-				}
-			}
-		}
-	}
-	b.Run("combine", func(b *testing.B) { run(b, liveTuning{}) })
-	b.Run("nocombine", func(b *testing.B) { run(b, liveTuning{noCombine: true}) })
-}
-
-// BenchmarkRunLivePageRank is the end-to-end contrast the perf experiment
-// reports: the async live driver under the legacy serial configuration
-// versus the pooled pipeline (serial and sharded).
+// BenchmarkRunLivePageRank is the end-to-end async live driver on four
+// workers.
 func BenchmarkRunLivePageRank(b *testing.B) {
 	g := benchGraph(b)
 	fs := benchFrags(b, g, 4)
-	run := func(b *testing.B, cfg LiveConfig) {
-		cfg.Mode = ModeGAP
-		cfg.CheckEvery = 64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, cfg); err != nil {
-				b.Fatal(err)
-			}
+	cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 64}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("legacy_serial", func(b *testing.B) { run(b, LiveConfig{LegacyBatches: true, NoCombine: true, IntraParallelism: 1}) })
-	b.Run("pooled_serial", func(b *testing.B) { run(b, LiveConfig{IntraParallelism: 1}) })
-	b.Run("pooled_sharded4", func(b *testing.B) { run(b, LiveConfig{IntraParallelism: 4}) })
 }

@@ -2,6 +2,7 @@ package gap
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"argan/internal/ace"
@@ -106,7 +107,7 @@ func TestLiveBSPMatchesSequential(t *testing.T) {
 	g := graph.PowerLaw(graph.GenConfig{N: 2500, M: 20000, Directed: true, Seed: 26, MaxW: 20})
 	want := algorithms.SeqSSSP(g, 0)
 	for _, n := range []int{1, 4, 8} {
-		res, lm, err := RunLiveBSP(frags(t, g, n), algorithms.NewSSSP(), ace.Query{Source: 0}, 0)
+		res, lm, err := RunLiveBSP(frags(t, g, n), algorithms.NewSSSP(), ace.Query{Source: 0}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestLiveBSPMatchesSequential(t *testing.T) {
 	// PageRank under live BSP too (non-idempotent aggregation relies on the
 	// exactly-once exchange of the barrier).
 	wantPR := algorithms.SeqPageRank(g, 1e-4)
-	res, _, err := RunLiveBSP(frags(t, g, 6), algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, 0)
+	res, _, err := RunLiveBSP(frags(t, g, 6), algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,12 @@ func TestLiveBSPMatchesSequential(t *testing.T) {
 }
 
 func TestLiveBSPErrorsAndCaps(t *testing.T) {
-	if _, _, err := RunLiveBSP(nil, algorithms.NewSSSP(), ace.Query{}, 0); err == nil {
+	if _, _, err := RunLiveBSP(nil, algorithms.NewSSSP(), ace.Query{}, 0, nil); err == nil {
 		t.Fatal("want error for no fragments")
 	}
 	// A superstep cap cuts the run short but still returns.
 	g := graph.Chain(50, true)
-	res, lm, err := RunLiveBSP(frags(t, g, 4), algorithms.NewBFS(), ace.Query{Source: 0}, 3)
+	res, lm, err := RunLiveBSP(frags(t, g, 4), algorithms.NewBFS(), ace.Query{Source: 0}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestLiveBSPPullPrograms(t *testing.T) {
 	// (ctxSet) and dependent re-activation across all DepKinds.
 	g := graph.PowerLaw(graph.GenConfig{N: 900, M: 7000, Directed: true, Seed: 27, MaxW: 9, Labels: 6})
 	fs := frags(t, g, 5)
-	col, _, err := RunLiveBSP(fs, algorithms.NewColor(), ace.Query{}, 0)
+	col, _, err := RunLiveBSP(fs, algorithms.NewColor(), ace.Query{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestLiveBSPPullPrograms(t *testing.T) {
 	}
 
 	gu := graph.PowerLaw(graph.GenConfig{N: 700, M: 5200, Directed: false, Seed: 28})
-	core, _, err := RunLiveBSP(frags(t, gu, 4), algorithms.NewCore(), ace.Query{}, 0)
+	core, _, err := RunLiveBSP(frags(t, gu, 4), algorithms.NewCore(), ace.Query{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +177,119 @@ func TestLiveBSPPullPrograms(t *testing.T) {
 	}
 
 	pat := algorithms.RandomPattern(g, 4, 5, 5)
-	sim, _, err := RunLiveBSP(fs, algorithms.NewSim(), ace.Query{Pattern: pat}, 0)
+	sim, _, err := RunLiveBSP(fs, algorithms.NewSim(), ace.Query{Pattern: pat}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v, m := range algorithms.SeqSim(g, pat) {
 		if sim.Values[v] != m {
 			t.Fatalf("sim[%d] = %b, want %b", v, sim.Values[v], m)
+		}
+	}
+}
+
+// TestLivePipelineVariantsAgree: the async and BSP drivers are the two
+// consumers of the one pooled, combining message pipeline; both must reach
+// the sequential fixpoint at every worker count — bit-equal for the
+// min-fold programs, within tolerance for PageRank.
+func TestLivePipelineVariantsAgree(t *testing.T) {
+	g := testGraph(true, 15)
+	cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16}
+	exact := func(t *testing.T, label string, got, want []float64) {
+		t.Helper()
+		for v, w := range want {
+			if got[v] != w {
+				t.Fatalf("%s vertex %d: got %v want %v", label, v, got[v], w)
+			}
+		}
+	}
+	t.Run("sssp", func(t *testing.T) {
+		want := algorithms.SeqSSSP(g, 0)
+		for _, n := range []int{1, 2, 4, 7} {
+			res, _, err := RunLive(frags(t, g, n), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
+			if err != nil {
+				t.Fatalf("async n=%d: %v", n, err)
+			}
+			exact(t, "async", res.Values, want)
+			res, _, err = RunLiveBSP(frags(t, g, n), algorithms.NewSSSP(), ace.Query{Source: 0}, 0, nil)
+			if err != nil {
+				t.Fatalf("bsp n=%d: %v", n, err)
+			}
+			exact(t, "bsp", res.Values, want)
+		}
+	})
+	t.Run("bfs_wcc", func(t *testing.T) {
+		wantBFS, wantWCC := algorithms.SeqBFS(g, 0), algorithms.SeqWCC(g)
+		for _, n := range []int{1, 2, 4, 7} {
+			bfs, _, err := RunLive(frags(t, g, n), algorithms.NewBFS(), ace.Query{Source: 0}, cfg)
+			if err != nil {
+				t.Fatalf("bfs n=%d: %v", n, err)
+			}
+			wcc, _, err := RunLive(frags(t, g, n), algorithms.NewWCC(), ace.Query{}, cfg)
+			if err != nil {
+				t.Fatalf("wcc n=%d: %v", n, err)
+			}
+			for v, d := range wantBFS {
+				if d < 0 {
+					d = math.MaxInt32 // the program's unreachable marker
+				}
+				if bfs.Values[v] != d || wcc.Values[v] != wantWCC[v] {
+					t.Fatalf("n=%d vertex %d: bfs %v want %v, wcc %v want %v",
+						n, v, bfs.Values[v], d, wcc.Values[v], wantWCC[v])
+				}
+			}
+		}
+	})
+	t.Run("pagerank", func(t *testing.T) {
+		want := algorithms.SeqPageRank(g, 1e-4)
+		near := func(label string, got []float64) {
+			for v, w := range want {
+				if math.Abs(got[v]-w) > 0.02*(w+1) {
+					t.Fatalf("%s vertex %d: got %v want ~%v", label, v, got[v], w)
+				}
+			}
+		}
+		for _, n := range []int{1, 2, 4, 7} {
+			res, _, err := RunLive(frags(t, g, n), algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, cfg)
+			if err != nil {
+				t.Fatalf("async n=%d: %v", n, err)
+			}
+			near("async", res.Values)
+			res, _, err = RunLiveBSP(frags(t, g, n), algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, 0, nil)
+			if err != nil {
+				t.Fatalf("bsp n=%d: %v", n, err)
+			}
+			near("bsp", res.Values)
+		}
+	})
+}
+
+// TestLiveOneWorkerScheduleIgnoresCoreCount: a 1-worker run is one goroutine
+// exchanging no messages, so the update schedule — and with it
+// LiveMetrics.Updates — must not depend on how many cores the process has.
+func TestLiveOneWorkerScheduleIgnoresCoreCount(t *testing.T) {
+	g := testGraph(true, 16)
+	fs := frags(t, g, 1)
+	updates := func(procs int, run func() (*LiveMetrics, error)) int64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		lm, err := run()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return lm.Updates
+	}
+	for name, run := range map[string]func() (*LiveMetrics, error){
+		"sssp": func() (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewSSSP(), ace.Query{Source: 0}, LiveConfig{Mode: ModeGAP})
+			return lm, err
+		},
+		"pagerank": func() (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, LiveConfig{Mode: ModeGAP})
+			return lm, err
+		},
+	} {
+		if one, two := updates(1, run), updates(2, run); one != two || one == 0 {
+			t.Fatalf("%s: %d updates at GOMAXPROCS=1, %d at GOMAXPROCS=2", name, one, two)
 		}
 	}
 }

@@ -370,6 +370,7 @@ func (d *liveDriver[V]) runRecovery() bool {
 		tr.SpanBegin(d.n, obs.PhaseRecovery, ts())
 		defer func() { tr.SpanEnd(d.n, obs.PhaseRecovery, ts()) }()
 	}
+	began := sinceFn(d.start)
 	d.ctrl.phase.Store(ctrlRecover)
 	defer d.ctrl.phase.Store(ctrlRun)
 
@@ -459,6 +460,7 @@ func (d *liveDriver[V]) runRecovery() bool {
 		time.Sleep(time.Duration(restartMS * float64(time.Millisecond)))
 	}
 	nowNS := int64(sinceFn(d.start))
+	d.recoveryNS.Add(nowNS - int64(began))
 	d.ctrl.mu.Lock()
 	for _, i := range deads {
 		d.ctrl.dead[i] = false

@@ -64,6 +64,9 @@ func TestLiveCrashRecoveryMatchesFaultFree(t *testing.T) {
 		if lm.Crashes != 1 || lm.Recoveries < 1 {
 			t.Fatalf("crashes=%d recoveries=%d, want 1 and >=1", lm.Crashes, lm.Recoveries)
 		}
+		if lm.RecoveryMS <= 0 {
+			t.Fatalf("global rollback reported RecoveryMS=%v, want > 0", lm.RecoveryMS)
+		}
 	})
 	t.Run("pagerank", func(t *testing.T) {
 		g := testGraph(true, 4)

@@ -216,14 +216,10 @@ func (st *liveState[V]) applyFrom(s int, seq uint64, msgs []ace.Message[V]) {
 // applied (draining any buffered successors). The caller has already counted
 // the envelope as received — the termination ledger counts transport
 // deliveries, not applications.
-func (st *liveState[V]) seqIngest(env liveEnvelope[V], pool *batchPool[V], pooled bool) {
+func (st *liveState[V]) seqIngest(env liveEnvelope[V]) {
 	rs := st.rs
 	s := int(env.from)
-	recycle := func(m []ace.Message[V]) {
-		if pooled {
-			pool.put(m)
-		}
-	}
+	recycle := st.pool.put
 	if env.inc != rs.expInc[s] {
 		if env.inc > rs.expInc[s] {
 			// Protocol violation (a restarted sender ships only after every

@@ -24,7 +24,7 @@ func recTestState(t *testing.T) (*liveState[float64], uint32) {
 	g := testGraph(true, 11)
 	fs := frags(t, g, 2)
 	prog := algorithms.NewPageRank()()
-	st := newLiveState(0, fs[0], prog, ace.Query{Eps: 1e-3})
+	st := newLiveState(0, fs[0], prog, ace.Query{Eps: 1e-3}, &batchPool[float64]{})
 	st.rs = newRecoverState[float64](2, prog.(ace.Inverter[float64]).Invert)
 	lv, ok := st.frag.Local(fs[0].Global(0))
 	if !ok {
@@ -42,11 +42,11 @@ func TestSeqIngestExactlyOnce(t *testing.T) {
 			msgs: []ace.Message[float64]{{V: vid, Val: val}}}
 	}
 	// Out-of-order arrival: seq 2 buffers, seq 1 applies and drains it.
-	st.seqIngest(env(0, 2, 0.25), st.pool, false)
+	st.seqIngest(env(0, 2, 0.25))
 	if st.psi[lv] != 0 {
 		t.Fatalf("gap batch applied early: psi=%v", st.psi[lv])
 	}
-	st.seqIngest(env(0, 1, 0.5), st.pool, false)
+	st.seqIngest(env(0, 1, 0.5))
 	if st.psi[lv] != 0.75 {
 		t.Fatalf("after in-order drain psi=%v, want 0.75", st.psi[lv])
 	}
@@ -54,14 +54,14 @@ func TestSeqIngestExactlyOnce(t *testing.T) {
 		t.Fatalf("cursor=%d, want 2", st.rs.cursor[1])
 	}
 	// Duplicates of an applied sequence are dropped.
-	st.seqIngest(env(0, 1, 0.5), st.pool, false)
-	st.seqIngest(env(0, 2, 0.25), st.pool, false)
+	st.seqIngest(env(0, 1, 0.5))
+	st.seqIngest(env(0, 2, 0.25))
 	if st.psi[lv] != 0.75 {
 		t.Fatalf("duplicate re-applied: psi=%v", st.psi[lv])
 	}
 	// A buffered duplicate of a still-gapped sequence is dropped too.
-	st.seqIngest(env(0, 5, 1), st.pool, false)
-	st.seqIngest(env(0, 5, 1), st.pool, false)
+	st.seqIngest(env(0, 5, 1))
+	st.seqIngest(env(0, 5, 1))
 	if len(st.rs.robuf[1]) != 1 {
 		t.Fatalf("robuf holds %d entries, want 1", len(st.rs.robuf[1]))
 	}
@@ -74,8 +74,8 @@ func TestRollbackSenderInvertsUncommitted(t *testing.T) {
 		return liveEnvelope[float64]{from: 1, inc: inc, seq: seq,
 			msgs: []ace.Message[float64]{{V: vid, Val: val}}}
 	}
-	st.seqIngest(env(0, 1, 0.5), st.pool, false)
-	st.seqIngest(env(0, 2, 0.25), st.pool, false)
+	st.seqIngest(env(0, 1, 0.5))
+	st.seqIngest(env(0, 2, 0.25))
 	if st.psi[lv] != 0.75 {
 		t.Fatalf("setup psi=%v, want 0.75", st.psi[lv])
 	}
@@ -89,12 +89,12 @@ func TestRollbackSenderInvertsUncommitted(t *testing.T) {
 		t.Fatalf("cursor=%d, want 1", st.rs.cursor[1])
 	}
 	// The old incarnation's uncommitted suffix is now rejected...
-	st.seqIngest(env(0, 2, 0.25), st.pool, false)
+	st.seqIngest(env(0, 2, 0.25))
 	if st.psi[lv] != 0.5 {
 		t.Fatalf("rolled-back suffix re-applied: psi=%v", st.psi[lv])
 	}
 	// ...while the restarted incarnation's re-derived stream is accepted.
-	st.seqIngest(env(1, 2, 0.3), st.pool, false)
+	st.seqIngest(env(1, 2, 0.3))
 	if st.psi[lv] != 0.8 {
 		t.Fatalf("new-incarnation batch lost: psi=%v, want 0.8", st.psi[lv])
 	}
@@ -234,6 +234,9 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 		}
 		if lm.Epochs != 0 {
 			t.Fatalf("local recovery bumped the epoch %d times", lm.Epochs)
+		}
+		if lm.RecoveryMS <= 0 {
+			t.Fatalf("localized recovery reported RecoveryMS=%v, want > 0", lm.RecoveryMS)
 		}
 	})
 	t.Run("pagerank", func(t *testing.T) {

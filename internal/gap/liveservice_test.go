@@ -78,9 +78,8 @@ func TestLivePanicFaultContained(t *testing.T) {
 	}
 }
 
-// bombProg wraps a real program and panics on the Nth Update call — from
-// whatever goroutine happens to run it, which under IntraParallelism > 1 is
-// a shard goroutine inside the parallel sweep.
+// bombProg wraps a real program and panics on the Nth Update call, on the
+// worker goroutine running the sweep.
 type bombProg struct {
 	ace.Program[float64]
 	calls *atomic.Int64
@@ -94,19 +93,15 @@ func (p *bombProg) Update(ctx *ace.Ctx[float64], local uint32) {
 	p.Program.Update(ctx, local)
 }
 
-func (p *bombProg) ShardSafe() bool { return true }
-
-// TestLivePanicInShardContained: a panic raised on a shard goroutine of the
-// intra-parallel evaluator must propagate to the worker (after the wave
-// barrier, so no shard goroutine leaks) and fail the run contained.
-func TestLivePanicInShardContained(t *testing.T) {
+// TestLivePanicInUpdateContained: a panic raised by the program's own Update
+// (not the fault plan) must fail the run contained, payload preserved.
+func TestLivePanicInUpdateContained(t *testing.T) {
 	g := testGraph(true, 44)
 	var calls atomic.Int64
 	factory := func() ace.Program[float64] {
 		return &bombProg{Program: algorithms.NewSSSP()(), calls: &calls, at: 25}
 	}
-	cfg := LiveConfig{Mode: ModeGAP, IntraParallelism: 4}
-	_, _, err := RunLive(frags(t, g, 2), factory, ace.Query{Source: 0}, cfg)
+	_, _, err := RunLive(frags(t, g, 2), factory, ace.Query{Source: 0}, LiveConfig{Mode: ModeGAP})
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("want ErrWorkerPanic, got %v", err)
 	}

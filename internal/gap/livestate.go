@@ -2,7 +2,6 @@ package gap
 
 import (
 	"context"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -83,19 +82,6 @@ func (bp *batchPool[V]) trim() {
 	bp.mu.Unlock()
 }
 
-// liveTuning selects the message-pipeline variant of a live state; the zero
-// value is the default pooled, combining pipeline.
-type liveTuning struct {
-	// legacy reproduces the pre-pooling pipeline byte for byte: a fresh
-	// map-indexed accumulator per flush, coalescing through Aggregate, and
-	// map-based global→local resolution on ingest. Benchmarks use it as
-	// the baseline the pooled pipeline is measured against.
-	legacy bool
-	// noCombine disables outgoing coalescing entirely (append-only
-	// accumulators); isolates the combiner's contribution in benchmarks.
-	noCombine bool
-}
-
 // liveState is the per-worker state shared by the live drivers (async and
 // BSP): status variables, active set, per-peer out-accumulators and the ACE
 // context wiring. It contains no synchronization — each instance is owned
@@ -119,34 +105,28 @@ type liveState[V any] struct {
 	rs *recoverState[V]
 
 	pool *batchPool[V]
-	tune liveTuning
 	// combine coalesces two outgoing values for one vertex (the program's
-	// Combiner, falling back to an Aggregate fold); nil appends without
-	// coalescing (legacy mode indexes by map instead).
+	// Combiner, falling back to an Aggregate fold).
 	combine func(a, b V) V
 }
 
-// liveOutAcc accumulates the outgoing batch for one peer. The pooled path
-// coalesces through a generation-stamped dense index keyed by the sender's
-// local vertex id (every enqueued vertex is local to the sender), so a
-// flush is a pointer swap plus a generation bump — no per-flush allocation.
-// The legacy path keeps the original map index and reallocates per flush.
+// liveOutAcc accumulates the outgoing batch for one peer. It coalesces
+// through a generation-stamped dense index keyed by the sender's local
+// vertex id (every enqueued vertex is local to the sender), so a flush is a
+// pointer swap plus a generation bump — no per-flush allocation.
 type liveOutAcc[V any] struct {
 	msgs []ace.Message[V]
 
 	slotGen []uint32 // slotGen[l] == gen ⇒ msgs[slotIdx[l]] holds vertex l
 	slotIdx []uint32
 	gen     uint32
-
-	index map[graph.VID]int // legacy only
 }
 
-func newLiveState[V any](id int, f *graph.Fragment, prog ace.Program[V], q ace.Query) *liveState[V] {
-	return newLiveStateWith(id, f, prog, q, &batchPool[V]{}, liveTuning{})
-}
-
-func newLiveStateWith[V any](id int, f *graph.Fragment, prog ace.Program[V], q ace.Query, pool *batchPool[V], tune liveTuning) *liveState[V] {
-	st := &liveState[V]{id: id, frag: f, prog: prog, deps: prog.Deps(), pool: pool, tune: tune}
+// newLiveState builds worker id's state over fragment f. pool is the run's
+// shared batch pool: senders draw replacement accumulators from it and
+// receivers return drained batches to it.
+func newLiveState[V any](id int, f *graph.Fragment, prog ace.Program[V], q ace.Query, pool *batchPool[V]) *liveState[V] {
+	st := &liveState[V]{id: id, frag: f, prog: prog, deps: prog.Deps(), pool: pool}
 	prog.Setup(f, q)
 	st.psi = make([]V, f.NumLocal())
 	var prio func(uint32) float64
@@ -155,23 +135,15 @@ func newLiveStateWith[V any](id int, f *graph.Fragment, prog ace.Program[V], q a
 	}
 	st.active = newActiveSet(f.NumOwned(), prio)
 	st.out = make([]liveOutAcc[V], f.NumWorkers())
-	if tune.legacy {
-		for j := range st.out {
-			st.out[j] = liveOutAcc[V]{index: map[graph.VID]int{}}
-		}
+	for j := range st.out {
+		st.out[j] = liveOutAcc[V]{gen: 1}
+	}
+	if c, ok := any(prog).(ace.Combiner[V]); ok {
+		st.combine = c.Combine
 	} else {
-		for j := range st.out {
-			st.out[j] = liveOutAcc[V]{gen: 1}
-		}
-		if !tune.noCombine {
-			if c, ok := any(prog).(ace.Combiner[V]); ok {
-				st.combine = c.Combine
-			} else {
-				st.combine = func(a, b V) V {
-					v, _ := prog.Aggregate(a, b)
-					return v
-				}
-			}
+		st.combine = func(a, b V) V {
+			v, _ := prog.Aggregate(a, b)
+			return v
 		}
 	}
 	st.ctx = ace.NewCtx(f, st.psi, st.ctxSet, st.ctxSend, st.ctxActivate)
@@ -209,32 +181,20 @@ func newLiveStateWith[V any](id int, f *graph.Fragment, prog ace.Program[V], q a
 
 // enqueue buffers ⟨g, val⟩ for peer. l is the sender-local id of g (every
 // vertex a worker ships is local to it: owned border vertices and ghosts),
-// which keys the pooled path's dense coalescing index.
+// which keys the dense coalescing index.
 func (st *liveState[V]) enqueue(peer int, l uint32, g graph.VID, val V) {
 	o := &st.out[peer]
-	if st.tune.legacy {
-		if k, ok := o.index[g]; ok {
-			agg, _ := st.prog.Aggregate(o.msgs[k].Val, val)
-			o.msgs[k].Val = agg
-			return
-		}
-		o.index[g] = len(o.msgs)
-		o.msgs = append(o.msgs, ace.Message[V]{V: g, Val: val})
+	if o.slotGen == nil {
+		o.slotGen = make([]uint32, st.frag.NumLocal())
+		o.slotIdx = make([]uint32, st.frag.NumLocal())
+	}
+	if o.slotGen[l] == o.gen {
+		k := o.slotIdx[l]
+		o.msgs[k].Val = st.combine(o.msgs[k].Val, val)
 		return
 	}
-	if st.combine != nil {
-		if o.slotGen == nil {
-			o.slotGen = make([]uint32, st.frag.NumLocal())
-			o.slotIdx = make([]uint32, st.frag.NumLocal())
-		}
-		if o.slotGen[l] == o.gen {
-			k := o.slotIdx[l]
-			o.msgs[k].Val = st.combine(o.msgs[k].Val, val)
-			return
-		}
-		o.slotGen[l] = o.gen
-		o.slotIdx[l] = uint32(len(o.msgs))
-	}
+	o.slotGen[l] = o.gen
+	o.slotIdx[l] = uint32(len(o.msgs))
 	o.msgs = append(o.msgs, ace.Message[V]{V: g, Val: val})
 }
 
@@ -334,9 +294,8 @@ func (st *liveState[V]) ingest(msgs []ace.Message[V]) {
 	}
 }
 
-// takeOut removes and returns the accumulated batch for the peer. The pooled
-// path swaps in a recycled backing slice and bumps the coalescing
-// generation; the legacy path reallocates as the pre-pooling pipeline did.
+// takeOut removes and returns the accumulated batch for the peer, swapping
+// in a recycled backing slice and bumping the coalescing generation.
 // Ownership of the returned batch transfers to the caller (the receiver
 // recycles it via the pool after h_in).
 func (st *liveState[V]) takeOut(peer int) []ace.Message[V] {
@@ -345,31 +304,18 @@ func (st *liveState[V]) takeOut(peer int) []ace.Message[V] {
 		return nil
 	}
 	msgs := o.msgs
-	if st.tune.legacy {
-		st.out[peer] = liveOutAcc[V]{index: map[graph.VID]int{}}
-		return msgs
-	}
 	o.msgs = st.pool.get()
 	o.gen++
 	return msgs
 }
 
-// restoreOut overwrites the peer's accumulator with the snapshot batch,
-// rebuilding whichever coalescing index the pipeline variant uses.
+// restoreOut overwrites the peer's accumulator with the snapshot batch and
+// rebuilds its coalescing index.
 func (st *liveState[V]) restoreOut(peer int, msgs []ace.Message[V]) {
-	if st.tune.legacy {
-		cp := append([]ace.Message[V](nil), msgs...)
-		idx := make(map[graph.VID]int, len(cp))
-		for k, m := range cp {
-			idx[m.V] = k
-		}
-		st.out[peer] = liveOutAcc[V]{msgs: cp, index: idx}
-		return
-	}
 	o := &st.out[peer]
 	o.msgs = append(o.msgs[:0], msgs...)
 	o.gen++
-	if st.combine != nil && len(o.msgs) > 0 {
+	if len(o.msgs) > 0 {
 		if o.slotGen == nil {
 			o.slotGen = make([]uint32, st.frag.NumLocal())
 			o.slotIdx = make([]uint32, st.frag.NumLocal())
@@ -398,66 +344,27 @@ func (st *liveState[V]) finalPsi(into []V) {
 	}
 }
 
-// BSPOptions tunes the live BSP driver's execution pipeline.
-type BSPOptions struct {
-	// MaxSupersteps bounds the run (<= 0 means effectively unbounded).
-	MaxSupersteps int
-	// Tracer receives superstep spans and counters; nil disables tracing.
-	Tracer obs.Tracer
-	// IntraParallelism shards each worker's local fixpoint as in
-	// LiveConfig.IntraParallelism: 0 resolves to GOMAXPROCS/NumWorkers
-	// (min 1), 1 evaluates serially, > 1 uses the deterministic sharded
-	// evaluator for ace.ShardSafe programs. Because the BSP exchange is
-	// itself deterministic, sharded BSP runs are bit-reproducible and
-	// identical for every shard count.
-	IntraParallelism int
-	// LegacyBatches / NoCombine select the message-pipeline variant (see
-	// LiveConfig).
-	LegacyBatches bool
-	NoCombine     bool
-}
-
 // RunLiveBSP executes the program under a real-concurrency bulk-synchronous
 // driver: per superstep every worker runs its local fixpoint in its own
 // goroutine, a sync.WaitGroup barrier closes the superstep, and the batches
 // are exchanged before the next one starts — Grape's execution model on
-// goroutines.
-func RunLiveBSP[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query, maxSupersteps int) (*Result[V], *LiveMetrics, error) {
-	return RunLiveBSPOpts(frags, factory, q, BSPOptions{MaxSupersteps: maxSupersteps, IntraParallelism: 1})
-}
-
-// RunLiveBSPTraced is RunLiveBSP with an optional tracer: each worker's
-// superstep becomes a PhaseSuperstep span (wall-µs timestamps), with
-// per-superstep update/message counters and active-set gauges. Worker
-// goroutines carry runtime/pprof worker/phase labels while tracing so CPU
-// profiles attribute samples to supersteps.
-func RunLiveBSPTraced[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query, maxSupersteps int, tr obs.Tracer) (*Result[V], *LiveMetrics, error) {
-	return RunLiveBSPOpts(frags, factory, q, BSPOptions{MaxSupersteps: maxSupersteps, Tracer: tr, IntraParallelism: 1})
-}
-
-// RunLiveBSPOpts is the fully-parameterized live BSP driver.
-func RunLiveBSPOpts[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query, o BSPOptions) (*Result[V], *LiveMetrics, error) {
+// goroutines. maxSupersteps <= 0 means effectively unbounded. With a non-nil
+// tracer each worker's superstep becomes a PhaseSuperstep span (wall-µs
+// timestamps) with per-superstep update/message counters and active-set
+// gauges, and worker goroutines carry runtime/pprof worker/phase labels so
+// CPU profiles attribute samples to supersteps.
+func RunLiveBSP[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query, maxSupersteps int, tr obs.Tracer) (*Result[V], *LiveMetrics, error) {
 	if len(frags) == 0 {
 		return nil, nil, errNoFragments
 	}
-	maxSupersteps := o.MaxSupersteps
 	if maxSupersteps <= 0 {
 		maxSupersteps = 1 << 20
 	}
-	tr := o.Tracer
 	n := len(frags)
 	pool := &batchPool[V]{}
-	tune := liveTuning{legacy: o.LegacyBatches, noCombine: o.NoCombine}
 	states := make([]*liveState[V], n)
 	for i := range states {
-		states[i] = newLiveStateWith(i, frags[i], factory(), q, pool, tune)
-	}
-	shards := resolveShards(o.IntraParallelism, n, states[0].prog)
-	evals := make([]*waveEval[V], n)
-	if shards > 1 {
-		for i := range evals {
-			evals[i] = newWaveEval(states[i], shards)
-		}
+		states[i] = newLiveState(i, frags[i], factory(), q, pool)
 	}
 	inbox := make([][][]ace.Message[V], n) // inbox[worker] = batches
 	m := &LiveMetrics{}
@@ -485,23 +392,15 @@ func RunLiveBSPOpts[V any](frags []*graph.Fragment, factory ace.Factory[V], q ac
 				}
 				for _, b := range batches {
 					st.ingest(b)
-					if !tune.legacy {
-						pool.put(b)
-					}
+					pool.put(b)
 				}
 				if tr != nil {
 					tr.Sample(i, obs.GaugeActive, ts(), float64(st.active.Len()))
 				}
-				if ev := evals[i]; ev != nil {
-					for !st.active.Empty() {
-						updates[i] += int64(ev.runWave(liveBSPWaveCap))
-					}
-				} else {
-					for !st.active.Empty() {
-						v := st.active.Pop()
-						st.prog.Update(st.ctx, v)
-						updates[i]++
-					}
+				for !st.active.Empty() {
+					v := st.active.Pop()
+					st.prog.Update(st.ctx, v)
+					updates[i]++
 				}
 				if tr != nil {
 					t1 := ts()
@@ -550,29 +449,6 @@ func RunLiveBSPOpts[V any](frags []*graph.Fragment, factory ace.Factory[V], q ac
 	res.Metrics.Mode = ModeBSP
 	res.Metrics.Supersteps = m.Rounds
 	return res, m, nil
-}
-
-// liveBSPWaveCap is the wave size of the sharded evaluator under the BSP
-// driver (the async driver uses CheckEvery instead).
-const liveBSPWaveCap = 256
-
-// resolveShards turns an IntraParallelism setting into an effective shard
-// count for prog: 0 defaults to GOMAXPROCS/numWorkers (min 1), and values
-// above 1 require the program to declare ace.ShardSafe.
-func resolveShards[V any](requested, numWorkers int, prog ace.Program[V]) int {
-	s := requested
-	if s <= 0 {
-		s = runtime.GOMAXPROCS(0) / numWorkers
-		if s < 1 {
-			s = 1
-		}
-	}
-	if s > 1 {
-		if ss, ok := any(prog).(ace.ShardSafe); !ok || !ss.ShardSafe() {
-			s = 1
-		}
-	}
-	return s
 }
 
 // Indirections shared with live.go (kept tiny so tests can stub time).

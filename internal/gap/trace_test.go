@@ -176,7 +176,7 @@ func TestLiveTraceSane(t *testing.T) {
 func TestLiveBSPTraceSane(t *testing.T) {
 	g := testGraph(false, 5)
 	rec := obs.NewRecorder(3, 0)
-	_, lm, err := RunLiveBSPTraced(frags(t, g, 3), algorithms.NewWCC(), ace.Query{}, 0, rec)
+	_, lm, err := RunLiveBSP(frags(t, g, 3), algorithms.NewWCC(), ace.Query{}, 0, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@
 //
 // Attribution is deterministic and purely trace-driven: each worker's share
 // of the run window is split into buckets by the innermost open span at each
-// instant — compute (LocalEval/h_in/h_out/Adjust/superstep), merge (the
-// sharded-wave publication), replay (recovery, checkpoint and replay spans),
-// spill (page-outs), throttle (backpressure pauses) — and every instant not
-// covered by any span is wait. The buckets therefore always account for the
-// full window; the coverage figure exists to catch parser bugs (mismatched
-// spans double-count and push it past 1).
+// instant — compute (LocalEval/h_in/h_out/Adjust/superstep), replay
+// (recovery, checkpoint and replay spans), spill (page-outs), throttle
+// (backpressure pauses) — and every instant not covered by any span is wait.
+// The buckets therefore always account for the full window; the coverage
+// figure exists to catch parser bugs (mismatched spans double-count and push
+// it past 1).
 //
 // The critical path is reconstructed backwards from the last-finishing
 // worker: each busy period extends back to the MarkBusy wakeup that started
@@ -31,7 +31,6 @@ import (
 // Bucket indices of an attribution vector.
 const (
 	BucketCompute = iota
-	BucketMerge
 	BucketReplay
 	BucketSpill
 	BucketThrottle
@@ -41,7 +40,7 @@ const (
 )
 
 var bucketNames = [NumBuckets]string{
-	"compute", "merge", "replay", "spill", "throttle", "wait", "other",
+	"compute", "replay", "spill", "throttle", "wait", "other",
 }
 
 // BucketNames returns the bucket labels in index order.
@@ -83,8 +82,6 @@ func (b Buckets) Busy() float64 { return b.Sum() - b[BucketWait] }
 
 func bucketOf(p obs.Phase) int {
 	switch p {
-	case obs.PhaseMerge:
-		return BucketMerge
 	case obs.PhaseRecovery, obs.PhaseReplay, obs.PhaseCheckpoint:
 		return BucketReplay
 	case obs.PhaseSpill:

@@ -18,16 +18,16 @@ import (
 // syntheticTrace crafts a two-worker trace with known bucket shares over the
 // window [0, 100]:
 //
-//	worker 0: LocalEval [0,40] containing merge [10,20]; throttle [50,60]
-//	          → compute 30, merge 10, throttle 10, wait 50
+//	worker 0: LocalEval [0,40] containing spill [10,20]; throttle [50,60]
+//	          → compute 30, spill 10, throttle 10, wait 50
 //	worker 1: replay [0,100] → replay 100; flush at t=8 wakes worker 0? no —
 //	          worker 0 has a MarkBusy at 50 so the critical path test can
 //	          walk 0 → 1.
 func syntheticTrace() *obs.Recorder {
 	rec := obs.NewRecorder(2, 0)
 	rec.SpanBegin(0, obs.PhaseLocalEval, 0)
-	rec.SpanBegin(0, obs.PhaseMerge, 10)
-	rec.SpanEnd(0, obs.PhaseMerge, 20)
+	rec.SpanBegin(0, obs.PhaseSpill, 10)
+	rec.SpanEnd(0, obs.PhaseSpill, 20)
 	rec.SpanEnd(0, obs.PhaseLocalEval, 40)
 	rec.Mark(0, obs.MarkBusy, 50)
 	rec.SpanBegin(0, obs.PhaseThrottle, 50)
@@ -45,7 +45,7 @@ func TestAttributeSynthetic(t *testing.T) {
 	}
 	w0 := r.Workers[0].Buckets
 	want0 := map[int]float64{
-		crit.BucketCompute: 30, crit.BucketMerge: 10,
+		crit.BucketCompute: 30, crit.BucketSpill: 10,
 		crit.BucketThrottle: 10, crit.BucketWait: 50,
 	}
 	for b, want := range want0 {
@@ -159,7 +159,7 @@ func TestLivePageRankCoverage(t *testing.T) {
 	}
 	for rep := 0; rep < 2; rep++ {
 		rec := obs.NewRecorder(5, 0)
-		cfg := gap.LiveConfig{Mode: gap.ModeGAP, Tracer: rec, IntraParallelism: 2}
+		cfg := gap.LiveConfig{Mode: gap.ModeGAP, Tracer: rec}
 		if _, _, err := gap.RunLive(frags, algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg); err != nil {
 			t.Fatal(err)
 		}

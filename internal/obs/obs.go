@@ -37,10 +37,6 @@ const (
 	// first survivor replaying its logged batches to the restored worker
 	// until the last replayer drains (coordinator track).
 	PhaseReplay
-	// PhaseMerge spans the deterministic shard-merge of one sharded
-	// local-evaluation wave (live driver, IntraParallelism > 1): the
-	// single-threaded Set/Send/Activate publication after the pool joins.
-	PhaseMerge
 	// PhaseSpill spans a synchronous page-out to the spill tier (fragment
 	// edge partitions under StageStream).
 	PhaseSpill
@@ -69,8 +65,6 @@ func (p Phase) String() string {
 		return "checkpoint"
 	case PhaseReplay:
 		return "replay"
-	case PhaseMerge:
-		return "merge"
 	case PhaseSpill:
 		return "spill_io"
 	case PhaseThrottle:
