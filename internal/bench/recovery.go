@@ -21,10 +21,10 @@ const recWorkers = 4
 // RecoveryModeResult is the measured cost of surviving one mid-run crash
 // under one recovery strategy.
 type RecoveryModeResult struct {
-	Mode          string    `json:"mode"`
-	Reps          int       `json:"reps"`
-	Updates       []int64   `json:"updates"`
-	UpdatesMedian float64   `json:"updates_median"`
+	Mode          string  `json:"mode"`
+	Reps          int     `json:"reps"`
+	Updates       []int64 `json:"updates"`
+	UpdatesMedian float64 `json:"updates_median"`
 	// LostWorkRatio is (median updates - fault-free updates) / fault-free
 	// updates: the fraction of the computation redone because of the crash.
 	// Global rollback re-executes every worker's post-checkpoint work;

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -109,6 +110,7 @@ func TestWALRecoveryTable(t *testing.T) {
 		corrupt     func(t *testing.T, path string, recs []Record)
 		wantRecords int
 		wantTrunc   bool
+		wantErr     error // the open fails with this and leaves the file alone
 	}{
 		{"torn-tail-garbage", func(t *testing.T, path string, _ []Record) {
 			// A kill -9 mid-append: plausible frame header, torn payload.
@@ -118,32 +120,32 @@ func TestWALRecoveryTable(t *testing.T) {
 			if _, err := f.WriteAt(frame, size(t, f)); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, true},
+		}, 3, true, nil},
 		{"flipped-payload-byte", func(t *testing.T, path string, recs []Record) {
 			f := mustOpen(t, path)
 			defer f.Close()
 			off := recs[2].Offset + frameLen + 3 // inside the last payload
 			flipByteAt(t, f, off)
-		}, 2, true},
+		}, 2, true, nil},
 		{"flipped-crc-byte", func(t *testing.T, path string, recs []Record) {
 			f := mustOpen(t, path)
 			defer f.Close()
 			flipByteAt(t, f, recs[2].Offset+5) // inside the CRC field
-		}, 2, true},
+		}, 2, true, nil},
 		{"zero-length-frame", func(t *testing.T, path string, _ []Record) {
 			f := mustOpen(t, path)
 			defer f.Close()
 			if _, err := f.WriteAt(make([]byte, frameLen), size(t, f)); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, true},
+		}, 3, true, nil},
 		{"truncated-payload", func(t *testing.T, path string, _ []Record) {
 			f := mustOpen(t, path)
 			defer f.Close()
 			if err := f.Truncate(size(t, f) - 5); err != nil {
 				t.Fatal(err)
 			}
-		}, 2, true},
+		}, 2, true, nil},
 		{"version-hole-frame", func(t *testing.T, path string, _ []Record) {
 			// A CRC-valid record that skips version 4 → 7: the scan must stop
 			// at the chain break even though every checksum passes.
@@ -154,12 +156,31 @@ func TestWALRecoveryTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			writeFrame(t, f, size(t, f), payload)
-		}, 3, true},
+		}, 3, true, nil},
 		{"bad-header", func(t *testing.T, path string, _ []Record) {
 			f := mustOpen(t, path)
 			defer f.Close()
 			flipByteAt(t, f, 1) // inside the magic
-		}, 0, true},
+		}, 0, true, nil},
+		{"format-zero", func(t *testing.T, path string, _ []Record) {
+			// One flipped bit in the format byte (2 → 0): our magic over a
+			// format nobody ever wrote is as foreign as a wrong magic, and is
+			// started over like one.
+			f := mustOpen(t, path)
+			defer f.Close()
+			if _, err := f.WriteAt([]byte{0, 0, 0, 0}, 4); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, true, nil},
+		{"future-format", func(t *testing.T, path string, _ []Record) {
+			// Our magic, a format this binary does not know: a newer binary's
+			// acknowledged history, not garbage to start over from.
+			f := mustOpen(t, path)
+			defer f.Close()
+			if _, err := f.WriteAt([]byte{byte(walFormat + 1), 0, 0, 0}, 4); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, false, ErrFutureFormat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,7 +188,20 @@ func TestWALRecoveryTable(t *testing.T) {
 			recs := appendRecords(t, path, 3)
 			tc.corrupt(t, path, recs)
 
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			w, got, stats, err := OpenWAL(path)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("recovery open: %v, want %v", err, tc.wantErr)
+				}
+				if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+					t.Fatalf("refused log was modified: %d bytes, had %d", len(after), len(before))
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("recovery open: %v", err)
 			}
@@ -221,6 +255,70 @@ func TestWALSemanticTruncate(t *testing.T) {
 	}
 	if len(got) != 1 || stats.Truncated {
 		t.Fatalf("after semantic truncate: %d records truncated=%v, want 1 clean", len(got), stats.Truncated)
+	}
+}
+
+// TestWALLegacyUpgrade: a format-1 log opens with its records but read-only,
+// and Upgrade swaps in a format-2 log that appends and reopens like any other.
+func TestWALLegacyUpgrade(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	want := appendRecords(t, path, 3)
+	f := mustOpen(t, path)
+	if _, err := f.WriteAt([]byte{byte(walFormatV1), 0, 0, 0}, 4); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	w, recs, stats, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if !w.Legacy() || len(recs) != 3 || stats.Truncated {
+		t.Fatalf("format-1 open: legacy=%v, %d records, truncated=%v", w.Legacy(), len(recs), stats.Truncated)
+	}
+	if err := w.Append(Record{Version: 4, Batch: batchN(1)}); err == nil {
+		t.Fatal("a format-1 log took an append")
+	}
+	if err := w.Upgrade([]Record{recs[0], recs[2]}); err == nil {
+		t.Fatal("Upgrade accepted a version hole")
+	}
+	// Two of the three replayed clean; they come back re-stamped.
+	for i := range recs[:2] {
+		recs[i].Fingerprint = ^recs[i].Fingerprint
+	}
+	if err := w.Upgrade(recs[:2]); err != nil {
+		t.Fatalf("Upgrade: %v", err)
+	}
+	if w.Legacy() || w.LastVersion() != 2 {
+		t.Fatalf("after Upgrade: legacy=%v last=%d", w.Legacy(), w.LastVersion())
+	}
+	if err := w.Upgrade(nil); err == nil {
+		t.Fatal("Upgrade ran twice")
+	}
+	if err := w.Append(Record{Version: 3, Fingerprint: 7, Batch: batchN(2)}); err != nil {
+		t.Fatalf("append after Upgrade: %v", err)
+	}
+	w.Close()
+
+	w2, got, stats, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if w2.Legacy() || len(got) != 3 || stats.Truncated {
+		t.Fatalf("reopen: legacy=%v, %d records, truncated=%v", w2.Legacy(), len(got), stats.Truncated)
+	}
+	for i, rec := range got[:2] {
+		if rec.Fingerprint != ^want[i].Fingerprint || !reflect.DeepEqual(rec.Batch, want[i].Batch) {
+			t.Fatalf("record %d after upgrade: fp %#x batch %+v", i, rec.Fingerprint, rec.Batch)
+		}
+	}
+	if got[2].Fingerprint != 7 {
+		t.Fatalf("appended record reads back fp %#x", got[2].Fingerprint)
+	}
+	if ents, _ := os.ReadDir(filepath.Dir(path)); len(ents) != 1 {
+		t.Fatalf("upgrade left %d files behind, want the log alone", len(ents))
 	}
 }
 

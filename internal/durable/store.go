@@ -127,16 +127,22 @@ func (s *Store) WriteSnapshot(key string, snap *Snapshot) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	dir, err := s.keyDir(key)
-	if err != nil {
+	if _, err := s.keyDir(key); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, snapFile+".tmp-*")
+	return writeFileAtomic(s.SnapshotPath(key), func(f *os.File) error { return snap.Write(f) })
+}
+
+// writeFileAtomic replaces path by what write produces: a temp file in the
+// same directory, fsynced, renamed over path, and the directory fsynced.
+func writeFileAtomic(path string, write func(*os.File) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := snap.Write(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -147,7 +153,7 @@ func (s *Store) WriteSnapshot(key string, snap *Snapshot) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), s.SnapshotPath(key)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	return syncDir(dir)

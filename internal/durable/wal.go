@@ -8,6 +8,7 @@
 package durable
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -22,8 +23,13 @@ import (
 )
 
 const (
-	walMagic  = uint32(0x4157414C) // "LAWA" little-endian on disk, read back as magic
-	walFormat = uint32(1)
+	walMagic = uint32(0x4157414C) // "LAWA" little-endian on disk, read back as magic
+	// walFormat is the format this binary writes. Formats differ only in
+	// which function produced Record.Fingerprint: graph.Fingerprint in
+	// format 2, the byte-wise graph.FingerprintV1 in walFormatV1. A
+	// format-1 log opens read-only (see WAL.Legacy) until Upgrade rewrites it.
+	walFormat   = uint32(2)
+	walFormatV1 = uint32(1)
 
 	// walHeaderLen is the file header: magic + format.
 	walHeaderLen = 8
@@ -36,11 +42,20 @@ const (
 	MaxRecordBytes = 16 << 20
 )
 
+// ErrFutureFormat is returned by OpenWAL for a log that carries our magic but
+// a format number above the one this binary writes: a newer binary's
+// acknowledged mutations, which an older one must neither guess at nor
+// truncate. The file is left untouched.
+var ErrFutureFormat = errors.New("durable: wal written by a newer format")
+
 // Record is one committed mutation batch: the version the batch produced,
-// the frozen fingerprint of the graph at that version (replay integrity
-// check), and the batch itself. Offset/End locate the record's frame in the
-// file, so a caller that rejects a record semantically (fingerprint
-// mismatch on replay) can truncate the log right before it.
+// the fingerprint of the graph at that version (replay integrity check), and
+// the batch itself. In every record this binary appends, Fingerprint is the
+// frozen result's graph.FrozenFingerprint, that is graph.Fingerprint's value;
+// records read from a Legacy log hold graph.FingerprintV1 of the same graph
+// instead, and the replayer compares against that. Offset/End locate the
+// record's frame in the file, so a caller that rejects a record semantically
+// (fingerprint mismatch on replay) can truncate the log right before it.
 type Record struct {
 	Version     uint64
 	Fingerprint uint64
@@ -68,6 +83,7 @@ type WAL struct {
 
 	mu          sync.Mutex
 	f           *os.File
+	format      uint32 // of the file on disk: walFormat, or walFormatV1 until Upgrade
 	size        int64
 	records     int
 	lastVersion uint64
@@ -94,6 +110,21 @@ func encodePayload(rec Record) ([]byte, error) {
 		return nil, fmt.Errorf("durable: record for version %d is %d bytes, above the %d-byte bound", rec.Version, buf.Len(), MaxRecordBytes)
 	}
 	return buf.Bytes(), nil
+}
+
+// encodeFrame wraps the record's payload in its frame: payload length and
+// CRC32 (IEEE), little-endian, then the payload.
+func encodeFrame(rec Record) ([]byte, error) {
+	payload, err := encodePayload(rec)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, frameLen, frameLen+len(payload))
+	length := uint32(len(payload))
+	crc := crc32.ChecksumIEEE(payload)
+	frame[0], frame[1], frame[2], frame[3] = byte(length), byte(length>>8), byte(length>>16), byte(length>>24)
+	frame[4], frame[5], frame[6], frame[7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
+	return append(frame, payload...), nil
 }
 
 // edgeBytes is the encoded size of one graph.Edge (two uint32 + float64).
@@ -133,6 +164,10 @@ func decodePayload(payload []byte) (Record, error) {
 // it loses only the one record that was never acknowledged durable. A log
 // created here has its directory entry fsynced before OpenWAL returns, so
 // no append is acknowledged into a file a power loss could unlink.
+//
+// A header that is not ours starts the log over; one that is ours but of a
+// newer format fails with ErrFutureFormat and is not touched; a format-1
+// log is scanned like any other and comes back Legacy.
 func OpenWAL(path string) (*WAL, []Record, RecoverStats, error) {
 	created := false
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -178,16 +213,22 @@ func (w *WAL) scan() ([]Record, RecoverStats, error) {
 	if err := graph.ReadLE(io.NewSectionReader(w.f, 0, walHeaderLen), hdr[:]); err != nil {
 		return nil, stats, err
 	}
-	if hdr[0] != walMagic || hdr[1] != walFormat {
-		// Not our file or a future format: refuse to guess at frames and
-		// start the log over. The base dataset is deterministic, so an empty
-		// log is always a consistent (if conservative) recovery point.
+	switch {
+	case hdr[0] == walMagic && hdr[1] > walFormat:
+		return nil, stats, fmt.Errorf("%w: %s is format %d, this binary reads up to %d", ErrFutureFormat, w.path, hdr[1], walFormat)
+	case hdr[0] != walMagic || hdr[1] == 0:
+		// Not our file (or format 0, which no version of us wrote and one
+		// flipped bit of format 2 reads as): refuse to guess at frames and
+		// start the log over. The base dataset is
+		// deterministic, so an empty log is always a consistent (if
+		// conservative) recovery point.
 		stats.Truncated = true
 		if err := w.reset(); err != nil {
 			return nil, stats, err
 		}
 		return nil, stats, nil
 	}
+	w.format = hdr[1]
 
 	var recs []Record
 	off := int64(walHeaderLen)
@@ -262,9 +303,67 @@ func (w *WAL) reset() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
+	w.format = walFormat
 	w.size = walHeaderLen
 	w.records = 0
 	w.lastVersion = 0
+	return nil
+}
+
+// Legacy reports that the log on disk is format 1: its records hold
+// graph.FingerprintV1 values, and it takes no appends until Upgrade has
+// rewritten it.
+func (w *WAL) Legacy() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.format == walFormatV1
+}
+
+// Upgrade replaces a legacy log by a format-2 log holding recs — the records
+// the caller replayed clean, each now carrying the format-2 fingerprint of
+// its version. The new file is written beside the old one, fsynced and
+// renamed over it, so a crash at any point leaves one whole log or the other.
+func (w *WAL) Upgrade(recs []Record) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return fmt.Errorf("durable: wal %s is closed", w.path)
+	}
+	if w.format != walFormatV1 {
+		return fmt.Errorf("durable: wal %s is format %d, nothing to upgrade", w.path, w.format)
+	}
+	size, last := int64(walHeaderLen), uint64(0)
+	err := writeFileAtomic(w.path, func(f *os.File) error {
+		bw := bufio.NewWriter(f)
+		if err := graph.WriteLE(bw, [2]uint32{walMagic, walFormat}); err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			if rec.Version != last+1 {
+				return fmt.Errorf("durable: upgrade record version %d breaks the chain at %d", rec.Version, last)
+			}
+			frame, err := encodeFrame(rec)
+			if err != nil {
+				return err
+			}
+			if _, err := bw.Write(frame); err != nil {
+				return err
+			}
+			size += int64(len(frame))
+			last = rec.Version
+		}
+		return bw.Flush()
+	})
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	_ = w.f.Close() // the unlinked format-1 file, only ever read
+	w.f, w.format = f, walFormat
+	w.size, w.records, w.lastVersion = size, len(recs), last
 	return nil
 }
 
@@ -279,19 +378,16 @@ func (w *WAL) Append(rec Record) error {
 	if w.f == nil {
 		return fmt.Errorf("durable: wal %s is closed", w.path)
 	}
+	if w.format != walFormat {
+		return fmt.Errorf("durable: wal %s is format %d and takes no appends before Upgrade", w.path, w.format)
+	}
 	if rec.Version != w.lastVersion+1 {
 		return fmt.Errorf("durable: append version %d breaks the chain at %d", rec.Version, w.lastVersion)
 	}
-	payload, err := encodePayload(rec)
+	frame, err := encodeFrame(rec)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, frameLen, frameLen+len(payload))
-	length := uint32(len(payload))
-	crc := crc32.ChecksumIEEE(payload)
-	frame[0], frame[1], frame[2], frame[3] = byte(length), byte(length>>8), byte(length>>16), byte(length>>24)
-	frame[4], frame[5], frame[6], frame[7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
-	frame = append(frame, payload...)
 	if _, err := w.f.WriteAt(frame, w.size); err != nil {
 		return err
 	}

@@ -5,10 +5,7 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 )
 
@@ -49,6 +46,12 @@ type Graph struct {
 	// mutation through an aliasing accessor is detectable.
 	frozen bool
 	fprint uint64
+	// rowSum is the fingerprint's sum of row hashes (fingerprint.go), valid
+	// once carried is set: by Freeze, which hashes every row, or by
+	// ApplyMutations on a frozen parent, which re-hashes only the rows its
+	// batch names. Only Freeze reads it; Fingerprint never does.
+	rowSum  uint64
+	carried bool
 
 	// version counts mutation batches applied since the base build:
 	// ApplyMutations returns a fresh graph with version+1 and never touches
@@ -274,110 +277,6 @@ func (s *adjSorter) Less(i, j int) bool {
 		return s.to[i] < s.to[j]
 	}
 	return s.w[i] < s.w[j]
-}
-
-// Fingerprint returns an FNV-1a hash over the graph's entire structure:
-// shape, CSR index/target arrays, weight bit patterns and labels. Two
-// graphs with equal fingerprints are structurally identical for all
-// practical purposes; a single flipped weight or rewired edge changes it.
-func (g *Graph) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	w64(uint64(g.n))
-	if g.directed {
-		w64(1)
-	} else {
-		w64(0)
-	}
-	for _, v := range g.outIndex {
-		w64(uint64(v))
-	}
-	for _, v := range g.outTo {
-		w64(uint64(v))
-	}
-	for _, v := range g.outW {
-		w64(math.Float64bits(v))
-	}
-	if g.directed {
-		for _, v := range g.inIndex {
-			w64(uint64(v))
-		}
-		for _, v := range g.inTo {
-			w64(uint64(v))
-		}
-		for _, v := range g.inW {
-			w64(math.Float64bits(v))
-		}
-	}
-	w64(uint64(len(g.labels)))
-	for _, v := range g.labels {
-		w64(uint64(uint32(v)))
-	}
-	return h.Sum64()
-}
-
-// Mutation-safety errors for frozen shared graphs. Both are returned
-// wrapped with context; test with errors.Is.
-var (
-	// ErrFrozenMutated means a frozen graph's structure no longer matches
-	// the fingerprint recorded at freeze time: some writer mutated shared
-	// data through an aliasing accessor.
-	ErrFrozenMutated = errors.New("graph: frozen graph was mutated")
-	// ErrVersionMismatch means a graph version does not match the one the
-	// caller (or the freeze stamp) expected: the dataset evolved underneath
-	// an operation that pinned an older version.
-	ErrVersionMismatch = errors.New("graph: version mismatch")
-)
-
-// Freeze marks the graph as shared read-only and records its fingerprint
-// and version. Adjacency accessors alias internal storage, so immutability
-// cannot be enforced by the type system; Freeze + CheckFrozen make
-// violations detectable instead. Freezing twice is a no-op.
-func (g *Graph) Freeze() {
-	if g.frozen {
-		return
-	}
-	g.fprint = g.Fingerprint()
-	g.fver = g.version
-	g.frozen = true
-}
-
-// Frozen reports whether Freeze has been called.
-func (g *Graph) Frozen() bool { return g.frozen }
-
-// FrozenFingerprint returns the fingerprint recorded at freeze time without
-// rehashing. Fingerprint is O(E), so replay paths that already froze a graph
-// (the durable WAL recovery comparing each replayed version against the
-// fingerprint logged at commit time) read the stamp instead of paying the
-// hash twice. ok is false for unfrozen graphs, whose stamp is meaningless.
-func (g *Graph) FrozenFingerprint() (fp uint64, ok bool) {
-	return g.fprint, g.frozen
-}
-
-// CheckFrozen re-validates a frozen graph and returns a typed error if it
-// was mutated since Freeze (nil for unfrozen graphs): ErrVersionMismatch
-// when the version counter moved — someone applied a mutation batch to the
-// shared instance instead of the copy-on-write path — and ErrFrozenMutated
-// when the structural fingerprint changed.
-func (g *Graph) CheckFrozen() error {
-	if !g.frozen {
-		return nil
-	}
-	if g.version != g.fver {
-		return fmt.Errorf("%w: frozen %v is at version %d, frozen at %d (mutations must go through ApplyMutations, which copies)",
-			ErrVersionMismatch, g, g.version, g.fver)
-	}
-	if got := g.Fingerprint(); got != g.fprint {
-		return fmt.Errorf("%w: %v fingerprint %#x, expected %#x (adjacency accessors alias internal storage and must be treated as read-only)",
-			ErrFrozenMutated, g, got, g.fprint)
-	}
-	return nil
 }
 
 // HasEdge reports whether the arc src->dst exists.

@@ -95,3 +95,40 @@ func BenchmarkApplyMutations(b *testing.B) {
 		})
 	}
 }
+
+// The integrity check at the same size: the full re-hash every pin and mutate
+// pays (CheckFrozen), and what a frozen parent's fingerprint saves a point
+// write (ApplyMutations + Freeze against BenchmarkApplyMutations/Point alone).
+
+func BenchmarkFingerprint(b *testing.B) {
+	g, _ := benchLJ(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = g.Fingerprint()
+	}
+}
+
+func BenchmarkCheckFrozen(b *testing.B) {
+	g, _ := benchLJ(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.CheckFrozen(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFreezeAfterPoint(b *testing.B) {
+	g, owner := benchLJ(b)
+	batch := benchPoint(b, g, owner)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ng, _, err := g.ApplyMutations(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ng.Freeze()
+		benchSink = ng
+	}
+}

@@ -145,7 +145,10 @@ func absentEdge(t *testing.T, g *graph.Graph, r *rand.Rand) graph.Edge {
 // shapes (delete+reinsert of one key, the same delete twice, a delete of an
 // absent edge) — through ApplyMutations and UpdateFragments, comparing every
 // step with the edge-list oracle and a from-scratch oracle fragment build.
-// Run under -race it also exercises the concurrent fragment rebuild.
+// Every result is frozen, so all steps but the first and the one after
+// "delete+reinsert" start from a frozen parent and check the fingerprint
+// carried forward against a full hash. Run under -race it also exercises the
+// concurrent fragment rebuild.
 func TestMutationKernelsMatchOracle(t *testing.T) {
 	for _, kg := range kernelGraphs {
 		for pi, p := range kernelOwners {
@@ -159,6 +162,9 @@ func TestMutationKernelsMatchOracle(t *testing.T) {
 				what := fmt.Sprintf("%s/%s/k=%d", kg.name, p.Name(), k)
 				r := rand.New(rand.NewSource(int64(k)))
 
+				// leaveUnfrozen makes the next step hand an unfrozen graph to
+				// the one after it, which then has no carried sum to start from.
+				leaveUnfrozen := false
 				apply := func(step string, b graph.MutationBatch) {
 					t.Helper()
 					ng, inv, err := g.ApplyMutations(b)
@@ -169,9 +175,24 @@ func TestMutationKernelsMatchOracle(t *testing.T) {
 					if err != nil {
 						return
 					}
-					if ng.Fingerprint() != og.Fingerprint() || ng.Version() != og.Version() {
+					if ng.Fingerprint() != og.Fingerprint() || ng.FingerprintV1() != og.FingerprintV1() || ng.Version() != og.Version() {
 						t.Fatalf("%s %s: fingerprint %#x v%d, oracle %#x v%d (batch %+v)",
 							what, step, ng.Fingerprint(), ng.Version(), og.Fingerprint(), og.Version(), b)
+					}
+					// The fingerprint Freeze takes over from a frozen parent is
+					// the one a full hash of the oracle-built graph gives.
+					if leaveUnfrozen {
+						leaveUnfrozen = false
+					} else {
+						parentFrozen := g.Frozen()
+						ng.Freeze()
+						if fp, _ := ng.FrozenFingerprint(); fp != ng.Fingerprint() || fp != og.Fingerprint() {
+							t.Fatalf("%s %s: Freeze stamped %#x (parent frozen: %v), from scratch %#x, oracle %#x (batch %+v)",
+								what, step, fp, parentFrozen, ng.Fingerprint(), og.Fingerprint(), b)
+						}
+						if err := ng.CheckFrozen(); err != nil {
+							t.Fatalf("%s %s: %v", what, step, err)
+						}
 					}
 					if !reflect.DeepEqual(inv, oinv) {
 						t.Fatalf("%s %s: inverse %+v, oracle %+v", what, step, inv, oinv)
@@ -197,6 +218,7 @@ func TestMutationKernelsMatchOracle(t *testing.T) {
 					apply(fmt.Sprintf("bulk %d", i), stormBatch(g, ev.Seed, ev.Ops))
 
 					one := stormBatch(g, ev.Seed+1, 2).Deletes[0]
+					leaveUnfrozen = true
 					apply("delete+reinsert", graph.MutationBatch{
 						Deletes: []graph.Edge{one},
 						Inserts: []graph.Edge{{Src: one.Src, Dst: one.Dst, W: 77}, {Src: one.Dst, Dst: one.Src, W: 78}},

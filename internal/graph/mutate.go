@@ -63,10 +63,16 @@ func edgeKey(directed bool, src, dst VID) [2]VID {
 // ApplyMutations applies the batch to a copy of the graph and returns the
 // new graph (version+1, unfrozen — callers freeze before sharing) together
 // with the exact inverse batch: applying the inverse to the result restores
-// a graph with a bit-identical fingerprint. The receiver is never modified,
+// a graph with equal arrays and therefore an equal fingerprint (the version,
+// which keeps counting, is not part of it). The receiver is never modified,
 // so it is safe to mutate "from" a frozen shared instance. The vertex set is
 // fixed: edges must stay within [0, NumVertices). Cost is one sequential copy
 // of the CSR arrays plus O(|B| log |B| + Σ deg(Endpoints)): see spliceCSR.
+//
+// A frozen receiver also hands its fingerprint's row sum forward, corrected
+// by the old and new hashes of exactly the rows the batch names, so the
+// result's Freeze re-hashes no row; an unfrozen receiver has no sum to trust
+// and the result is hashed in full when frozen.
 //
 // Semantics per operation (deletes first, then inserts):
 //   - delete (u,v): removes the edge, all parallel copies included; an
@@ -142,12 +148,16 @@ func (g *Graph) ApplyMutations(b MutationBatch) (*Graph, MutationBatch, error) {
 	}
 
 	ng := &Graph{n: g.n, directed: g.directed, labels: g.labels, version: g.version + 1}
+	var dOut, dIn uint64
 	if g.directed {
-		ng.outIndex, ng.outTo, ng.outW = spliceCSR(g.outIndex, g.outTo, g.outW, fwd)
-		ng.inIndex, ng.inTo, ng.inW = spliceCSR(g.inIndex, g.inTo, g.inW, rev)
+		ng.outIndex, ng.outTo, ng.outW, dOut = spliceCSR(sideOut, g.outIndex, g.outTo, g.outW, fwd)
+		ng.inIndex, ng.inTo, ng.inW, dIn = spliceCSR(sideIn, g.inIndex, g.inTo, g.inW, rev)
 	} else {
-		ng.outIndex, ng.outTo, ng.outW = spliceCSR(g.outIndex, g.outTo, g.outW, append(fwd, rev...))
+		ng.outIndex, ng.outTo, ng.outW, dOut = spliceCSR(sideOut, g.outIndex, g.outTo, g.outW, append(fwd, rev...))
 		ng.inIndex, ng.inTo, ng.inW = ng.outIndex, ng.outTo, ng.outW
+	}
+	if g.frozen {
+		ng.rowSum, ng.carried = g.rowSum+dOut+dIn, true
 	}
 	return ng, inverse, nil
 }
@@ -165,7 +175,10 @@ type arcOp struct {
 // rows; a named row is merged with its ops in one walk, which keeps it sorted
 // by (target, weight) because an op's arc lands where the copies it replaces
 // stood. Cost is O(|V| + |E|) sequential copying plus O(Σ deg(named rows)).
-func spliceCSR(idx []int64, to []VID, ws []float64, ops []arcOp) ([]int64, []VID, []float64) {
+//
+// The last result is what the splice did to this side's fingerprint term:
+// Σ rowHash over the named rows as they are now, minus the same as they were.
+func spliceCSR(side uint64, idx []int64, to []VID, ws []float64, ops []arcOp) ([]int64, []VID, []float64, uint64) {
 	slices.SortFunc(ops, func(a, b arcOp) int {
 		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.col, b.col))
 	})
@@ -203,7 +216,17 @@ func spliceCSR(idx []int64, to []VID, ws []float64, ops []arcOp) ([]int64, []VID
 		}
 	}
 	fill(len(idx)-1, int64(len(to)))
-	return nIdx, nTo[:k], nW[:k]
+
+	var delta uint64
+	for i := 0; i < len(ops); {
+		r := ops[i].row
+		for i < len(ops) && ops[i].row == r {
+			i++
+		}
+		lo, hi, nLo, nHi := idx[r], idx[r+1], nIdx[r], nIdx[r+1]
+		delta += rowHash(side, r, nTo[nLo:nHi], nW[nLo:nHi]) - rowHash(side, r, to[lo:hi], ws[lo:hi])
+	}
+	return nIdx, nTo[:k], nW[:k], delta
 }
 
 // ErrNoSuchEdge is returned by ApplyMutations when a delete names an edge

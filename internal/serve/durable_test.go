@@ -6,10 +6,15 @@ package serve
 // retrying API client. The real-binary kill -9 soak lives in cmd/arganrun.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -217,6 +222,119 @@ func TestDurableRecoveryRejectsFingerprintMismatch(t *testing.T) {
 	}
 	if len(recs2) != int(last.Version-1) || stats2.Truncated {
 		t.Fatalf("wal after rejection: %d records truncated=%v", len(recs2), stats2.Truncated)
+	}
+}
+
+// downgradeWAL turns the seeded log into the format-1 log a binary from before
+// the format bump would have left: header format 1, each record's fingerprint
+// replaced by graph.FingerprintV1 of the version it produced, CRCs re-sealed.
+// A non-zero poison corrupts that version's fingerprint.
+func downgradeWAL(t *testing.T, walPath string, poison uint64) {
+	t.Helper()
+	w, recs, _, err := durable.OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[4:], 1)
+	g, err := graph.LoadDataset(durDS, durScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if g, _, err = g.ApplyMutations(rec.Batch); err != nil {
+			t.Fatal(err)
+		}
+		fp := g.FingerprintV1()
+		if rec.Version == poison {
+			fp ^= 0xDEAD
+		}
+		payload := raw[rec.Offset+8 : rec.End] // past the frame's length and CRC
+		binary.LittleEndian.PutUint64(payload[8:], fp)
+		binary.LittleEndian.PutUint32(raw[rec.Offset+4:], crc32.ChecksumIEEE(payload))
+	}
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableRecoveryUpgradesFormat1: a log left by a binary that recorded
+// the byte-wise fingerprint is replayed record by record against that
+// function, not reset; what replays clean is rewritten as format 2, takes
+// appends, and is what the next restart replays. A legacy fingerprint that
+// does not match still cuts the log at its record.
+func TestDurableRecoveryUpgradesFormat1(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		poison      uint64
+		wantVersion uint64
+	}{
+		{"clean", 0, 3},
+		{"v2 fingerprint corrupted", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seedDurable(t, dir)
+			walPath := filepath.Join(dir, dsName(durDS, durScale), "wal.log")
+			downgradeWAL(t, walPath, tc.poison)
+
+			s := openDurable(t, dir, 0)
+			rec := s.Recovery()
+			if rec.Records != int(tc.wantVersion) || rec.TruncatedTail != (tc.poison != 0) {
+				t.Fatalf("recovery of the format-1 log = %+v, want %d records, truncated=%v", rec, tc.wantVersion, tc.poison != 0)
+			}
+			if infos := s.Datasets(); len(infos) != 1 || infos[0].Version != tc.wantVersion {
+				t.Fatalf("resumed at %+v, want v%d", infos, tc.wantVersion)
+			}
+			if res := runVerified(t, s, "sssp"); res.Version != tc.wantVersion || res.Wrong != 0 {
+				t.Fatalf("job over the upgraded dataset: version=%d wrong=%d", res.Version, res.Wrong)
+			}
+			mutateN(t, s, 1, 501) // the rewritten log takes appends
+			s.Drain(time.Minute)
+
+			raw, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if format := binary.LittleEndian.Uint32(raw[4:]); format != 2 {
+				t.Fatalf("log on disk after recovery is format %d, want 2", format)
+			}
+			s2 := openDurable(t, dir, 0)
+			defer s2.Drain(time.Minute)
+			rec2 := s2.Recovery()
+			if rec2.Records != int(tc.wantVersion)+1 || rec2.TruncatedTail {
+				t.Fatalf("second restart = %+v, want %d records, clean", rec2, tc.wantVersion+1)
+			}
+			if infos := s2.Datasets(); infos[0].Version != tc.wantVersion+1 {
+				t.Fatalf("second restart resumed at v%d, want v%d", infos[0].Version, tc.wantVersion+1)
+			}
+		})
+	}
+}
+
+// TestDurableRecoveryRefusesFutureFormat: a log from a newer binary fails the
+// dataset's recovery, and with it Open, instead of being started over.
+func TestDurableRecoveryRefusesFutureFormat(t *testing.T) {
+	dir := t.TempDir()
+	seedDurable(t, dir)
+	walPath := filepath.Join(dir, dsName(durDS, durScale), "wal.log")
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[4:], 3)
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Cores: 4, StateDir: dir}); !errors.Is(err, durable.ErrFutureFormat) {
+		t.Fatalf("Open over a format-3 log = %v, want ErrFutureFormat", err)
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(after, raw) {
+		t.Fatal("the refused log was modified")
 	}
 }
 

@@ -22,10 +22,14 @@ import (
 // was acknowledged. A record that re-applies to a different graph than it
 // was acked against is treated exactly like a corrupt one — the log is
 // truncated right before it, and the service resumes from the last version
-// it can prove. Warm-fixpoint snapshots are an optimization on top: a
-// snapshot entry is reseeded into the warm cache only when its version is
-// one the replay actually reconstructed and its array shape matches both
-// the app and the graph; anything else is skipped and recomputed cold.
+// it can prove. A log an older binary left in WAL format 1 is replayed the
+// same way against the fingerprint function that format recorded
+// (graph.FingerprintV1), and what replays clean is rewritten as format 2
+// before the dataset is shared. Warm-fixpoint snapshots are an optimization
+// on top: a snapshot entry is reseeded into the warm cache only when its
+// version is one the replay actually reconstructed and its array shape
+// matches both the app and the graph; anything else is skipped and
+// recomputed cold.
 
 // dsRecovery is what startup recovery replayed for one dataset.
 type dsRecovery struct {
@@ -131,11 +135,16 @@ func (ds *dsState) recoverDurable(store *durable.Store) error {
 	held := map[uint64]*graph.Graph{g.Version(): g}
 	applied := 0
 	var appliedBytes int64
-	for _, rec := range recs {
+	legacy := wal.Legacy()
+	for i, rec := range recs {
 		ng, _, aerr := g.ApplyMutations(rec.Batch)
 		if aerr == nil {
 			ng.Freeze()
-			if fp, _ := ng.FrozenFingerprint(); fp != rec.Fingerprint {
+			fp, _ := ng.FrozenFingerprint()
+			if legacy {
+				fp = ng.FingerprintV1()
+			}
+			if fp != rec.Fingerprint {
 				aerr = fmt.Errorf("version %d replays to fingerprint %#x, wal recorded %#x", rec.Version, fp, rec.Fingerprint)
 			}
 		}
@@ -153,6 +162,10 @@ func (ds *dsState) recoverDurable(store *durable.Store) error {
 		g = ng
 		applied++
 		appliedBytes += rec.End - rec.Offset
+		if legacy {
+			// Re-stamp the record in place with its format-2 fingerprint.
+			recs[i].Fingerprint, _ = g.FrozenFingerprint()
+		}
 		if need[g.Version()] {
 			held[g.Version()] = g
 		}
@@ -165,6 +178,13 @@ func (ds *dsState) recoverDurable(store *durable.Store) error {
 	ds.rec.Bytes = appliedBytes
 	if err := g.CheckFrozen(); err != nil {
 		return fmt.Errorf("recovered graph at version %d: %w", g.Version(), err)
+	}
+	if legacy {
+		// Only now: the fingerprints about to be written were carried from
+		// batch to batch, and the full re-hash above has just confirmed them.
+		if err := wal.Upgrade(recs[:applied]); err != nil {
+			return fmt.Errorf("upgrade format-1 wal: %w", err)
+		}
 	}
 	ds.g = g
 
