@@ -8,9 +8,9 @@
 //	arganbench -list                 # available experiment ids
 //
 // Extensions beyond the paper carry machine-readable results via -json,
-// e.g. the recovery-strategy comparison and the re-convergence study:
+// e.g. the memory-cap curve and the re-convergence study:
 //
-//	arganbench -exp recovery -json BENCH_recovery.json
+//	arganbench -exp memory -json BENCH_memory.json
 //	arganbench -exp incremental -json BENCH_incremental.json
 package main
 
@@ -31,7 +31,7 @@ func main() {
 	scale := flag.Float64("scale", 0, "override dataset scale (0 = per -full/-quick default)")
 	workers := flag.String("workers", "", "comma-separated worker counts, e.g. 16,32,64,128")
 	queries := flag.Int("queries", 0, "query repetitions per point (paper uses 5)")
-	jsonPath := flag.String("json", "", "write machine-readable results here (-exp recovery, memory or incremental)")
+	jsonPath := flag.String("json", "", "write machine-readable results here (-exp memory or incremental)")
 	flag.Parse()
 
 	if *list {

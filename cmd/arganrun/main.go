@@ -20,15 +20,13 @@
 //
 // Live driver (real goroutines; apps sssp, bfs, wcc, pr):
 //
-//	-recovery MODE     run under the live driver with the given crash
-//	                   recovery strategy: "global" (stop-and-sync snapshots,
-//	                   whole-cluster rollback) or "local" (per-worker logging
-//	                   checkpoints, survivor-local repair, message replay).
-//	                   Plan times are wall-clock milliseconds here.
-//	-soak N            repeat the live run N times (the fault plan's seed is
-//	                   re-derived per iteration), verify every run against
-//	                   the sequential reference, and print a soak summary.
-//	                   Any mismatch makes the exit code non-zero.
+//	-soak N            run under the live driver, N times (the fault plan's
+//	                   seed is re-derived per iteration), verify every run
+//	                   against the sequential reference, and print a soak
+//	                   summary. Any mismatch makes the exit code non-zero.
+//	                   Plan times are wall-clock milliseconds here; crashes
+//	                   with a restart are repaired by per-worker logging
+//	                   checkpoints, survivor-local repair and message replay.
 //	-mem-budget BYTES  bound the live driver's memory (k/m/g suffixes, e.g.
 //	                   64m). Recovery logs, checkpoints and reorder buffers
 //	                   are accounted against the budget; under pressure the
@@ -137,8 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faults := fs.String("faults", "", "fault plan `SPEC` (inline or a file of spec lines)")
 	noRecover := fs.Bool("no-recover", false, "strip restarts from the fault plan (crashed workers stay dead)")
 	ckptEvery := fs.Float64("ckpt-every", 0, "checkpoint interval in virtual cost units (0 = default)")
-	recovery := fs.String("recovery", "", "live-driver crash recovery strategy: global or local (empty = sim driver)")
-	soak := fs.Int("soak", 0, "repeat the live run `N` times, verifying each against the sequential reference")
+	soak := fs.Int("soak", 0, "run under the live driver `N` times, verifying each run against the sequential reference (0 = sim driver)")
 	memBudget := fs.String("mem-budget", "", "live-driver memory budget in `BYTES` (k/m/g suffixes; empty = unbounded)")
 	spillDir := fs.String("spill-dir", "", "directory for spilled logs, checkpoints and edges (default: the OS temp dir)")
 	traceFile := fs.String("trace", "", "write Chrome trace-event JSON (Perfetto) to `FILE`")
@@ -161,8 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		system: *system, source: *source, eps: *eps, hetero: *hetero,
 		top: *top, stats: *stats,
 		faults: *faults, noRecover: *noRecover, ckptEvery: *ckptEvery,
-		recovery: *recovery, soak: *soak,
-		memBudget: budget, spillDir: *spillDir,
+		soak: *soak, memBudget: budget, spillDir: *spillDir,
 		traceFile: *traceFile, metricsOut: *metricsOut, progress: *progress,
 		serveAddr: *serveAddr, report: *report, reportJSON: *reportJSON,
 	}); err != nil {
@@ -184,7 +180,6 @@ type options struct {
 	faults                string
 	noRecover             bool
 	ckptEvery             float64
-	recovery              string
 	soak                  int
 	memBudget             int64
 	spillDir              string
@@ -265,7 +260,7 @@ func runMain(stdout, stderr io.Writer, o options) error {
 		return nil
 	}
 
-	if o.recovery != "" || o.soak != 0 {
+	if o.soak != 0 {
 		return runLiveSoak(stdout, stderr, o, g)
 	}
 
@@ -356,16 +351,11 @@ func runMain(stdout, stderr io.Writer, o options) error {
 	return nil
 }
 
-// runLiveSoak is the -recovery / -soak path: execute the application under
-// the LIVE driver (real goroutines, wall-clock fault plans) one or more
-// times, verify every run against the sequential reference, and summarize.
-// Any incorrect vertex makes the whole soak fail with a non-zero exit.
+// runLiveSoak is the -soak path: execute the application under the LIVE
+// driver (real goroutines, wall-clock fault plans) one or more times, verify
+// every run against the sequential reference, and summarize. Any incorrect
+// vertex makes the whole soak fail with a non-zero exit.
 func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
-	switch o.recovery {
-	case "", gap.RecoveryGlobal, gap.RecoveryLocal:
-	default:
-		return fmt.Errorf("unknown -recovery strategy %q (want global or local)", o.recovery)
-	}
 	if o.soak < 0 {
 		return fmt.Errorf("-soak must be >= 0, got %d", o.soak)
 	}
@@ -385,14 +375,12 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 			}
 		}
 	}
-	q := ace.Query{Source: graph.VID(o.source), Eps: o.eps}
-	cfg := gap.LiveConfig{Mode: gap.ModeGAP, Recovery: o.recovery, NoRecover: o.noRecover}
+	cfg := gap.LiveConfig{Mode: gap.ModeGAP, NoRecover: o.noRecover}
 	var rec *obs.Recorder
 	if o.wantsRecorder() {
 		// One recorder spans every iteration (n worker tracks plus the
-		// monitor's coordinator track): recovery spans, replay marks and —
-		// under global rollback only — epoch marks land in one export, so
-		// `grep '"name":"epoch"'` on the trace audits the strategy.
+		// monitor's coordinator track), so recovery spans and replay marks
+		// of the whole soak land in one export.
 		rec = obs.NewRecorder(o.n+1, 0)
 		cfg.Tracer = rec
 	}
@@ -437,47 +425,14 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 
 	// The per-iteration runner: execute one live run and count wrong
 	// vertices against the precomputed sequential reference.
-	var once func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error)
-	switch o.app {
-	case "sssp":
-		want := algorithms.SeqSSSP(g, graph.VID(o.source))
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewSSSP(), q, cfg, want,
-				func(got, w float64) bool { return got == w })
-		}
-	case "bfs":
-		want := algorithms.SeqBFS(g, graph.VID(o.source))
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewBFS(), q, cfg, want,
-				func(got, w int32) bool {
-					if w < 0 { // Seq marks unreachable -1; the engine leaves Init's MaxInt32
-						return got == math.MaxInt32
-					}
-					return got == w
-				})
-		}
-	case "wcc":
-		want := algorithms.SeqWCC(g)
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewWCC(), q, cfg, want,
-				func(got, w uint32) bool { return got == w })
-		}
-	case "pr":
-		want := algorithms.SeqPageRank(g, o.eps)
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewPageRank(), q, cfg, want,
-				func(got, w float64) bool { return math.Abs(got-w) <= 0.02*(w+1) })
-		}
-	default:
-		return fmt.Errorf("app %q does not run under the live driver (want sssp, bfs, wcc or pr)", o.app)
+	once, err := core.LiveJobFor(o.app, g, frags, o.source, o.eps)
+	if err != nil {
+		return err
 	}
 
 	iters := o.soak
-	if iters < 1 {
-		iters = 1
-	}
 	governed := o.memBudget > 0 || o.spillDir != ""
-	var crashes, recoveries, epochs, replayed int64
+	var crashes, recoveries, replayed int64
 	var memPeak, spilled, replayedDisk, forcedCkpts int64
 	bad := 0
 	for it := 0; it < iters; it++ {
@@ -512,7 +467,6 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 		}
 		crashes += lm.Crashes
 		recoveries += lm.Recoveries
-		epochs += lm.Epochs
 		replayed += lm.Replayed
 		if lm.MemPeakBytes > memPeak {
 			memPeak = lm.MemPeakBytes
@@ -525,17 +479,17 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 			status = fmt.Sprintf("%d wrong vertices", wrong)
 			bad++
 		}
-		fmt.Fprintf(stdout, "soak %d/%d [%s]: %s (wall=%v crashes=%d recoveries=%d epochs=%d replayed=%d)\n",
-			it+1, iters, lm.Recovery, status, lm.WallTime.Round(time.Millisecond),
-			lm.Crashes, lm.Recoveries, lm.Epochs, lm.Replayed)
+		fmt.Fprintf(stdout, "soak %d/%d: %s (wall=%v crashes=%d recoveries=%d replayed=%d)\n",
+			it+1, iters, status, lm.WallTime.Round(time.Millisecond),
+			lm.Crashes, lm.Recoveries, lm.Replayed)
 		if gov != nil {
 			fmt.Fprintf(stdout, "  mem: peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d throttles=%d edge-spills=%d\n",
 				lm.MemPeakBytes, lm.SpilledBytes, lm.ReplayedFromDisk, lm.ForcedCkpts, lm.Throttles, lm.EdgeSpills)
 		}
 		atomic.AddInt64(&iterDone, 1)
 	}
-	fmt.Fprintf(stdout, "soak summary  : %d/%d correct; crashes=%d recoveries=%d epochs=%d replayed=%d\n",
-		iters-bad, iters, crashes, recoveries, epochs, replayed)
+	fmt.Fprintf(stdout, "soak summary  : %d/%d correct; crashes=%d recoveries=%d replayed=%d\n",
+		iters-bad, iters, crashes, recoveries, replayed)
 	if governed {
 		fmt.Fprintf(stdout, "mem summary   : budget=%d peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d\n",
 			o.memBudget, memPeak, spilled, replayedDisk, forcedCkpts)
@@ -564,21 +518,6 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 		return fmt.Errorf("%d of %d soak runs diverged from the sequential reference", bad, iters)
 	}
 	return nil
-}
-
-// liveSoakOnce runs one live execution and verifies it vertex-by-vertex.
-func liveSoakOnce[V any, W any](frags []*graph.Fragment, f ace.Factory[V], q ace.Query, cfg gap.LiveConfig, want []W, eq func(got V, w W) bool) (*gap.LiveMetrics, int, error) {
-	res, lm, err := gap.RunLive(frags, f, q, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	wrong := 0
-	for v := range want {
-		if !eq(res.Values[v], want[v]) {
-			wrong++
-		}
-	}
-	return lm, wrong, nil
 }
 
 // printTop recomputes the answer under Argan's defaults and prints a small
@@ -744,8 +683,8 @@ func printLiveProgress(stderr io.Writer, rec *obs.Recorder, health *gap.HealthTr
 		}
 	}
 	h := health.Health()
-	line := fmt.Sprintf("progress: busy=%d/%d updates=%d msgs=%d dead=%d epoch=%d age=%v",
-		busy, len(st.Workers), upd, msgs, h.Dead, h.Epoch, h.ProgressAge.Round(time.Millisecond))
+	line := fmt.Sprintf("progress: busy=%d/%d updates=%d msgs=%d dead=%d age=%v",
+		busy, len(st.Workers), upd, msgs, h.Dead, h.ProgressAge.Round(time.Millisecond))
 	if etaLo <= etaHi {
 		line += fmt.Sprintf(" eta=[%.0f..%.0f]", etaLo, etaHi)
 	}
@@ -769,8 +708,8 @@ func startTelemetry(stdout io.Writer, o options, rec *obs.Recorder, health *gap.
 				Running: h.Running, Completed: h.Completed, Failed: h.Failed, Err: h.Err,
 				Draining: h.Draining,
 				Workers:  h.Workers, Idle: h.Idle, Dead: h.Dead,
-				Unrecoverable: h.Unrecoverable, Epoch: h.Epoch, Recovery: h.Recovery,
-				Sent: h.Sent, Recv: h.Recv, Updates: h.Updates,
+				Unrecoverable: h.Unrecoverable,
+				Sent:          h.Sent, Recv: h.Recv, Updates: h.Updates,
 				ProgressAge: h.ProgressAge, Watchdog: h.Watchdog,
 				MemStage: h.MemStage, SpilledBytes: h.SpilledBytes,
 				UpdatedAt: h.UpdatedAt,
@@ -786,9 +725,6 @@ func startTelemetry(stdout io.Writer, o options, rec *obs.Recorder, health *gap.
 	}
 	if o.file != "" {
 		info["graph"] = o.file
-	}
-	if o.recovery != "" {
-		info["recovery"] = o.recovery
 	}
 	srv.SetRunInfo(info)
 	addr, err := srv.Start(o.serveAddr)

@@ -35,9 +35,9 @@ func TestBadInputsExitNonZero(t *testing.T) {
 		{"unknown_dataset", []string{"-dataset", "NOPE"}, "unknown dataset"},
 		{"bad_fault_spec", []string{"-dataset", "HW", "-scale", "0.05", "-faults", "crash=oops"}, "fault"},
 		{"unknown_system", []string{"-dataset", "HW", "-scale", "0.05", "-system", "NoSuch"}, "unknown system"},
-		{"bad_recovery", []string{"-dataset", "HW", "-scale", "0.05", "-recovery", "zonal"}, "unknown -recovery strategy"},
 		{"negative_soak", []string{"-dataset", "HW", "-scale", "0.05", "-soak", "-3"}, "-soak must be >= 0"},
-		{"live_unsupported_app", []string{"-dataset", "HW", "-scale", "0.05", "-app", "color", "-recovery", "local"}, "does not run under the live driver"},
+		{"live_unsupported_app", []string{"-dataset", "HW", "-scale", "0.05", "-app", "color", "-soak", "1"}, "does not run under the live driver"},
+		{"live_bad_source", []string{"-dataset", "HW", "-scale", "0.05", "-app", "bfs", "-soak", "1", "-source", "-1"}, "source -1 outside [0, "},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -52,11 +52,14 @@ func TestBadInputsExitNonZero(t *testing.T) {
 	}
 }
 
-// TestBadFlagExitsTwo: flag-parse failures use the conventional exit 2.
+// TestBadFlagExitsTwo: flag-parse failures use the conventional exit 2 — the
+// deleted -recovery flag included.
 func TestBadFlagExitsTwo(t *testing.T) {
-	code, _, stderr := runCLI("-no-such-flag")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2 (stderr: %s)", code, stderr)
+	for _, args := range [][]string{{"-no-such-flag"}, {"-dataset", "HW", "-recovery", "local"}} {
+		code, _, stderr := runCLI(args...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Fatalf("%v: exit code = %d, want 2 with the flag package's error (stderr: %s)", args, code, stderr)
+		}
 	}
 }
 
@@ -90,21 +93,21 @@ func TestNoRecoverReportsNA(t *testing.T) {
 	}
 }
 
-// TestLiveSoakLocalRecovery drives the -recovery/-soak path end to end: a
+// TestLiveSoakLocalRecovery drives the -soak path end to end: a
 // crash-and-restart plan under localized recovery, three iterations, every
-// run verified against the sequential reference, and no epoch bumps.
+// run verified against the sequential reference.
 func TestLiveSoakLocalRecovery(t *testing.T) {
 	code, stdout, stderr := runCLI(
 		"-dataset", "HW", "-scale", "0.05", "-app", "sssp", "-n", "4",
-		"-recovery", "local", "-soak", "3", "-faults", "crash=1@u40+10")
+		"-soak", "3", "-faults", "crash=1@u40+10")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s\nstdout: %s", code, stderr, stdout)
 	}
 	if !strings.Contains(stdout, "soak summary  : 3/3 correct") {
 		t.Fatalf("missing soak summary in output:\n%s", stdout)
 	}
-	if !strings.Contains(stdout, "[local]") || !strings.Contains(stdout, "epochs=0") {
-		t.Fatalf("soak lines missing local-recovery accounting:\n%s", stdout)
+	if !strings.Contains(stdout, "soak 3/3: ok") || !strings.Contains(stdout, "replayed=") {
+		t.Fatalf("soak lines missing recovery accounting:\n%s", stdout)
 	}
 }
 
@@ -158,19 +161,5 @@ func TestServeTelemetry(t *testing.T) {
 	if !strings.Contains(stdout, "telemetry     : http://127.0.0.1:") ||
 		!strings.Contains(stdout, "/metrics") {
 		t.Fatalf("stdout missing telemetry endpoint line:\n%s", stdout)
-	}
-}
-
-// TestLiveSoakGlobalRecovery: the same plan under the default global
-// strategy still verifies; -recovery alone (no -soak) runs once.
-func TestLiveSoakGlobalRecovery(t *testing.T) {
-	code, stdout, stderr := runCLI(
-		"-dataset", "HW", "-scale", "0.05", "-app", "wcc", "-n", "4",
-		"-recovery", "global", "-faults", "crash=0@u40+10")
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr: %s\nstdout: %s", code, stderr, stdout)
-	}
-	if !strings.Contains(stdout, "soak summary  : 1/1 correct") {
-		t.Fatalf("missing soak summary in output:\n%s", stdout)
 	}
 }

@@ -239,57 +239,10 @@ type Checkpointer interface {
 	RestoreAux(snap any)
 }
 
-// IdempotentAggregator is an optional Program extension declaring that
-// Aggregate is idempotent: folding the same incoming value into Ψ twice
-// leaves the same result as folding it once (min/max-style lattice joins).
-// Localized recovery uses this to decide how to repair a survivor that
-// ingested messages from a rolled-back sender — idempotent programs simply
-// re-ingest the replayed stream, while non-idempotent ones need Inverter.
-type IdempotentAggregator interface {
-	IdempotentAggregate() bool
-}
-
-// Inverter is an optional Program extension for accumulation-style programs
-// (sum folds such as Δ-PageRank): Invert returns cur with one previously
-// aggregated contribution removed, i.e. Invert(Aggregate(cur, in), in) ==
-// cur. Localized recovery uses it to un-apply the post-checkpoint messages a
-// rolled-back sender will re-send, so the replay cannot double-count. The
-// checkpoint delta hook: programs that are neither idempotent nor
-// invertible force the driver back to global rollback.
-type Inverter[V any] interface {
-	Invert(cur, contrib V) V
-}
-
-// CanIncrement reports whether a program is safe to re-converge
-// incrementally from a warm fixpoint after an edge mutation: it must either
-// be able to retract a stale contribution (Inverter) or tolerate re-ingesting
-// one (idempotent lattice join). Programs with neither property fall back to
-// a flagged full recompute — restarting them from a stale Ψ could
-// double-count retracted mass.
-func CanIncrement[V any](prog Program[V]) bool {
-	if _, ok := any(prog).(Inverter[V]); ok {
-		return true
-	}
-	if ia, ok := any(prog).(IdempotentAggregator); ok {
-		return ia.IdempotentAggregate()
-	}
-	return false
-}
-
 // Coster is an optional Program extension overriding the default update
 // cost model (deg(Y_xv) + 1 edge-scan units).
 type Coster interface {
 	Cost(f *graph.Fragment, local uint32) float64
-}
-
-// Combiner is an optional Program extension: a pure, associative and
-// commutative fold the runtime applies to coalesce two values addressed to
-// the same vertex inside one outgoing batch (min for SSSP/BFS/WCC, sum for
-// Δ-PageRank), shrinking cross-worker traffic before h_out. Unlike
-// Aggregate it carries no changed flag and must not touch program state.
-// When absent, the runtime coalesces through Aggregate instead.
-type Combiner[V any] interface {
-	Combine(a, b V) V
 }
 
 // Prioritizer is an optional Program extension: when implemented, the

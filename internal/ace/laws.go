@@ -45,10 +45,71 @@ func AccumulationLaws() Laws {
 // because each status variable has a unique writer and links are FIFO.
 func ReplacementLaws() Laws { return Laws{Idempotent: true} }
 
-// CheckLaws verifies the declared laws of the program's Aggregate over the
-// given sample values. leq is the program's partial order (nil skips the
-// monotonicity check). It returns the first violated law.
-func CheckLaws[V any](p Program[V], laws Laws, leq func(a, b V) bool, samples []V) error {
+// Algebra is a program's one declaration of its aggregate function: the
+// laws g_aggr satisfies plus, where they exist, its pure and inverse forms.
+// The runtime trusts this value — message combining, replay tolerance,
+// retraction and incrementability are all derived from it — and CheckLaws
+// property-tests the same value, so what the driver relies on is what the
+// tests check.
+type Algebra[V any] struct {
+	Laws
+	// Combine is Aggregate without the changed flag: a pure fold the runtime
+	// applies to coalesce two values addressed to one vertex inside an
+	// outgoing batch, before h_out. It must not touch program state. nil
+	// makes the runtime fold through Aggregate instead.
+	Combine func(a, b V) V
+	// Invert removes one previously aggregated contribution:
+	// Invert(Aggregate(cur, x), x) == cur. Sum folds have one (Δ-PageRank:
+	// subtraction); lattice joins do not and leave it nil.
+	Invert func(cur, contrib V) V
+}
+
+// Algebraic is the optional Program extension carrying the declaration. A
+// program without it gets the zero Algebra: no law is assumed, batches are
+// coalesced through Aggregate, and nothing below is derived.
+type Algebraic[V any] interface {
+	Algebra() Algebra[V]
+}
+
+// AlgebraOf returns the program's declared algebra, or the zero value.
+func AlgebraOf[V any](p Program[V]) Algebra[V] {
+	if d, ok := p.(Algebraic[V]); ok {
+		return d.Algebra()
+	}
+	return Algebra[V]{}
+}
+
+// ReplayTolerant reports whether Aggregate is a semilattice join, so folding
+// a value in again — a replayed or duplicated message — leaves Ψ unchanged.
+// Idempotence alone is not enough: a replace-style aggregate is idempotent
+// yet order-sensitive, and a replayed stale value would overwrite a fresh
+// one.
+func (a Algebra[V]) ReplayTolerant() bool {
+	return a.Commutative && a.Associative && a.Idempotent
+}
+
+// Recoverable reports whether a receiver can be repaired after a sender
+// rolls back to a checkpoint: it either tolerates the re-sent stream or can
+// un-apply what it had folded in. The same property lets a program restart
+// from a stale fixpoint after an edge mutation (see CanIncrement).
+func (a Algebra[V]) Recoverable() bool {
+	return a.ReplayTolerant() || a.Invert != nil
+}
+
+// CanIncrement reports whether a program is safe to re-converge
+// incrementally from a warm fixpoint after an edge mutation: it must be able
+// to retract a stale contribution or tolerate re-ingesting one. A program
+// with neither restarted from a stale Ψ could double-count retracted mass.
+func CanIncrement[V any](p Program[V]) bool {
+	return AlgebraOf(p).Recoverable()
+}
+
+// CheckLaws verifies the declared algebra of the program's Aggregate over
+// the given sample values: each declared law, that Combine agrees with the
+// Aggregate fold, and that Invert undoes it. leq is the program's partial
+// order (nil skips the monotonicity check). It returns the first violation.
+func CheckLaws[V any](p Program[V], alg Algebra[V], leq func(a, b V) bool, samples []V) error {
+	laws := alg.Laws
 	agg := func(a, b V) V {
 		v, _ := p.Aggregate(a, b)
 		return v
@@ -64,6 +125,12 @@ func CheckLaws[V any](p Program[V], laws Laws, leq func(a, b V) bool, samples []
 				if !leq(agg(a, b), a) {
 					return fmt.Errorf("ace: %s: aggregate not monotone at (%v,%v)", p.Name(), a, b)
 				}
+			}
+			if alg.Combine != nil && !p.Equal(alg.Combine(a, b), agg(a, b)) {
+				return fmt.Errorf("ace: %s: Combine disagrees with aggregate at (%v,%v)", p.Name(), a, b)
+			}
+			if alg.Invert != nil && !p.Equal(alg.Invert(agg(a, b), b), a) {
+				return fmt.Errorf("ace: %s: Invert does not undo aggregate at (%v,%v)", p.Name(), a, b)
 			}
 			for _, c := range samples {
 				if laws.Associative {

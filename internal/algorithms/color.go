@@ -113,6 +113,13 @@ func (p *Color) choose(ctx *ace.Ctx[int32], local uint32, onlyHigher bool) int32
 // Aggregate replaces the replica's color with the owner's latest value.
 func (p *Color) Aggregate(cur, in int32) (int32, bool) { return in, cur != in }
 
+// Algebra implements ace.Algebraic: replacement is idempotent but neither
+// commutative nor invertible, so Color is not replay-tolerant — a replayed
+// stale color would overwrite a fresh one.
+func (p *Color) Algebra() ace.Algebra[int32] {
+	return ace.Algebra[int32]{Laws: ace.ReplacementLaws()}
+}
+
 // Equal implements ace.Program.
 func (p *Color) Equal(a, b int32) bool { return a == b }
 

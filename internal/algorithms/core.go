@@ -136,6 +136,11 @@ func (p *Core) Aggregate(cur, in int32) (int32, bool) {
 	return cur, false
 }
 
+// Algebra implements ace.Algebraic (min over estimates, a lattice join).
+func (p *Core) Algebra() ace.Algebra[int32] {
+	return ace.Algebra[int32]{Laws: ace.SelectionLaws(), Combine: minOf[int32]}
+}
+
 // Equal implements ace.Program.
 func (p *Core) Equal(a, b int32) bool { return a == b }
 

@@ -13,7 +13,7 @@ import (
 // the vertices a mutation can actually affect. Each planner encodes the
 // retract-and-repush rule of its program's algebra:
 //
-//   - Δ-PageRank (sum fold, ace.Inverter): the converged state satisfies
+//   - Δ-PageRank (sum fold with an inverse): the converged state satisfies
 //     Ψ = b + A·rank − rank, which is linear in the transition matrix A, so
 //     after a mutation the exact pending delta is Ψ′ = Ψ + (A′−A)·rank.
 //     The planner retracts d·rank[u]/deg_old(u) from every old out-neighbor
@@ -90,8 +90,6 @@ func WarmPageRank(oldG, newG *graph.Graph, touched []graph.VID, psi, ranks []flo
 	if eps <= 0 {
 		eps = DefaultPREps
 	}
-	inv := any(NewPageRank()()).(ace.Inverter[float64])
-
 	values := append([]float64(nil), psi...)
 	for _, u := range touched {
 		if sameAdjacency(oldG, newG, u) {
@@ -101,7 +99,7 @@ func WarmPageRank(oldG, newG *graph.Graph, touched []graph.VID, psi, ranks []flo
 		if oldDeg := oldG.OutDegree(u); oldDeg > 0 {
 			contrib := Damping * r / float64(oldDeg)
 			for _, v := range oldG.OutNeighbors(u) {
-				values[v] = inv.Invert(values[v], contrib) // retract the stale push
+				values[v] = subDelta(values[v], contrib) // retract the stale push
 			}
 		}
 		if newDeg := newG.OutDegree(u); newDeg > 0 {

@@ -9,20 +9,21 @@ import (
 )
 
 // TestCanIncrementGate pins down which programs are allowed into the
-// incremental path: retractable sum folds (Inverter) and idempotent lattice
-// joins may restart from a stale Ψ; everything else must full-recompute.
+// incremental path: retractable sum folds (an algebra with an Invert) and
+// lattice joins may restart from a stale Ψ; everything else must
+// full-recompute.
 func TestCanIncrementGate(t *testing.T) {
 	if !ace.CanIncrement(NewPageRank()()) {
-		t.Error("PageRank (Inverter) must be incrementable")
+		t.Error("PageRank (sum with an inverse) must be incrementable")
 	}
 	if !ace.CanIncrement(NewSSSP()()) || !ace.CanIncrement(NewBFS()()) || !ace.CanIncrement(NewWCC()()) {
-		t.Error("min-fold programs (idempotent) must be incrementable")
+		t.Error("min-fold programs (lattice joins) must be incrementable")
 	}
 	if ace.CanIncrement(NewColor()()) {
-		t.Error("Color is neither invertible nor idempotent; it must fall back to recompute")
+		t.Error("Color's replacement aggregate is neither invertible nor a lattice join; it must fall back to recompute")
 	}
-	if ace.CanIncrement(NewCore()()) {
-		t.Error("Core is neither invertible nor idempotent; it must fall back to recompute")
+	if ace.CanIncrement[MSTVal](&mstRound{}) {
+		t.Error("a program that declares no algebra must fall back to recompute")
 	}
 }
 

@@ -3,13 +3,16 @@ package algorithms
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"argan/internal/ace"
 )
 
 // The §II-B convergence conditions, checked as executable algebraic laws
-// of every built-in program's aggregate function over random samples.
+// of every built-in program's aggregate function over random samples. Each
+// program is checked against its own declared ace.Algebra — the value the
+// live driver derives combining, replay tolerance and retraction from.
 
 func floatSamples(r *rand.Rand, n int) []float64 {
 	s := []float64{0, 1, math.Inf(1)}
@@ -23,8 +26,14 @@ func TestSSSPLaws(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := NewSSSP()()
 	leq := func(a, b float64) bool { return a <= b }
-	if err := ace.CheckLaws(p, ace.SelectionLaws(), leq, floatSamples(r, 25)); err != nil {
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, floatSamples(r, 25)); err != nil {
 		t.Fatal(err)
+	}
+	// The declared Combine is checked, not trusted: max is not min.
+	bad := ace.AlgebraOf(p)
+	bad.Combine = math.Max
+	if err := ace.CheckLaws(p, bad, leq, floatSamples(r, 25)); err == nil || !strings.Contains(err.Error(), "Combine disagrees") {
+		t.Fatalf("a Combine that is not the aggregate must be caught, got %v", err)
 	}
 }
 
@@ -32,7 +41,7 @@ func TestBellmanFordLaws(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	p := NewBellmanFord()()
 	leq := func(a, b float64) bool { return a <= b }
-	if err := ace.CheckLaws(p, ace.SelectionLaws(), leq, floatSamples(r, 25)); err != nil {
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, floatSamples(r, 25)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -45,7 +54,7 @@ func TestBFSLaws(t *testing.T) {
 		s = append(s, int32(r.Intn(1000)))
 	}
 	leq := func(a, b int32) bool { return a <= b }
-	if err := ace.CheckLaws(p, ace.SelectionLaws(), leq, s); err != nil {
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +67,7 @@ func TestWCCLaws(t *testing.T) {
 		s = append(s, uint32(r.Intn(1000)))
 	}
 	leq := func(a, b uint32) bool { return a <= b }
-	if err := ace.CheckLaws(p, ace.SelectionLaws(), leq, s); err != nil {
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -71,7 +80,7 @@ func TestCoreLaws(t *testing.T) {
 		s = append(s, int32(r.Intn(100)))
 	}
 	leq := func(a, b int32) bool { return a <= b }
-	if err := ace.CheckLaws(p, ace.SelectionLaws(), leq, s); err != nil {
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,7 +94,7 @@ func TestSimLaws(t *testing.T) {
 	}
 	// The order is set inclusion: aggregation only clears bits.
 	leq := func(a, b SimSet) bool { return a&b == a }
-	if err := ace.CheckLaws(p, ace.SelectionLaws(), leq, s); err != nil {
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -99,20 +108,31 @@ func TestPageRankLaws(t *testing.T) {
 	}
 	// Accumulation: deltas only grow, so the order is >=.
 	leq := func(a, b float64) bool { return a >= b-1e-12 }
-	if err := ace.CheckLaws(p, ace.AccumulationLaws(), leq, s); err != nil {
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, s); err != nil {
 		t.Fatal(err)
 	}
 	// And PR's sum must NOT be idempotent — duplicate suppression relies on
 	// exactly-once delivery instead.
-	if err := ace.CheckLaws(p, ace.Laws{Idempotent: true}, nil, []float64{1}); err == nil {
+	idem := ace.Algebra[float64]{Laws: ace.Laws{Idempotent: true}}
+	if err := ace.CheckLaws(p, idem, nil, []float64{1}); err == nil {
 		t.Fatal("PageRank aggregation must fail the idempotence law")
+	}
+	// The declared inverse is checked, not trusted: addition is no inverse
+	// of addition.
+	bad := ace.AlgebraOf(p)
+	bad.Invert = addDelta
+	if err := ace.CheckLaws(p, bad, leq, s); err == nil || !strings.Contains(err.Error(), "Invert does not undo") {
+		t.Fatalf("a wrong Invert must be caught, got %v", err)
 	}
 }
 
 func TestColorLaws(t *testing.T) {
 	p := NewColor()()
-	// Replace-style: idempotent only.
-	if err := ace.CheckLaws(p, ace.ReplacementLaws(), nil, []int32{0, 1, 2, 5}); err != nil {
+	// Replace-style: idempotent only — and therefore not replay-tolerant.
+	if err := ace.CheckLaws(p, ace.AlgebraOf(p), nil, []int32{0, 1, 2, 5}); err != nil {
 		t.Fatal(err)
+	}
+	if alg := ace.AlgebraOf(p); !alg.Idempotent || alg.ReplayTolerant() || alg.Recoverable() {
+		t.Fatalf("Color must declare replacement laws only, got %+v", alg.Laws)
 	}
 }

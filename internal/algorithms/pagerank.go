@@ -164,17 +164,19 @@ func (p *PageRank) Size(float64) int { return 8 }
 // Output implements ace.Program: the accumulated rank.
 func (p *PageRank) Output(ctx *ace.Ctx[float64], local uint32) float64 { return p.rank[local] }
 
-// Combine implements ace.Combiner: two deltas headed to one vertex fold to
-// their sum before leaving the worker (addition is the program's g_aggr, so
-// coalescing preserves the fixpoint exactly).
-func (p *PageRank) Combine(a, b float64) float64 { return a + b }
-
-// Invert implements ace.Inverter: addition is the aggregate, so removing a
-// previously folded contribution is subtraction. Localized recovery uses it
-// to un-apply the post-checkpoint deltas a rolled-back sender re-sends; the
+// Algebra implements ace.Algebraic: addition is the aggregate, so two deltas
+// headed to one vertex fold to their sum before leaving the worker
+// (coalescing preserves the fixpoint exactly), and removing a previously
+// folded contribution is subtraction. Localized recovery uses the inverse to
+// un-apply the post-checkpoint deltas a rolled-back sender re-sends; the
 // resulting (possibly negative) pending delta is parked by Update's eps
 // threshold and cancelled exactly by the replayed mass.
-func (p *PageRank) Invert(cur, contrib float64) float64 { return cur - contrib }
+func (p *PageRank) Algebra() ace.Algebra[float64] {
+	return ace.Algebra[float64]{Laws: ace.AccumulationLaws(), Combine: addDelta, Invert: subDelta}
+}
+
+func addDelta(a, b float64) float64         { return a + b }
+func subDelta(cur, contrib float64) float64 { return cur - contrib }
 
 // SnapshotAux implements ace.Checkpointer: the rank vector is mutable state
 // outside Ψ (the pending deltas), so checkpoints must capture it.

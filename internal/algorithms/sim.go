@@ -142,6 +142,11 @@ func (p *Sim) Aggregate(cur, in SimSet) (SimSet, bool) {
 	return m, m != cur
 }
 
+// Algebra implements ace.Algebraic (set intersection, a lattice join).
+func (p *Sim) Algebra() ace.Algebra[SimSet] {
+	return ace.Algebra[SimSet]{Laws: ace.SelectionLaws()}
+}
+
 // Equal implements ace.Program.
 func (p *Sim) Equal(a, b SimSet) bool { return a == b }
 

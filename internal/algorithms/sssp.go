@@ -156,19 +156,21 @@ func (p *SSSP) Output(ctx *ace.Ctx[float64], local uint32) float64 { return ctx.
 // Priority orders the active set by tentative distance (Dijkstra order).
 func (p *SSSP) Priority(v float64) float64 { return v }
 
-// Combine implements ace.Combiner: two distances headed to one vertex fold
-// to their minimum before leaving the worker.
-func (p *SSSP) Combine(a, b float64) float64 {
+// Algebra implements ace.Algebraic: min is a lattice join, so two distances
+// headed to one vertex fold to their minimum before leaving the worker, and
+// re-folding a replayed distance is harmless — localized recovery repairs
+// survivors by re-ingestion alone.
+func (p *SSSP) Algebra() ace.Algebra[float64] {
+	return ace.Algebra[float64]{Laws: ace.SelectionLaws(), Combine: minOf[float64]}
+}
+
+// minOf is the pure form of the min-fold aggregates (SSSP, BFS, WCC, Core).
+func minOf[V int32 | uint32 | float64](a, b V) V {
 	if b < a {
 		return b
 	}
 	return a
 }
-
-// IdempotentAggregate implements ace.IdempotentAggregator: min is a lattice
-// join, so re-folding a replayed distance is harmless and localized recovery
-// can repair survivors by re-ingestion alone.
-func (p *SSSP) IdempotentAggregate() bool { return true }
 
 // SeqBellmanFord is the queue-based Bellman-Ford reference.
 func SeqBellmanFord(g *graph.Graph, src graph.VID) []float64 {

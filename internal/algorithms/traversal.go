@@ -113,16 +113,10 @@ func (p *BFS) Output(ctx *ace.Ctx[int32], local uint32) int32 { return ctx.Get(l
 // Priority processes nearer frontiers first.
 func (p *BFS) Priority(v int32) float64 { return float64(v) }
 
-// Combine implements ace.Combiner (min hop count).
-func (p *BFS) Combine(a, b int32) int32 {
-	if b < a {
-		return b
-	}
-	return a
+// Algebra implements ace.Algebraic (min hop count, a lattice join).
+func (p *BFS) Algebra() ace.Algebra[int32] {
+	return ace.Algebra[int32]{Laws: ace.SelectionLaws(), Combine: minOf[int32]}
 }
-
-// IdempotentAggregate implements ace.IdempotentAggregator (min fold).
-func (p *BFS) IdempotentAggregate() bool { return true }
 
 // SeqWCC labels weakly connected components with the smallest member id.
 func SeqWCC(g *graph.Graph) []graph.VID {
@@ -241,16 +235,10 @@ func (p *WCC) Size(uint32) int { return 4 }
 // Output implements ace.Program.
 func (p *WCC) Output(ctx *ace.Ctx[uint32], local uint32) uint32 { return ctx.Get(local) }
 
-// Combine implements ace.Combiner (min label).
-func (p *WCC) Combine(a, b uint32) uint32 {
-	if b < a {
-		return b
-	}
-	return a
+// Algebra implements ace.Algebraic (min label, a lattice join).
+func (p *WCC) Algebra() ace.Algebra[uint32] {
+	return ace.Algebra[uint32]{Laws: ace.SelectionLaws(), Combine: minOf[uint32]}
 }
-
-// IdempotentAggregate implements ace.IdempotentAggregator (min-label fold).
-func (p *WCC) IdempotentAggregate() bool { return true }
 
 // Cost implements ace.Coster: WCC scans both adjacencies on directed graphs.
 func (p *WCC) Cost(f *graph.Fragment, local uint32) float64 {

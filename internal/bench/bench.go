@@ -46,7 +46,7 @@ type Options struct {
 	// figure.
 	Trace func(trial string) obs.Tracer
 	// JSONPath, when non-empty, makes experiments with machine-readable
-	// results ("recovery", "memory" and "incremental") write them to this
+	// results ("memory" and "incremental") write them to this
 	// file in addition to the rendered rows.
 	JSONPath string
 }
@@ -107,7 +107,6 @@ func All() []Experiment {
 		{"fig6l", "Fig 6l: scalability vs |G|", Fig6l},
 		{"ablation", "Extension: per-rule ablation of GAP (R1/R2/R3/tuner)", Ablation},
 		{"faults", "Extension: crash-recovery and link-fault overhead sweep", FaultSweep},
-		{"recovery", "Extension: lost work and latency, global rollback vs localized recovery", Recovery},
 		{"memory", "Extension: wall-clock vs memory cap — spill tier, backpressure, degradation ladder", Memory},
 		{"incremental", "Extension: re-convergence after 1% churn vs full recompute (evolving graphs)", Incremental},
 	}

@@ -46,8 +46,8 @@ func TestByIDUnknown(t *testing.T) {
 	if _, err := ByID("fig99"); err == nil {
 		t.Fatal("want unknown-experiment error")
 	}
-	if len(All()) != 22 {
-		t.Fatalf("experiment count = %d, want 22 (Table I, Fig 4a-c, Fig 5, Fig 6a-l, ablation, faults, recovery, memory, incremental)", len(All()))
+	if len(All()) != 21 {
+		t.Fatalf("experiment count = %d, want 21 (Table I, Fig 4a-c, Fig 5, Fig 6a-l, ablation, faults, memory, incremental)", len(All()))
 	}
 }
 

@@ -3,10 +3,9 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
+	"sort"
 
-	"argan/internal/ace"
 	"argan/internal/algorithms"
 	"argan/internal/core"
 	"argan/internal/fault"
@@ -92,21 +91,17 @@ type MemoryReport struct {
 	SpilledReplayObserved bool `json:"spilled_replay_observed"`
 }
 
-// memRunOnce executes one live run and counts wrong vertices against the
-// sequential reference.
-func memRunOnce[V any, W any](frags []*graph.Fragment, f ace.Factory[V], q ace.Query,
-	cfg gap.LiveConfig, want []W, eq func(got V, w W) bool) (*gap.LiveMetrics, int, error) {
-	res, lm, err := gap.RunLive(frags, f, q, cfg)
-	if err != nil {
-		return nil, 0, err
+func medianF64(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n == 0 {
+		return 0
 	}
-	wrong := 0
-	for v := range want {
-		if !eq(res.Values[v], want[v]) {
-			wrong++
-		}
+	if n%2 == 1 {
+		return s[n/2]
 	}
-	return lm, wrong, nil
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // memUnspill returns the fragments' edge payloads to RAM after a governed
@@ -150,12 +145,15 @@ func Memory(o Options) error {
 	if reps < 3 {
 		reps = 3
 	}
-	prq := ace.Query{Eps: 1e-3}
-	wantPR := algorithms.SeqPageRank(g, prq.Eps)
-	prEq := func(got, w float64) bool { return math.Abs(got-w) <= 0.02*(w+1) }
+	runs := make(map[string]core.LiveJob)
+	for _, name := range algorithms.LiveAppNames() {
+		if runs[name], err = core.LiveJobFor(name, g, frags, 0, 1e-3); err != nil {
+			return err
+		}
+	}
+	runPR := runs["pr"]
 	cfgBase := gap.LiveConfig{
 		Mode:             gap.ModeGAP,
-		Recovery:         gap.RecoveryLocal,
 		CheckEvery:       16,
 		CheckpointEvery:  15 * 1e6, // 15ms: several checkpoints per run
 		HeartbeatTimeout: 40 * 1e6,
@@ -176,7 +174,7 @@ func Memory(o Options) error {
 	// Derive the crash trigger from one fault-free run: roughly half-way
 	// through the victim's share of the updates.
 	{
-		lm, wrong, err := memRunOnce(frags, algorithms.NewPageRank(), prq, cfgBase, wantPR, prEq)
+		lm, wrong, err := runPR(cfgBase)
 		if err != nil {
 			return fmt.Errorf("memory fault-free probe: %v", err)
 		}
@@ -205,7 +203,7 @@ func Memory(o Options) error {
 		p := *plan
 		p.Seed = int64(k)
 		cfg.Faults = &p
-		lm, wrong, err := memRunOnce(frags, algorithms.NewPageRank(), prq, cfg, wantPR, prEq)
+		lm, wrong, err := runPR(cfg)
 		gov.Close()
 		if err != nil {
 			return fmt.Errorf("memory ungoverned rep %d: %v", k, err)
@@ -237,7 +235,7 @@ func Memory(o Options) error {
 			p := *plan
 			p.Seed = int64(k)
 			cfg.Faults = &p
-			lm, wrong, err := memRunOnce(frags, algorithms.NewPageRank(), prq, cfg, wantPR, prEq)
+			lm, wrong, err := runPR(cfg)
 			gov.Close()
 			if err != nil {
 				return fmt.Errorf("memory cap %.3f rep %d: %v", frac, k, err)
@@ -276,48 +274,22 @@ func Memory(o Options) error {
 
 	// Per-application verification: each live app at a quarter of its own
 	// ungoverned peak, with the crash plan armed.
-	type appCase struct {
-		name string
-		run  func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error)
+	wrongTotal := 0
+	for _, r := range rep.Caps {
+		wrongTotal += r.WrongVertices
 	}
-	q := ace.Query{Source: 0, Eps: prq.Eps}
-	wantSSSP := algorithms.SeqSSSP(g, 0)
-	wantBFS := algorithms.SeqBFS(g, 0)
-	wantWCC := algorithms.SeqWCC(g)
-	apps := []appCase{
-		{"sssp", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewSSSP(), q, cfg, wantSSSP,
-				func(got, w float64) bool { return got == w })
-		}},
-		{"bfs", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewBFS(), q, cfg, wantBFS,
-				func(got, w int32) bool {
-					if w < 0 {
-						return got == math.MaxInt32
-					}
-					return got == w
-				})
-		}},
-		{"wcc", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewWCC(), q, cfg, wantWCC,
-				func(got, w uint32) bool { return got == w })
-		}},
-		{"pr", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewPageRank(), prq, cfg, wantPR, prEq)
-		}},
-	}
-	allAppsOK := true
-	for _, a := range apps {
+	for _, name := range algorithms.LiveAppNames() {
+		run := runs[name]
 		// Measure this app's own unbounded footprint first…
 		gov := mem.NewGovernor(0, spillDir)
 		cfg := cfgBase
 		cfg.Mem = gov
-		lm, _, err := a.run(cfg)
+		lm, _, err := run(cfg)
 		gov.Close()
 		if err != nil {
-			return fmt.Errorf("memory app %s ungoverned: %v", a.name, err)
+			return fmt.Errorf("memory app %s ungoverned: %v", name, err)
 		}
-		ar := MemoryAppResult{App: a.name, UnboundedPeak: lm.MemPeakBytes}
+		ar := MemoryAppResult{App: name, UnboundedPeak: lm.MemPeakBytes}
 		ar.CapBytes = ar.UnboundedPeak / 4
 		if ar.CapBytes < 1 {
 			ar.CapBytes = 1
@@ -333,10 +305,10 @@ func Memory(o Options) error {
 		cfg.Faults = &fault.Plan{Crashes: []fault.Crash{
 			{Worker: 1, AfterUpdates: after, Restart: 10},
 		}}
-		lm, wrong, err := a.run(cfg)
+		lm, wrong, err := run(cfg)
 		gov.Close()
 		if err != nil {
-			return fmt.Errorf("memory app %s capped: %v", a.name, err)
+			return fmt.Errorf("memory app %s capped: %v", name, err)
 		}
 		if err := memUnspill(frags); err != nil {
 			return err
@@ -346,21 +318,19 @@ func Memory(o Options) error {
 		ar.ForcedCkpts = lm.ForcedCkpts
 		ar.WrongVertices = wrong
 		ar.Completed = true
-		if wrong > 0 {
-			allAppsOK = false
-		}
+		wrongTotal += wrong
 		rep.Apps = append(rep.Apps, ar)
 		fmt.Fprintf(o.Out, "app %-4s at peak/4 (%d bytes): wall %.1fms, spilled %d, forced ckpts %d, wrong %d\n",
-			a.name, ar.CapBytes, ar.WallMS, ar.SpilledBytes, ar.ForcedCkpts, ar.WrongVertices)
+			name, ar.CapBytes, ar.WallMS, ar.SpilledBytes, ar.ForcedCkpts, ar.WrongVertices)
 	}
 
 	quarterOK := false
 	for _, r := range rep.Caps {
-		if r.CapFrac <= 0.25 && r.Completed && r.WrongVertices == 0 {
+		if r.CapFrac <= 0.25 && r.Completed {
 			quarterOK = true
 		}
 	}
-	rep.CompletedAtQuarterPeak = quarterOK && allAppsOK && rep.OOMs == 0
+	rep.CompletedAtQuarterPeak = quarterOK && wrongTotal == 0 && rep.OOMs == 0
 	fmt.Fprintf(o.Out, "every app correct at >=4x below its unbounded peak, zero OOMs: %v (spilled replay observed: %v)\n",
 		rep.CompletedAtQuarterPeak, rep.SpilledReplayObserved)
 
@@ -374,8 +344,13 @@ func Memory(o Options) error {
 		}
 		fmt.Fprintf(o.Out, "wrote %s\n", o.JSONPath)
 	}
-	if !rep.CompletedAtQuarterPeak {
-		return fmt.Errorf("memory: governed execution must complete correctly at a quarter of the unbounded peak with zero OOMs")
+	// A wrong vertex or an OOM is a defect on any machine; how far below the
+	// peak a run still completes depends on the box and is a gate.
+	if wrongTotal > 0 || rep.OOMs > 0 {
+		return fmt.Errorf("memory: governed execution diverged: %d wrong vertices, %d OOMs", wrongTotal, rep.OOMs)
+	}
+	if !quarterOK {
+		return fmt.Errorf("%w: memory: no cap at or below a quarter of the unbounded peak completed", ErrGate)
 	}
 	return nil
 }

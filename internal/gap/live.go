@@ -46,24 +46,24 @@ type LiveConfig struct {
 	// Slowdown fields, Retry) are wall-clock milliseconds under the live
 	// driver. Crashed workers are real goroutine exits; when the plan
 	// schedules a restart the monitor detects the death by heartbeat
-	// timeout and rolls the cluster back to its last consistent snapshot.
+	// timeout, restores that worker from its own last checkpoint and
+	// replays the messages it lost while the survivors keep computing
+	// (liverecover.go). That needs a program whose declared ace.Algebra is
+	// Recoverable; RunLive rejects the combination of a restartable crash
+	// and a program without one up front, with ErrNoRecoveryAlgebra.
 	Faults *fault.Plan
 	// NoRecover disables checkpointing and recovery even when the plan's
 	// crashes carry restart delays: a crashed worker then stays dead and
 	// the watchdog eventually fails the run with a descriptive error.
 	NoRecover bool
-	// Recovery selects the strategy used to survive crashes:
-	// RecoveryGlobal ("" or "global", the default) takes stop-and-sync
-	// consistent snapshots and rolls the whole cluster back; RecoveryLocal
-	// ("local") takes uncoordinated per-worker logging checkpoints and
-	// repairs only the crashed worker (survivors keep computing, the
-	// cluster epoch is never bumped). Local recovery requires the program
-	// to declare ace.IdempotentAggregator or ace.Inverter; otherwise the
-	// run silently falls back to global (see LiveMetrics.Recovery for the
-	// effective strategy).
+	// Recovery selects nothing: localized recovery is the only strategy, and
+	// the field accepts only "" and RecoveryLocal. It is kept solely because
+	// benchmark/replay.go sets it and benchmark/ is closed to the change that
+	// removed the choice; delete it when benchmark/ next opens.
 	Recovery string
-	// CheckpointEvery is the interval between consistent cluster
-	// snapshots when recovery is enabled. Default 50ms.
+	// CheckpointEvery is the interval at which each worker takes its own
+	// uncoordinated checkpoint when recovery is enabled (the monitor asks
+	// one worker per CheckpointEvery/n slice). Default 50ms.
 	CheckpointEvery time.Duration
 	// HeartbeatTimeout declares a worker dead when its heartbeat is older
 	// than this. Default 250ms. Workers beat at every indicator check,
@@ -114,6 +114,14 @@ type LiveConfig struct {
 // wrappers preserve it.
 var ErrCanceled = errors.New("gap: run canceled")
 
+// ErrNoRecoveryAlgebra is the failure RunLive returns, before any goroutine
+// starts, when the fault plan schedules a crash with a restart over a program
+// whose declared ace.Algebra is not Recoverable: a survivor that folded in a
+// rolled-back sender's messages could neither un-apply them nor tolerate
+// their replay. Fault-free runs, link-fault-only runs and NoRecover runs of
+// such a program are unaffected.
+var ErrNoRecoveryAlgebra = errors.New("gap: crash recovery needs a program whose aggregate is a semilattice join or has an inverse (ace.Algebra)")
+
 // ErrWorkerPanic is the failure RunLive returns when an Update function (or
 // other worker-goroutine code) panics. The panic is contained to the run —
 // the process survives — so one tenant's broken program cannot take down its
@@ -144,13 +152,9 @@ func (c LiveConfig) withDefaults() (LiveConfig, error) {
 	if c.Watchdog == 0 {
 		c.Watchdog = 30 * time.Second
 	}
-	switch c.Recovery {
-	case "":
-		c.Recovery = RecoveryGlobal
-	case RecoveryGlobal, RecoveryLocal:
-	default:
-		return c, fmt.Errorf("gap: unknown recovery strategy %q (want %q or %q)",
-			c.Recovery, RecoveryGlobal, RecoveryLocal)
+	if c.Recovery != "" && c.Recovery != RecoveryLocal {
+		return c, fmt.Errorf("gap: unknown recovery strategy %q (localized recovery, %q, is the only one)",
+			c.Recovery, RecoveryLocal)
 	}
 	if c.LogBytesSoftCap == 0 && c.Mem.Budget() > 0 {
 		c.LogBytesSoftCap = c.Mem.Budget() / 4
@@ -178,22 +182,13 @@ type LiveMetrics struct {
 	Recoveries  int64
 	Checkpoints int64
 
-	// Recovery is the effective strategy the run used (RecoveryGlobal or
-	// RecoveryLocal); it differs from the configured one when the program
-	// lacks the hooks local recovery needs.
-	Recovery string
-	// Epochs counts global rollbacks (cluster epoch bumps). Localized
-	// recoveries never bump the epoch, so this stays zero in local mode.
-	Epochs int64
 	// Replayed counts messages re-delivered from the sender-side logs to
-	// restored workers (local mode only).
+	// restored workers.
 	Replayed int64
 	// RecoveryMS is the total wall-clock spent between acting on a detected
-	// failure and the worker respawn, summed over recoveries. Local mode
-	// times each victim from the tick the monitor stages its death while
-	// the survivors keep computing; global mode times the rollback that
-	// succeeded, from the start of the park barrier, with the whole cluster
-	// stopped. Both include the plan's restart delay.
+	// failure and the worker respawn, summed over recoveries: each victim is
+	// timed from the tick the monitor stages its death, while the survivors
+	// keep computing. It includes the plan's restart delay.
 	RecoveryMS float64
 
 	// Memory-governance accounting (zero when no governor is attached).
@@ -207,18 +202,15 @@ type LiveMetrics struct {
 	LogPeakBytes     int64 // high-water retained bytes across the message log
 }
 
-// liveEnvelope is one batch in flight. The epoch tags which incarnation of
-// the cluster sent it: a global rollback bumps the epoch, and receivers
-// silently discard (without counting) envelopes from before it. Under the
-// exactly-once layer (link faults or local recovery) the envelope also
-// carries the sender id, the sender's incarnation and a per-link sequence
-// number for dedup, reordering and replay.
+// liveEnvelope is one batch in flight. Under the exactly-once layer (link
+// faults or crash recovery) it carries, beside the sender id, the sender's
+// incarnation and a per-link sequence number for dedup, reordering and
+// replay.
 type liveEnvelope[V any] struct {
-	epoch int32
-	from  int32
-	inc   int32
-	seq   uint64
-	msgs  []ace.Message[V]
+	from int32
+	inc  int32
+	seq  uint64
+	msgs []ace.Message[V]
 }
 
 // liveCoord detects global quiescence: every worker idle and every sent
@@ -235,11 +227,10 @@ type liveCoord struct {
 	err      error
 	progress int64 // bumped on every report; a watchdog progress signal
 
-	// Local recovery counts transport events in crash-safe atomics bumped
-	// at ship/drain time instead of worker-local deltas: a crashed
-	// goroutine's unreported deltas would unbalance the ledger forever
-	// (global mode escapes that by resetting the counts on rollback; local
-	// mode never resets). Ships are counted before the envelope becomes
+	// Runs that can recover a crash count transport events in crash-safe
+	// atomics bumped at ship/drain time instead of worker-local deltas: a
+	// crashed goroutine's unreported deltas would unbalance the ledger
+	// forever. Ships are counted before the envelope becomes
 	// visible, so asent >= arecv whenever a message is in flight and
 	// quiescence cannot close early.
 	atomicCnt    bool
@@ -317,33 +308,6 @@ func (c *liveCoord) failure() error {
 	return c.err
 }
 
-// reset re-arms the detector after a rollback: every worker busy, message
-// accounting zeroed (in-flight pre-rollback envelopes are discarded by
-// receivers without being counted). Returns false if the run already ended.
-func (c *liveCoord) reset() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	for i := range c.idle {
-		c.idle[i] = false
-	}
-	c.nIdle = 0
-	c.sent, c.recv = 0, 0
-	c.progress++
-	return true
-}
-
-func (c *liveCoord) counts() (sent, recv int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.atomicCnt {
-		return c.asent.Load(), c.arecv.Load()
-	}
-	return c.sent, c.recv
-}
-
 func (c *liveCoord) status() (idle, total int, sent, recv, progress int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -362,7 +326,6 @@ type liveDriver[V any] struct {
 	coord  *liveCoord
 	ctrl   *liveCtrl
 	states []*liveState[V]
-	snaps  []liveSnap[V]
 	start  time.Time
 	wg     sync.WaitGroup
 
@@ -378,12 +341,10 @@ type liveDriver[V any] struct {
 
 	// Exactly-once / localized-recovery plumbing (see liverecover.go).
 	// seqOn stamps envelopes with (inc, seq) and routes drains through the
-	// dedup layer; localRec additionally logs sends, takes uncoordinated
-	// checkpoints and recovers crashed workers without a global rollback.
-	// diag maintains the per-worker transport counters the watchdog prints.
-	recovery   string // effective strategy (RecoveryGlobal / RecoveryLocal)
+	// dedup layer; recover (above) additionally logs sends, takes
+	// uncoordinated checkpoints and restores crashed workers. diag maintains
+	// the per-worker transport counters the watchdog prints.
 	seqOn      bool
-	localRec   bool
 	diag       bool
 	mlog       *msgLog[V]
 	localMu    sync.Mutex
@@ -434,7 +395,6 @@ type liveDriver[V any] struct {
 }
 
 const (
-	liveParkPoll    = 50 * time.Microsecond
 	liveSendBackoff = 50 * time.Microsecond
 	liveSendBackMax = 2 * time.Millisecond
 	// liveThrottleSleep is the per-flush backpressure pause applied to
@@ -446,7 +406,8 @@ const (
 // worker, returning the global result. Results are identical to the
 // sequential fixpoint for programs with order-insensitive (monotone)
 // aggregation. When cfg.Faults schedules crashes with restarts, the run
-// survives them via consistent snapshots and global rollback.
+// survives them by restoring each crashed worker from its own checkpoint and
+// replaying its lost messages (liverecover.go).
 func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query, cfg LiveConfig) (*Result[V], *LiveMetrics, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -472,6 +433,18 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 			}
 		}
 	}
+	// The exactly-once layer and crash recovery. Recovery needs a program
+	// whose survivors the protocol can repair (see ErrNoRecoveryAlgebra). The
+	// dedup layer alone is also required under link faults — dup/reorder
+	// fates double- and cross-deliver batches, which only replay-tolerant
+	// programs take bare.
+	alg := ace.AlgebraOf(factory())
+	if d.recover && !alg.Recoverable() {
+		return nil, nil, ErrNoRecoveryAlgebra
+	}
+	d.seqOn = d.hasLink || d.recover
+	d.diag = d.hasCrashes || d.seqOn
+
 	d.beatEvery = 10 * time.Millisecond
 	if d.hasCrashes && cfg.HeartbeatTimeout/5 < d.beatEvery {
 		d.beatEvery = cfg.HeartbeatTimeout / 5
@@ -493,23 +466,12 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.states[i] = newLiveState(i, frags[i], factory(), q, d.pool)
 	}
 
-	// Recovery strategy and the exactly-once layer. Local recovery needs a
-	// program the protocol can repair survivors of (idempotent aggregation
-	// or an inverter); otherwise fall back to global rollback. The dedup
-	// layer itself is also required under link faults regardless of
-	// strategy — dup/reorder fates double- and cross-deliver batches, which
-	// only idempotent programs tolerate bare.
-	capable, invert := recoveryHooks(d.states[0].prog)
-	d.recovery = cfg.Recovery
-	if d.recovery == RecoveryLocal && !capable {
-		d.recovery = RecoveryGlobal
-	}
-	d.localRec = d.recover && d.recovery == RecoveryLocal
-	d.seqOn = d.hasLink || d.localRec
-	d.diag = d.hasCrashes || d.seqOn
 	if d.seqOn {
-		if !d.localRec {
-			invert = nil // undo logs only serve localized rollback notices
+		// Undo logs serve rollback notices only, and only for programs that
+		// are not replay-tolerant (those repair by re-ingestion alone).
+		var invert func(cur, contrib V) V
+		if d.recover && !alg.ReplayTolerant() {
+			invert = alg.Invert
 		}
 		for i := range d.states {
 			d.states[i].rs = newRecoverState[V](n, invert)
@@ -520,8 +482,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.wrecv = make([]atomic.Int64, n)
 		d.wacked = make([]atomic.Int64, n)
 	}
-	switch {
-	case d.localRec:
+	if d.recover {
 		d.coord.atomicCnt = true
 		d.mlog = newMsgLog[V](n)
 		d.stableSent = make([]atomic.Uint64, n*n)
@@ -549,13 +510,6 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 				snap.undo = make([][]undoRec[V], n)
 			}
 			d.localSnaps[i] = snap
-		}
-	case d.recover:
-		// Snapshot 0: the freshly initialized cluster, so a crash before
-		// the first periodic checkpoint still has a rollback target.
-		d.snaps = make([]liveSnap[V], n)
-		for i := range d.states {
-			d.snaps[i] = captureLive(d.states[i])
 		}
 	}
 
@@ -592,7 +546,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 			}
 		}
 	}
-	if d.localRec {
+	if d.recover {
 		d.ckEvery = make([]atomic.Int32, n)
 		for i := range d.ckEvery {
 			d.ckEvery[i].Store(int32(cfg.CheckEvery))
@@ -616,13 +570,13 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		}
 	}
 
-	cfg.Health.runStarted(n, d.recovery, cfg.Watchdog)
+	cfg.Health.runStarted(n, cfg.Watchdog)
 	d.start = nowFn()
 	d.wg.Add(1)
 	go d.monitor()
 	for i := 0; i < n; i++ {
 		d.wg.Add(1)
-		go d.worker(d.states[i], 0)
+		go d.worker(d.states[i])
 	}
 	d.wg.Wait()
 	wall := sinceFn(d.start)
@@ -655,8 +609,6 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		Crashes:     d.crashes.Load(),
 		Recoveries:  d.recoveries.Load(),
 		Checkpoints: d.checkpoints.Load(),
-		Recovery:    d.recovery,
-		Epochs:      int64(d.ctrl.epoch.Load()),
 		Replayed:    d.replayed.Load(),
 		RecoveryMS:  float64(d.recoveryNS.Load()) / 1e6,
 
@@ -675,10 +627,9 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	return res, m, nil
 }
 
-// worker runs one incarnation of worker st.id at the given epoch. A
-// restarted worker is a fresh call with a bumped epoch over the restored
-// state.
-func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
+// worker runs one incarnation of worker st.id. A restarted worker is a fresh
+// call over the restored state.
+func (d *liveDriver[V]) worker(st *liveState[V]) {
 	defer d.wg.Done()
 	// Panic containment: an Update function that panics fails the run (first
 	// failure wins) instead of killing the process, so a service can
@@ -715,7 +666,6 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	// reports as per-round counter deltas.
 	var localSent, localRecv int64
 	var sentCum, recvCum int64
-	lastIdle := false
 	var hold [][]ace.Message[V] // reorder fault: batches held past FIFO order
 	if d.hasLink {
 		hold = make([][]ace.Message[V], d.n)
@@ -779,11 +729,6 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		for {
 			select {
 			case env := <-d.chans[id]:
-				if env.epoch != myEpoch {
-					// Pre-rollback leftover: discard uncounted.
-					d.pool.put(env.msgs)
-					continue
-				}
 				ingest(env)
 				got++
 			default:
@@ -793,10 +738,11 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	}
 
 	// stamp wraps a batch for the wire; under the exactly-once layer it
-	// draws the next per-link sequence number and (in local mode) retains a
-	// copy in the sender-side log before the batch ever becomes visible.
+	// draws the next per-link sequence number and (when the run can recover
+	// a crash) retains a copy in the sender-side log before the batch ever
+	// becomes visible.
 	stamp := func(j int, msgs []ace.Message[V]) liveEnvelope[V] {
-		env := liveEnvelope[V]{epoch: myEpoch, from: int32(id), msgs: msgs}
+		env := liveEnvelope[V]{from: int32(id), msgs: msgs}
 		if rs := st.rs; rs != nil {
 			rs.sendSeq[j]++
 			env.seq = rs.sendSeq[j]
@@ -807,8 +753,8 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		}
 		return env
 	}
-	// countSent books a shipped envelope. In local mode the count lands in
-	// the coordinator's crash-safe atomics before the envelope is inserted,
+	// countSent books a shipped envelope. On a recovering run the count lands
+	// in the coordinator's crash-safe atomics before the envelope is inserted,
 	// so quiescence can never close over an uncounted in-flight message.
 	countSent := func(k int64) {
 		if d.coord.atomicCnt {
@@ -826,11 +772,9 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 
 	// send ships one stamped envelope to peer j. A full peer mailbox (the
 	// peer may be dead) is retried with exponential backoff while draining
-	// our own mailbox so mutual sends cannot deadlock; a global recovery in
-	// progress drops the batch (the rollback re-derives it). While blocked,
-	// the worker keeps servicing rollback notices — a survivor wedged on a
-	// dead peer's full mailbox must still ack, or local recovery would
-	// deadlock.
+	// our own mailbox so mutual sends cannot deadlock. While blocked, the
+	// worker keeps servicing rollback notices — a survivor wedged on a dead
+	// peer's full mailbox must still ack, or recovery would deadlock.
 	send := func(j int, env liveEnvelope[V]) {
 		if len(env.msgs) == 0 {
 			return
@@ -838,9 +782,6 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		countSent(int64(len(env.msgs)))
 		backoff := liveSendBackoff
 		for {
-			if d.ctrl.phase.Load() == ctrlRecover {
-				return
-			}
 			select {
 			case d.chans[j] <- env:
 				return
@@ -848,7 +789,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 				return
 			default:
 			}
-			if d.localRec {
+			if d.recover {
 				d.drainNotices(st)
 			}
 			if drain() == 0 {
@@ -861,66 +802,17 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		}
 	}
 
-	// pauseCheck parks the worker while the monitor runs a checkpoint or a
-	// recovery; returns true when the run is over. During checkpoint parks
-	// the worker keeps draining and reporting (the snapshot barrier needs
-	// global sent==recv); during recovery parks it must not touch state —
-	// the monitor is rewriting it. Leaving a park with a bumped epoch
-	// means the cluster rolled back under us: message accounting restarts
-	// from zero and held batches are dropped (the replay re-derives them).
-	pauseCheck := func() bool {
-		// A closed run (failure, cancellation, or quiescence declared while
-		// we computed) ends the incarnation at the next check: cancellation
-		// latency is one CheckEvery interval, not the rest of the active set.
+	// ended reports whether the run is over: a closed run (failure,
+	// cancellation, or quiescence declared while we computed) ends the
+	// incarnation at the next check, so cancellation latency is one CheckEvery
+	// interval, not the rest of the active set.
+	ended := func() bool {
 		select {
 		case <-d.coord.done:
 			return true
 		default:
-		}
-		if d.ctrl.phase.Load() == ctrlRun {
 			return false
 		}
-		if d.ctrl.phase.Load() == ctrlCkpt {
-			// Held (reordered) batches live outside the snapshot; flush
-			// them now so the checkpoint never strands a message.
-			for j := range hold {
-				if len(hold[j]) > 0 {
-					hb := hold[j]
-					hold[j] = nil
-					send(j, stamp(j, hb))
-				}
-			}
-		}
-		d.ctrl.enterPark()
-		for d.ctrl.phase.Load() != ctrlRun {
-			select {
-			case <-d.coord.done:
-				d.ctrl.exitPark()
-				return true
-			default:
-			}
-			if d.ctrl.phase.Load() == ctrlCkpt {
-				if drain() > 0 {
-					lastIdle = false
-				}
-				if localSent != 0 || localRecv != 0 {
-					d.coord.report(id, lastIdle, localSent, localRecv)
-					localSent, localRecv = 0, 0
-				}
-			}
-			beat()
-			time.Sleep(liveParkPoll)
-		}
-		d.ctrl.exitPark()
-		if e := d.ctrl.epoch.Load(); e != myEpoch {
-			myEpoch = e
-			localSent, localRecv = 0, 0
-			lastIdle = false
-			for j := range hold {
-				hold[j] = nil
-			}
-		}
-		return false
 	}
 
 	// flushAllInner ships every non-empty out-accumulator, routing each
@@ -943,9 +835,9 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 						// Count the batch as sent now — termination
 						// cannot be declared while it is in flight —
 						// and hand it to an asynchronous retransmitter.
-						// Sleeping inline here would stall heartbeats,
-						// park checks and every other peer's flush for
-						// the whole retry delay.
+						// Sleeping inline here would stall heartbeats
+						// and every other peer's flush for the whole
+						// retry delay.
 						env := stamp(j, msgs)
 						countSent(int64(len(msgs)))
 						d.retransmit(j, env)
@@ -1055,9 +947,9 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	// rollback notices from the monitor, then honor a pending checkpoint
 	// request. Checkpoints are taken inline — no barrier, no park — after
 	// flushing held batches so the snapshot can never strand an unstamped
-	// message. No-op outside local mode.
+	// message. No-op on runs that cannot recover a crash.
 	serviceLocal := func() {
-		if !d.localRec {
+		if !d.recover {
 			return
 		}
 		d.drainNotices(st)
@@ -1080,7 +972,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	}
 
 	for {
-		if pauseCheck() {
+		if ended() {
 			return
 		}
 		if crashed() {
@@ -1112,12 +1004,12 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 			tr.Sample(id, obs.GaugeActive, ts(), float64(st.active.Len()))
 		}
 		// checkStep is the shared per-CheckEvery indicator check (ξ⁺/ξ⁻):
-		// heartbeat, park/crash checks, slowdown injection, then pick up
+		// heartbeat, end-of-run/crash checks, slowdown injection, then pick up
 		// fresh messages or push accumulated ones. Returns true when the
 		// worker must exit.
 		checkStep := func() bool {
 			beat()
-			if pauseCheck() {
+			if ended() {
 				return true
 			}
 			if crashed() {
@@ -1163,24 +1055,20 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 			tr.Mark(id, obs.MarkIdle, t1)
 		}
 		// Idle transition: report and block for more input. The timeout
-		// keeps the heartbeat alive and lets the worker notice parks (and
-		// due time-triggered crashes) while idle. The recovery-reseeded
-		// check granularity snaps back to the configured bound here — the
-		// replayed backlog it was finer for has drained.
+		// keeps the heartbeat alive and lets the worker service rollback
+		// notices, checkpoint requests and due time-triggered crashes while
+		// idle. The recovery-reseeded check granularity snaps back to the
+		// configured bound here — the replayed backlog it was finer for has
+		// drained.
 		if d.ckEvery != nil {
 			d.ckEvery[id].Store(int32(cfg.CheckEvery))
 		}
-		lastIdle = true
 		d.coord.report(id, true, localSent, localRecv)
 		localSent, localRecv = 0, 0
 	idleWait:
 		for {
 			select {
 			case env := <-d.chans[id]:
-				if env.epoch != myEpoch {
-					continue
-				}
-				lastIdle = false
 				d.coord.report(id, false, 0, 0)
 				if tr != nil {
 					tr.Mark(id, obs.MarkBusy, ts())
@@ -1191,7 +1079,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 				return
 			case <-time.After(d.beatEvery):
 				beat()
-				if pauseCheck() {
+				if ended() {
 					return
 				}
 				if crashed() {
@@ -1202,12 +1090,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 				if !st.active.Empty() {
 					// A rollback notice un-applied contributions and
 					// re-activated their vertices: go process them.
-					lastIdle = false
 					d.coord.report(id, false, 0, 0)
-					break idleWait
-				}
-				if !lastIdle {
-					// A rollback put restored work back on our plate.
 					break idleWait
 				}
 			}
@@ -1218,11 +1101,9 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 // retransmit delivers a "dropped" batch after the plan's retry delay
 // without blocking the worker that flushed it. The caller already counted
 // the batch as sent, so termination cannot be declared while it is in
-// flight. A global recovery while the retransmitter sleeps bumps the epoch
-// (and the coordinator reset wiped the count), so delivery is abandoned —
-// the rollback re-derives the batch. Under local recovery the epoch never
-// moves and the phase never leaves ctrlRun, so delivery always completes;
-// the dedup layer discards it if the restore already replayed the batch.
+// flight. Delivery always completes; if the receiver crashed and its restore
+// already replayed the batch from the sender's log, the dedup layer discards
+// the late copy.
 func (d *liveDriver[V]) retransmit(to int, env liveEnvelope[V]) {
 	d.retransmits.Add(1)
 	if tr := d.cfg.Tracer; tr != nil {
@@ -1240,9 +1121,6 @@ func (d *liveDriver[V]) retransmit(to int, env liveEnvelope[V]) {
 		}
 		backoff := liveSendBackoff
 		for {
-			if d.ctrl.epoch.Load() != env.epoch || d.ctrl.phase.Load() == ctrlRecover {
-				return
-			}
 			select {
 			case d.chans[to] <- env:
 				return

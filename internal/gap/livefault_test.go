@@ -30,7 +30,7 @@ func chaosSeed(t *testing.T) int64 {
 }
 
 // liveFTConfig is the aggressive fault-tolerance tuning the tests use so
-// crash → detect → rollback → replay completes in tens of milliseconds.
+// crash → detect → restore → replay completes in tens of milliseconds.
 func liveFTConfig(mode Mode) LiveConfig {
 	return LiveConfig{
 		Mode:             mode,
@@ -43,7 +43,7 @@ func liveFTConfig(mode Mode) LiveConfig {
 
 // TestLiveCrashRecoveryMatchesFaultFree is the live half of the tentpole
 // acceptance criterion: a run that loses a worker mid-computation and
-// recovers it from the last consistent snapshot converges to the same
+// recovers it from its last checkpoint converges to the same
 // answers as a fault-free run — with real goroutine deaths, heartbeat
 // detection and a real restart.
 func TestLiveCrashRecoveryMatchesFaultFree(t *testing.T) {
@@ -65,7 +65,7 @@ func TestLiveCrashRecoveryMatchesFaultFree(t *testing.T) {
 			t.Fatalf("crashes=%d recoveries=%d, want 1 and >=1", lm.Crashes, lm.Recoveries)
 		}
 		if lm.RecoveryMS <= 0 {
-			t.Fatalf("global rollback reported RecoveryMS=%v, want > 0", lm.RecoveryMS)
+			t.Fatalf("recovery reported RecoveryMS=%v, want > 0", lm.RecoveryMS)
 		}
 	})
 	t.Run("pagerank", func(t *testing.T) {
@@ -73,8 +73,8 @@ func TestLiveCrashRecoveryMatchesFaultFree(t *testing.T) {
 		want := algorithms.SeqPageRank(g, 1e-3)
 		cfg := liveFTConfig(ModeGAP)
 		// The slowdown stretches the run so checkpoints land mid-stream
-		// and the rollback has accumulated (non-idempotent) rank to
-		// restore, not just the initial state.
+		// and the restore has accumulated (non-idempotent) rank to bring
+		// back, not just the initial state.
 		cfg.Faults = faultPlan(t, "crash=2@u60+10; slow=1@0:200:30")
 		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
 		if err != nil {

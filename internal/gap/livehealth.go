@@ -34,10 +34,6 @@ type Health struct {
 	// permanently dead worker and is waiting for the watchdog to fail the
 	// run.
 	Unrecoverable bool
-	// Epoch is the cluster epoch (bumped by every global rollback).
-	Epoch int32
-	// Recovery is the run's effective recovery strategy.
-	Recovery string
 
 	// Sent/Recv are the termination ledger's transport counts; Updates is
 	// the cumulative f_xv invocation count.
@@ -91,14 +87,12 @@ func (t *HealthTracker) publish(mutate func(*Health)) {
 }
 
 // runStarted resets the per-run fields at the top of RunLive.
-func (t *HealthTracker) runStarted(workers int, recovery string, watchdog time.Duration) {
+func (t *HealthTracker) runStarted(workers int, watchdog time.Duration) {
 	t.publish(func(h *Health) {
 		h.Running = true
 		h.Workers = workers
 		h.Idle, h.Dead = 0, 0
 		h.Unrecoverable = false
-		h.Epoch = 0
-		h.Recovery = recovery
 		h.Sent, h.Recv, h.Updates = 0, 0, 0
 		h.ProgressAge = 0
 		h.Watchdog = watchdog
@@ -142,7 +136,6 @@ func (d *liveDriver[V]) publishHealth(progressAge time.Duration) {
 		h.Idle = idle
 		h.Dead = dead
 		h.Unrecoverable = unrec
-		h.Epoch = d.ctrl.epoch.Load()
 		h.Sent, h.Recv = sent, recv
 		h.Updates = d.updates.Load()
 		h.ProgressAge = progressAge

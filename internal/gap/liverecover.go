@@ -11,11 +11,8 @@ import (
 	"argan/internal/obs"
 )
 
-// Localized recovery (LiveConfig.Recovery: "local").
-//
-// The global strategy in livefault.go stops the whole cluster at a
-// consistent barrier for every checkpoint and rolls every fragment back when
-// one worker dies. The localized strategy keeps the survivors computing:
+// Localized recovery, the live driver's one way of surviving a crash. No
+// barrier is ever taken and the survivors keep computing:
 //
 //   - Uncoordinated per-worker checkpoints: the monitor round-robins a
 //     checkpoint request to one worker at a time; the worker snapshots its
@@ -26,29 +23,20 @@ import (
 //     driver-level per-link log until both endpoints' checkpoints commit it.
 //   - Exactly-once ingestion: receivers keep a per-sender cursor, drop
 //     duplicate sequence numbers and reorder-buffer gaps. This layer is also
-//     active (in either recovery mode) whenever the fault plan injects link
-//     faults, because dup/reorder fates are only safe for idempotent
-//     aggregation — Δ-PageRank's accumulative h_in is not.
+//     active whenever the fault plan injects link faults, because dup/reorder
+//     fates are only safe for replay-tolerant aggregation — Δ-PageRank's
+//     accumulative h_in is not.
 //
 // When worker w dies, the monitor: bumps w's incarnation, truncates w's
 // outgoing log back to its last checkpoint (the committed prefix), notifies
-// every live peer — survivors un-apply (ace.Inverter) or tolerate
-// (ace.IdempotentAggregator) w's uncommitted contributions and lower their
+// every live peer — survivors un-apply (ace.Algebra's Invert) or tolerate
+// (a ReplayTolerant algebra) w's uncommitted contributions and lower their
 // cursors — waits for all acks, restores w's last checkpoint, replays the
 // logged batches w lost since that checkpoint straight into its state, and
-// respawns the goroutine. The cluster epoch is never bumped and no survivor
-// loses post-checkpoint work.
+// respawns the goroutine. No survivor loses post-checkpoint work.
 
-// Recovery strategies accepted by LiveConfig.Recovery.
-const (
-	// RecoveryGlobal is PR 3's stop-and-sync checkpoints with whole-cluster
-	// rollback; the default, and the fallback for programs that declare
-	// neither ace.IdempotentAggregator nor ace.Inverter.
-	RecoveryGlobal = "global"
-	// RecoveryLocal is per-worker logging checkpoints with survivor-local
-	// repair and message replay.
-	RecoveryLocal = "local"
-)
+// RecoveryLocal is the one value LiveConfig.Recovery accepts besides "".
+const RecoveryLocal = "local"
 
 // liveLogSoftCap is the retained-batch count across the whole message log
 // above which the monitor asks every live worker to checkpoint out of turn,
@@ -105,8 +93,8 @@ type recoverState[V any] struct {
 	robuf   []map[uint64][]ace.Message[V]
 	bounds  [][]incBound // acceptance bounds for old-incarnation envelopes
 	// undo logs applied contributions per sender for inversion on rollback;
-	// nil for idempotent programs (re-application is harmless) and outside
-	// local recovery (global rollback restores receivers wholesale).
+	// nil for replay-tolerant programs (re-application is harmless) and on
+	// runs without crash recovery (nothing ever rolls back).
 	undo   [][]undoRec[V]
 	invert func(cur, contrib V) V
 
@@ -163,20 +151,6 @@ func (rs *recoverState[V]) boundLimit(s int, inc int32) uint64 {
 		}
 	}
 	return limit
-}
-
-// recoveryHooks probes the program's capability for localized recovery:
-// idempotent aggregation tolerates re-delivery outright; an Inverter lets
-// survivors un-apply uncommitted contributions. Programs with neither force
-// the driver back to global rollback.
-func recoveryHooks[V any](prog ace.Program[V]) (capable bool, invert func(cur, contrib V) V) {
-	if ia, ok := any(prog).(ace.IdempotentAggregator); ok && ia.IdempotentAggregate() {
-		return true, nil
-	}
-	if iv, ok := any(prog).(ace.Inverter[V]); ok {
-		return true, iv.Invert
-	}
-	return false, nil
 }
 
 // applyFrom is h_in for one sequenced batch: aggregate every message,
@@ -1046,7 +1020,7 @@ func (d *liveDriver[V]) runLocalRecovery() bool {
 			tr.SpanEnd(d.n, obs.PhaseRecovery, ts())
 		}
 		d.wg.Add(1)
-		go d.worker(d.states[w], 0) // the epoch never bumps under local recovery
+		go d.worker(d.states[w])
 		revived = true
 	}
 	return revived
@@ -1085,7 +1059,7 @@ func (d *liveDriver[V]) stuckDetail() string {
 			fmt.Fprintf(&b, " log=%d", d.mlog.retainedFrom(i))
 		}
 	}
-	if d.localRec {
+	if d.recover {
 		fmt.Fprintf(&b, "\n  acks outstanding=%d", d.acksOut.Load())
 	}
 	return b.String()

@@ -1,10 +1,9 @@
 package gap
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,7 +11,7 @@ import (
 	"argan/internal/ace"
 	"argan/internal/algorithms"
 	"argan/internal/fault"
-	"argan/internal/obs"
+	"argan/internal/graph"
 )
 
 // --- exactly-once layer unit tests -----------------------------------------
@@ -25,7 +24,7 @@ func recTestState(t *testing.T) (*liveState[float64], uint32) {
 	fs := frags(t, g, 2)
 	prog := algorithms.NewPageRank()()
 	st := newLiveState(0, fs[0], prog, ace.Query{Eps: 1e-3}, &batchPool[float64]{})
-	st.rs = newRecoverState[float64](2, prog.(ace.Inverter[float64]).Invert)
+	st.rs = newRecoverState[float64](2, ace.AlgebraOf(prog).Invert)
 	lv, ok := st.frag.Local(fs[0].Global(0))
 	if !ok {
 		t.Fatal("fragment's own vertex not resolvable")
@@ -156,7 +155,8 @@ func TestMsgLog(t *testing.T) {
 
 // --- end-to-end localized recovery ------------------------------------------
 
-// localFTConfig is liveFTConfig with localized recovery selected.
+// localFTConfig is liveFTConfig with Recovery spelled out: the one value the
+// field still accepts besides "".
 func localFTConfig() LiveConfig {
 	cfg := liveFTConfig(ModeGAP)
 	cfg.Recovery = RecoveryLocal
@@ -165,52 +165,49 @@ func localFTConfig() LiveConfig {
 
 // TestLiveLinkFaultsNonIdempotent: dup/reorder fates against programs whose
 // aggregation is NOT idempotent (Δ-PageRank's accumulative sum) and against
-// WCC, under both recovery strategies. The exactly-once ingestion layer must
-// keep the fixpoints correct — before this layer, a duplicated batch silently
-// double-counted rank mass.
+// WCC. The exactly-once ingestion layer must keep the fixpoints correct —
+// before this layer, a duplicated batch silently double-counted rank mass.
 func TestLiveLinkFaultsNonIdempotent(t *testing.T) {
 	seed := strconv.FormatInt(chaosSeed(t), 10)
-	for _, mode := range []string{RecoveryGlobal, RecoveryLocal} {
-		t.Run("pagerank/"+mode, func(t *testing.T) {
-			g := testGraph(true, 13)
-			want := algorithms.SeqPageRank(g, 1e-3)
-			cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16, Recovery: mode}
-			cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1; drop=0.05")
-			res, lm, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
-			if err != nil {
-				t.Fatalf("RunLive: %v", err)
+	t.Run("pagerank/local", func(t *testing.T) {
+		g := testGraph(true, 13)
+		want := algorithms.SeqPageRank(g, 1e-3)
+		cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16}
+		cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1; drop=0.05")
+		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
+		if err != nil {
+			t.Fatalf("RunLive: %v", err)
+		}
+		for v, w := range want {
+			if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
+				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
-			for v, w := range want {
-				if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
-					t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
-				}
+		}
+		if lm.Crashes != 0 || lm.Recoveries != 0 {
+			t.Fatalf("unexpected fault accounting: %+v", lm)
+		}
+	})
+	t.Run("wcc/local", func(t *testing.T) {
+		g := testGraph(false, 14)
+		want := algorithms.SeqWCC(g)
+		cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16}
+		cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1")
+		res, _, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
+		if err != nil {
+			t.Fatalf("RunLive: %v", err)
+		}
+		for v, w := range want {
+			if res.Values[v] != w {
+				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
-			if lm.Crashes != 0 || lm.Epochs != 0 {
-				t.Fatalf("unexpected fault accounting: %+v", lm)
-			}
-		})
-		t.Run("wcc/"+mode, func(t *testing.T) {
-			g := testGraph(false, 14)
-			want := algorithms.SeqWCC(g)
-			cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16, Recovery: mode}
-			cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1")
-			res, _, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
-			if err != nil {
-				t.Fatalf("RunLive: %v", err)
-			}
-			for v, w := range want {
-				if res.Values[v] != w {
-					t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// TestLiveLocalRecoveryMatchesFaultFree is the localized mirror of
-// TestLiveCrashRecoveryMatchesFaultFree: crashes are repaired by per-worker
-// restore + log replay, the answers still match the sequential reference, and
-// the cluster epoch is NEVER bumped.
+// TestLiveLocalRecoveryMatchesFaultFree mirrors
+// TestLiveCrashRecoveryMatchesFaultFree with Recovery set to RecoveryLocal
+// explicitly: crashes are repaired by per-worker restore + log replay and the
+// answers still match the sequential reference.
 func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
 		g := testGraph(true, 3)
@@ -226,14 +223,8 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
 		}
-		if lm.Recovery != RecoveryLocal {
-			t.Fatalf("effective recovery %q, want local", lm.Recovery)
-		}
 		if lm.Crashes != 1 || lm.Recoveries < 1 {
 			t.Fatalf("crashes=%d recoveries=%d, want 1 and >=1", lm.Crashes, lm.Recoveries)
-		}
-		if lm.Epochs != 0 {
-			t.Fatalf("local recovery bumped the epoch %d times", lm.Epochs)
 		}
 		if lm.RecoveryMS <= 0 {
 			t.Fatalf("localized recovery reported RecoveryMS=%v, want > 0", lm.RecoveryMS)
@@ -255,9 +246,6 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
 		}
-		if lm.Recovery != RecoveryLocal || lm.Epochs != 0 {
-			t.Fatalf("recovery=%q epochs=%d, want local/0", lm.Recovery, lm.Epochs)
-		}
 		if lm.Crashes != 1 || lm.Recoveries < 1 {
 			t.Fatalf("crashes=%d recoveries=%d, want 1 and >=1", lm.Crashes, lm.Recoveries)
 		}
@@ -276,15 +264,15 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
 		}
-		if lm.Crashes != 2 || lm.Recoveries < 1 || lm.Epochs != 0 {
-			t.Fatalf("crashes=%d recoveries=%d epochs=%d", lm.Crashes, lm.Recoveries, lm.Epochs)
+		if lm.Crashes != 2 || lm.Recoveries < 1 {
+			t.Fatalf("crashes=%d recoveries=%d", lm.Crashes, lm.Recoveries)
 		}
 	})
 }
 
-// opaqueProg hides a program's optional capability interfaces: only the core
-// ace.Program methods are promoted through the embedded interface, so
-// recoveryHooks sees neither IdempotentAggregator nor Inverter.
+// opaqueProg hides a program's optional extensions: only the core
+// ace.Program methods are promoted through the embedded interface, so the
+// driver sees no declared ace.Algebra.
 type opaqueProg struct{ ace.Program[float64] }
 
 // opaqueFactory wraps a factory so every instance it yields is opaque.
@@ -292,130 +280,162 @@ func opaqueFactory(f ace.Factory[float64]) ace.Factory[float64] {
 	return func() ace.Program[float64] { return opaqueProg{f()} }
 }
 
-// TestLiveLocalRecoveryDowngrade: a program with neither recovery hook must
-// silently fall back to global rollback — and LiveMetrics.Recovery reports it.
-func TestLiveLocalRecoveryDowngrade(t *testing.T) {
+// TestLiveRejectsRecoveryWithoutAlgebra: a restartable crash over a program
+// that declares no recovery algebra is refused up front with a typed error —
+// there is no second strategy to fall back to — while the same program still
+// converges fault-free, under link faults, and with NoRecover.
+func TestLiveRejectsRecoveryWithoutAlgebra(t *testing.T) {
 	g := testGraph(true, 3)
 	want := algorithms.SeqSSSP(g, 0)
+	opaque := opaqueFactory(algorithms.NewSSSP())
 	cfg := localFTConfig()
 	cfg.Faults = faultPlan(t, "crash=1@u40+10")
-	res, lm, err := RunLive(frags(t, g, 4), opaqueFactory(algorithms.NewSSSP()), ace.Query{Source: 0}, cfg)
-	if err != nil {
-		t.Fatalf("RunLive: %v", err)
+	if _, _, err := RunLive(frags(t, g, 4), opaque, ace.Query{Source: 0}, cfg); !errors.Is(err, ErrNoRecoveryAlgebra) {
+		t.Fatalf("restartable crash over an opaque program: err = %v, want ErrNoRecoveryAlgebra", err)
 	}
-	for v, w := range want {
-		if res.Values[v] != w {
-			t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
+	for name, plan := range map[string]string{"fault_free": "", "link_faults": "dup=0.1; reorder=0.1; drop=0.05"} {
+		cfg := localFTConfig()
+		if plan != "" {
+			cfg.Faults = faultPlan(t, plan)
 		}
-	}
-	if lm.Recovery != RecoveryGlobal {
-		t.Fatalf("effective recovery %q, want downgrade to global", lm.Recovery)
-	}
-	if lm.Recoveries >= 1 && lm.Epochs < 1 {
-		t.Fatalf("global recovery without an epoch bump: %+v", lm)
+		res, _, err := RunLive(frags(t, g, 4), opaque, ace.Query{Source: 0}, cfg)
+		if err != nil {
+			t.Fatalf("%s: RunLive: %v", name, err)
+		}
+		for v, w := range want {
+			if res.Values[v] != w {
+				t.Fatalf("%s: vertex %d: got %v want %v", name, v, res.Values[v], w)
+			}
+		}
 	}
 }
 
+// TestLiveRecoveryDerivedFromAlgebra: recovery capability is read off the
+// declared algebra, not off a per-program marker — Core and Sim declare
+// lattice joins and nothing else, so a crash under them is repaired by
+// re-ingestion like SSSP's, while Color (replacement laws only) is refused.
+func TestLiveRecoveryDerivedFromAlgebra(t *testing.T) {
+	plan := "seed=" + strconv.FormatInt(chaosSeed(t), 10) + "; crash=1@u40+10; dup=0.05; reorder=0.05"
+	t.Run("core", func(t *testing.T) {
+		g := graph.PowerLaw(graph.GenConfig{N: 1200, M: 9000, Directed: false, Seed: 24})
+		want := algorithms.SeqCore(g)
+		cfg := liveFTConfig(ModeGAP)
+		cfg.Faults = faultPlan(t, plan)
+		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewCore(), ace.Query{}, cfg)
+		if err != nil {
+			t.Fatalf("RunLive: %v", err)
+		}
+		for v, w := range want {
+			if res.Values[v] != w {
+				t.Fatalf("core[%d] = %d, want %d", v, res.Values[v], w)
+			}
+		}
+		if lm.Crashes != 1 || lm.Recoveries < 1 {
+			t.Fatalf("crashes=%d recoveries=%d, want 1 and >=1", lm.Crashes, lm.Recoveries)
+		}
+	})
+	t.Run("sim", func(t *testing.T) {
+		g := graph.KnowledgeBase(graph.GenConfig{N: 1000, M: 5000, Seed: 25, Labels: 8})
+		pat := algorithms.RandomPattern(g, 4, 5, 77)
+		want := algorithms.SeqSim(g, pat)
+		cfg := liveFTConfig(ModeGAP)
+		cfg.Faults = faultPlan(t, plan)
+		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewSim(), ace.Query{Pattern: pat}, cfg)
+		if err != nil {
+			t.Fatalf("RunLive: %v", err)
+		}
+		for v, w := range want {
+			if res.Values[v] != w {
+				t.Fatalf("sim[%d] = %b, want %b", v, res.Values[v], w)
+			}
+		}
+		if lm.Crashes != 1 {
+			t.Fatalf("crashes=%d, want 1", lm.Crashes)
+		}
+	})
+	t.Run("color", func(t *testing.T) {
+		g := testGraph(false, 3)
+		cfg := liveFTConfig(ModeGAP)
+		cfg.Faults = faultPlan(t, plan)
+		if _, _, err := RunLive(frags(t, g, 4), algorithms.NewColor(), ace.Query{}, cfg); !errors.Is(err, ErrNoRecoveryAlgebra) {
+			t.Fatalf("err = %v, want ErrNoRecoveryAlgebra", err)
+		}
+	})
+}
+
+// TestLiveUnknownRecoveryStrategy: the Recovery field accepts only "" and
+// RecoveryLocal; the deleted "global" is as unknown as any other word.
 func TestLiveUnknownRecoveryStrategy(t *testing.T) {
 	g := testGraph(true, 3)
-	cfg := LiveConfig{Mode: ModeGAP, Recovery: "zonal"}
-	if _, _, err := RunLive(frags(t, g, 2), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg); err == nil ||
-		!strings.Contains(err.Error(), "unknown recovery strategy") {
-		t.Fatalf("want unknown-strategy error, got %v", err)
+	for _, name := range []string{"zonal", "global"} {
+		cfg := LiveConfig{Mode: ModeGAP, Recovery: name}
+		if _, _, err := RunLive(frags(t, g, 2), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg); err == nil ||
+			!strings.Contains(err.Error(), "unknown recovery strategy") {
+			t.Fatalf("Recovery %q: want unknown-strategy error, got %v", name, err)
+		}
 	}
 }
 
 // TestLiveChaosSoak is the acceptance soak: deterministic crash+drop+dup+
 // reorder storms (seeded from CHAOS_SEED) over SSSP, PageRank and WCC. Every
-// run must reach the sequential fixpoint, and in local mode the trace must
-// show ZERO global epoch bumps. CHAOS_RECOVERY pins one strategy (the CI
-// chaos matrix sets it); unset runs both.
+// run must reach the sequential fixpoint. The subtests keep the "local/"
+// prefix they had when a second strategy ran beside them, so their history
+// in CI stays one series.
 func TestLiveChaosSoak(t *testing.T) {
-	modes := []string{RecoveryGlobal, RecoveryLocal}
-	if m := os.Getenv("CHAOS_RECOVERY"); m != "" {
-		modes = []string{m}
-	}
 	nSeeds := 5
 	if testing.Short() {
 		nSeeds = 2
 	}
 	base := chaosSeed(t)
-	for _, mode := range modes {
-		for i := 0; i < nSeeds; i++ {
-			seed := base + int64(i)
-			storm := fault.Storm(seed, 4, fault.StormOpts{
-				Crashes: 2, Span: 300, Restart: 5,
-				Drop: 0.04, Dup: 0.04, Reorder: 0.05,
+	for i := 0; i < nSeeds; i++ {
+		seed := base + int64(i)
+		storm := fault.Storm(seed, 4, fault.StormOpts{
+			Crashes: 2, Span: 300, Restart: 5,
+			Drop: 0.04, Dup: 0.04, Reorder: 0.05,
+		})
+		for _, app := range []string{"sssp", "pagerank", "wcc"} {
+			t.Run(fmt.Sprintf("local/seed%d/%s", seed, app), func(t *testing.T) {
+				cfg := liveFTConfig(ModeGAP)
+				cfg.Faults = storm
+				switch app {
+				case "sssp":
+					g := testGraph(true, seed)
+					want := algorithms.SeqSSSP(g, 0)
+					res, _, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
+					if err != nil {
+						t.Fatalf("RunLive(%s): %v", storm, err)
+					}
+					for v, w := range want {
+						if res.Values[v] != w {
+							t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
+						}
+					}
+				case "pagerank":
+					g := testGraph(true, seed)
+					want := algorithms.SeqPageRank(g, 1e-3)
+					res, _, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
+					if err != nil {
+						t.Fatalf("RunLive(%s): %v", storm, err)
+					}
+					for v, w := range want {
+						if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
+							t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
+						}
+					}
+				case "wcc":
+					g := testGraph(false, seed)
+					want := algorithms.SeqWCC(g)
+					res, _, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
+					if err != nil {
+						t.Fatalf("RunLive(%s): %v", storm, err)
+					}
+					for v, w := range want {
+						if res.Values[v] != w {
+							t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
+						}
+					}
+				}
 			})
-			for _, app := range []string{"sssp", "pagerank", "wcc"} {
-				t.Run(fmt.Sprintf("%s/seed%d/%s", mode, seed, app), func(t *testing.T) {
-					cfg := liveFTConfig(ModeGAP)
-					cfg.Recovery = mode
-					cfg.Faults = storm
-					var rec *obs.Recorder
-					if mode == RecoveryLocal {
-						rec = obs.NewRecorder(5, 1<<14)
-						cfg.Tracer = rec
-					}
-					var lm LiveMetrics
-					switch app {
-					case "sssp":
-						g := testGraph(true, seed)
-						want := algorithms.SeqSSSP(g, 0)
-						res, m, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
-						if err != nil {
-							t.Fatalf("RunLive(%s): %v", storm, err)
-						}
-						lm = *m
-						for v, w := range want {
-							if res.Values[v] != w {
-								t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
-							}
-						}
-					case "pagerank":
-						g := testGraph(true, seed)
-						want := algorithms.SeqPageRank(g, 1e-3)
-						res, m, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
-						if err != nil {
-							t.Fatalf("RunLive(%s): %v", storm, err)
-						}
-						lm = *m
-						for v, w := range want {
-							if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
-								t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
-							}
-						}
-					case "wcc":
-						g := testGraph(false, seed)
-						want := algorithms.SeqWCC(g)
-						res, m, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
-						if err != nil {
-							t.Fatalf("RunLive(%s): %v", storm, err)
-						}
-						lm = *m
-						for v, w := range want {
-							if res.Values[v] != w {
-								t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
-							}
-						}
-					}
-					if mode == RecoveryLocal {
-						if lm.Recovery != RecoveryLocal {
-							t.Fatalf("effective recovery %q, want local", lm.Recovery)
-						}
-						if lm.Epochs != 0 {
-							t.Fatalf("%d global epoch bumps under local recovery (storm %s)", lm.Epochs, storm)
-						}
-						var buf bytes.Buffer
-						if err := rec.WriteChromeTrace(&buf); err != nil {
-							t.Fatalf("export: %v", err)
-						}
-						if strings.Contains(buf.String(), `"name":"epoch"`) {
-							t.Fatalf("trace records a global epoch bump under local recovery (storm %s)", storm)
-						}
-					}
-				})
-			}
 		}
 	}
 }

@@ -160,8 +160,8 @@ func TestHealthTrackerTransitions(t *testing.T) {
 		t.Fatalf("zero tracker: %+v", h)
 	}
 
-	tr.runStarted(4, RecoveryLocal, time.Second)
-	if h := tr.Health(); !h.Running || h.Workers != 4 || h.Recovery != RecoveryLocal {
+	tr.runStarted(4, time.Second)
+	if h := tr.Health(); !h.Running || h.Workers != 4 || h.Watchdog != time.Second {
 		t.Fatalf("after runStarted: %+v", h)
 	}
 
@@ -188,7 +188,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	// Draining latches across runStarted: a draining process never reports
 	// ready again, even if another run begins meanwhile.
 	tr.SetDraining(true)
-	tr.runStarted(2, RecoveryGlobal, 0)
+	tr.runStarted(2, 0)
 	if h := tr.Health(); !h.Draining || !h.Running || h.Workers != 2 {
 		t.Fatalf("draining must survive runStarted: %+v", h)
 	}
@@ -201,7 +201,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	// unconditionally).
 	var nilTr *HealthTracker
 	nilTr.SetDraining(true)
-	nilTr.runStarted(1, "", 0)
+	nilTr.runStarted(1, 0)
 	nilTr.runEnded(nil)
 	if h := nilTr.Health(); h.Running {
 		t.Fatalf("nil tracker: %+v", h)

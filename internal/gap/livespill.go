@@ -173,7 +173,7 @@ func (d *liveDriver[V]) memTick(now time.Duration) {
 		}
 	}
 	stage := d.gov.Stage()
-	if d.localRec && d.mlog != nil {
+	if d.mlog != nil {
 		// Rung 1: bound log retention in bytes. A slow-to-checkpoint
 		// receiver keeps every peer's rows toward it unprunable; forcing it
 		// to snapshot out of turn advances its published cursors so the

@@ -100,13 +100,13 @@ type liveState[V any] struct {
 
 	// rs is the exactly-once ingestion and localized-recovery state (per-peer
 	// sequence cursors, reorder buffers, sender incarnations, undo log). nil
-	// unless the live driver runs with link faults or Recovery: local — the
-	// default pipeline carries no sequencing overhead.
+	// unless the live driver runs with link faults or recoverable crashes —
+	// the default pipeline carries no sequencing overhead.
 	rs *recoverState[V]
 
 	pool *batchPool[V]
-	// combine coalesces two outgoing values for one vertex (the program's
-	// Combiner, falling back to an Aggregate fold).
+	// combine coalesces two outgoing values for one vertex (the declared
+	// ace.Algebra's Combine, falling back to an Aggregate fold).
 	combine func(a, b V) V
 }
 
@@ -138,9 +138,7 @@ func newLiveState[V any](id int, f *graph.Fragment, prog ace.Program[V], q ace.Q
 	for j := range st.out {
 		st.out[j] = liveOutAcc[V]{gen: 1}
 	}
-	if c, ok := any(prog).(ace.Combiner[V]); ok {
-		st.combine = c.Combine
-	} else {
+	if st.combine = ace.AlgebraOf(prog).Combine; st.combine == nil {
 		st.combine = func(a, b V) V {
 			v, _ := prog.Aggregate(a, b)
 			return v

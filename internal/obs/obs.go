@@ -228,10 +228,6 @@ const (
 	// MarkReplay fires when a survivor finishes replaying its logged
 	// batches to a restored worker (localized recovery).
 	MarkReplay
-	// MarkEpoch fires on the coordinator track when a global rollback bumps
-	// the cluster epoch; localized recoveries never emit it, which is how
-	// the chaos soak asserts "zero global epoch bumps".
-	MarkEpoch
 	// MarkSpill fires on a worker's track when governed state pages out to
 	// the spill tier (log entries, a checkpoint, or the fragment's edges).
 	MarkSpill
@@ -261,8 +257,6 @@ func (m Mark) String() string {
 		return "ckpt"
 	case MarkReplay:
 		return "replay"
-	case MarkEpoch:
-		return "epoch"
 	case MarkSpill:
 		return "spill"
 	}

@@ -184,19 +184,18 @@ func (s *Server) families() []family {
 		one("argan_run_workers_idle", "Workers at f_term with empty mailboxes.", "gauge", float64(h.Idle))
 		one("argan_run_workers_dead", "Workers with stale heartbeats, not yet restored.", "gauge", float64(h.Dead))
 		one("argan_run_unrecoverable", "Control plane gave up on a worker (0/1).", "gauge", boolGauge(h.Unrecoverable))
-		one("argan_run_epoch", "Cluster epoch (bumped by global rollbacks).", "gauge", float64(h.Epoch))
 		one("argan_run_msgs_sent_total", "Termination-ledger messages sent this run.", "counter", float64(h.Sent))
 		one("argan_run_msgs_recv_total", "Termination-ledger messages received this run.", "counter", float64(h.Recv))
 		one("argan_run_updates_total", "Update-function invocations this run.", "counter", float64(h.Updates))
 		one("argan_run_progress_age_seconds", "Time since the watchdog last saw progress.", "gauge", h.ProgressAge.Seconds())
 		one("argan_run_watchdog_seconds", "Configured stuck-run budget (0 = disabled).", "gauge", h.Watchdog.Seconds())
 		one("argan_run_spilled_bytes", "Governed bytes currently on the spill tier.", "gauge", float64(h.SpilledBytes))
-		if h.Recovery != "" || h.MemStage != "" {
+		if h.MemStage != "" {
 			add(family{
 				name: "argan_run_info", typ: "gauge",
 				help: "Run mode labels; value is always 1.",
 				samples: []promSample{{
-					`{mem_stage="` + escapeLabel(h.MemStage) + `",recovery="` + escapeLabel(h.Recovery) + `"}`, 1}},
+					`{mem_stage="` + escapeLabel(h.MemStage) + `"}`, 1}},
 			})
 		}
 	}

@@ -49,8 +49,6 @@ type Health struct {
 	Idle          int           `json:"idle"`
 	Dead          int           `json:"dead"`
 	Unrecoverable bool          `json:"unrecoverable"`
-	Epoch         int32         `json:"epoch"`
-	Recovery      string        `json:"recovery,omitempty"`
 	Sent          int64         `json:"sent"`
 	Recv          int64         `json:"recv"`
 	Updates       int64         `json:"updates"`

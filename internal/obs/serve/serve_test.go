@@ -30,8 +30,8 @@ func testRecorder() *obs.Recorder {
 func testHealth() Health {
 	return Health{
 		Running: true, Workers: 2, Idle: 1,
-		Recovery: "localized", MemStage: "ok",
-		Sent: 9, Recv: 9, Updates: 12,
+		MemStage: "ok",
+		Sent:     9, Recv: 9, Updates: 12,
 		ProgressAge: 50 * time.Millisecond, Watchdog: time.Second,
 		UpdatedAt: time.Unix(0, 0),
 	}
@@ -82,7 +82,7 @@ func TestWriteMetricsScrape(t *testing.T) {
 		`argan_dropped_events_total{worker="0"} 0`,
 		`argan_run_running 1`,
 		`argan_run_workers 2`,
-		`argan_run_info{mem_stage="ok",recovery="localized"} 1`,
+		`argan_run_info{mem_stage="ok"} 1`,
 		`argan_run_config{algo="pagerank",bad_key_="quo\"te",dataset="hw"} 1`,
 		`argan_soak_iterations_total 3`,
 		`# TYPE argan_updates_total counter`,

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"argan/internal/ace"
 	"argan/internal/algorithms"
@@ -42,7 +41,8 @@ func (s *Service) execute(j *job) {
 	}
 }
 
-// runOne builds the job's execution environment and dispatches by app. The
+// runOne builds the job's execution environment and dispatches by app through
+// the live-app table. The
 // dataset version is pinned here: a concurrent Mutate swaps the service to
 // version k+1 without disturbing this job's version-k graph and fragments.
 func (s *Service) runOne(j *job) (*JobResult, error) {
@@ -76,7 +76,6 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 	cfg := gap.LiveConfig{
 		Mode:        gap.ModeGAP,
 		CheckEvery:  sp.CheckEvery,
-		Recovery:    gap.RecoveryLocal,
 		Faults:      plan,
 		Mem:         gov,
 		Health:      j.health,
@@ -85,8 +84,7 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 		NoEdgeSpill: true, // fragments are shared: never page their edges
 	}
 
-	q := ace.Query{Source: graph.VID(sp.Source), Eps: sp.Eps}
-	res, err := s.runApp(pin, sp, q, cfg)
+	res, err := algorithms.DispatchLive(sp.App, runApp[float64](pin, sp, cfg), runApp[int32](pin, sp, cfg), runApp[uint32](pin, sp, cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -104,158 +102,83 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 	return res, nil
 }
 
-// runApp dispatches one live run by application. Each app supplies its
-// incremental planner (how to adjust the retained fixpoint for the edge
-// churn between versions), its sequential reference, and its comparison
-// relation; incRun wires them together.
-func (s *Service) runApp(pin pinned, sp JobSpec, q ace.Query, cfg gap.LiveConfig) (*JobResult, error) {
-	src := graph.VID(sp.Source)
-	switch sp.App {
-	case "sssp":
-		return incRun(pin, sp, q, cfg, algorithms.NewSSSP(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[float64] {
-				return algorithms.WarmSSSP(prior.g, pin.g, touched, prior.values.([]float64), src)
-			},
-			func() []float64 { return algorithms.SeqSSSP(pin.g, src) },
-			func(got, w float64) bool { return got == w },
-			func(v float64) float64 {
-				if math.IsInf(v, 1) {
-					return 0
-				}
-				return v
-			})
-	case "bfs":
-		return incRun(pin, sp, q, cfg, algorithms.NewBFS(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[int32] {
-				return algorithms.WarmBFS(prior.g, pin.g, touched, prior.values.([]int32), src)
-			},
-			func() []int32 { return algorithms.SeqBFS(pin.g, src) },
-			func(got, w int32) bool {
-				if w < 0 { // Seq marks unreachable -1; the engine leaves Init's MaxInt32
-					return got == math.MaxInt32
-				}
-				return got == w
-			},
-			func(v int32) float64 {
-				if v == math.MaxInt32 {
-					return 0
-				}
-				return float64(v)
-			})
-	case "wcc":
-		return incRun(pin, sp, q, cfg, algorithms.NewWCC(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[uint32] {
-				return algorithms.WarmWCC(prior.g, pin.g, touched, prior.values.([]uint32))
-			},
-			func() []uint32 {
-				want := algorithms.SeqWCC(pin.g)
-				out := make([]uint32, len(want))
-				for i, w := range want {
-					out[i] = uint32(w)
-				}
-				return out
-			},
-			func(got, w uint32) bool { return got == w },
-			func(v uint32) float64 { return float64(v) })
-	case "pr":
-		return incRun(pin, sp, q, cfg, algorithms.NewPageRank(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[float64] {
-				return algorithms.WarmPageRank(prior.g, pin.g, touched, prior.psi.([]float64), prior.values.([]float64), sp.Eps)
-			},
-			func() []float64 { return algorithms.SeqPageRank(pin.g, sp.Eps) },
-			func(got, w float64) bool { return math.Abs(got-w) <= 0.02*(w+1) },
-			func(v float64) float64 { return v })
-	}
-	return nil, fmt.Errorf("app %q does not run under the live driver", sp.App)
-}
-
-// incRun is the retract-and-repush execution path shared by every app:
+// runApp is the retract-and-repush execution path shared by every app; the
+// app table's row supplies the program, the incremental planner (how to
+// adjust the retained fixpoint for the edge churn between versions), the
+// sequential reference and the comparison relation:
 //
-//  1. Look up the retained fixpoint for this query key. If one exists and
+//  1. Reject a query the pinned version cannot answer (a source that is not
+//     one of its vertices).
+//  2. Look up the retained fixpoint for this query key. If one exists and
 //     the mutation log bridges its version to the pinned one, build the
 //     planner's warm state and re-converge from it — verifying against the
 //     pinned version's sequential reference unconditionally, so every
 //     increment is checked, not trusted.
-//  2. If the program were not invertible/idempotent, or the bridge is gone
-//     (log truncation, version skew), fall back to a cold full run and
-//     record why in JobResult.Fallback.
-//  3. On a clean (non-diverged) finish, retain this run's fixpoint for the
+//  3. If the bridge is gone (log truncation, version skew), fall back to a
+//     cold full run and record why in JobResult.Fallback.
+//  4. On a clean (non-diverged) finish, retain this run's fixpoint for the
 //     next increment.
-func incRun[V any, W any](pin pinned, sp JobSpec, q ace.Query, cfg gap.LiveConfig,
-	factory ace.Factory[V],
-	plan func(prior *warmEntry, touched []graph.VID) *ace.WarmState[V],
-	ref func() []W, eq func(got V, w W) bool, num func(V) float64) (*JobResult, error) {
-
-	wk := warmKey{app: sp.App, source: sp.Source, eps: sp.Eps}
-	verify := sp.Verify
-	var prior *warmEntry
-	var touched []graph.VID
-	var fallback string
-	if ace.CanIncrement(factory()) {
-		prior, touched, fallback = pin.ds.warmFor(wk, pin.version)
-	} else {
-		fallback = "program is neither invertible nor idempotent"
-	}
-	if prior != nil {
-		ws := plan(prior, touched)
-		// Reseeded fixpoints may come off disk (durable recovery): shape-check
-		// against the pinned graph before handing them to the engine, and
-		// fall back to a cold run rather than crash on a corrupt-but-plausible
-		// snapshot that slipped past the coarser reseed checks.
-		if err := ws.Validate(pin.g.NumVertices()); err != nil {
-			prior, fallback = nil, fmt.Sprintf("warm state rejected: %v", err)
-		} else {
-			q.Warm = ws
-			verify = true // every increment is verified against the reference
-			pin.ds.noteWarmHit()
+func runApp[V any](pin pinned, sp JobSpec, cfg gap.LiveConfig) func(*algorithms.LiveApp[V]) (*JobResult, error) {
+	return func(app *algorithms.LiveApp[V]) (*JobResult, error) {
+		if err := app.CheckSource(sp.Source, pin.g.NumVertices()); err != nil {
+			return nil, fmt.Errorf("%w (dataset version %d)", err, pin.version)
 		}
-	}
-
-	var want []W
-	if verify {
-		key := refKey{app: sp.App, source: sp.Source, eps: sp.Eps, version: pin.version}
-		want = pin.ds.reference(key, func() any { return ref() }).([]W)
-	}
-
-	res, lm, err := gap.RunLive(pin.frags, factory, q, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &JobResult{
-		Vertices:   len(res.Values),
-		Wrong:      -1,
-		WallMS:     float64(lm.WallTime) / 1e6,
-		Updates:    lm.Updates,
-		MsgsSent:   lm.MsgsSent,
-		Crashes:    lm.Crashes,
-		Recoveries: lm.Recoveries,
-		Replayed:   lm.Replayed,
-		Epochs:     lm.Epochs,
-		Recovery:   lm.Recovery,
-		MemPeak:    lm.MemPeakBytes,
-		Spilled:    lm.SpilledBytes,
-
-		Incremental: prior != nil,
-		Fallback:    fallback,
-	}
-	if prior != nil {
-		out.IncrementalFrom = prior.version
-	}
-	for _, v := range res.Values {
-		out.Checksum += num(v)
-	}
-	if want != nil {
-		out.Wrong = 0
-		for i := range want {
-			if !eq(res.Values[i], want[i]) {
-				out.Wrong++
+		q := ace.Query{Source: graph.VID(sp.Source), Eps: sp.Eps}
+		wk := warmKey{app: sp.App, source: sp.Source, eps: sp.Eps}
+		verify := sp.Verify
+		prior, touched, fallback := pin.ds.warmFor(wk, pin.version)
+		if prior != nil {
+			ws := app.Warm(prior.g, pin.g, touched, prior.psi.([]V), prior.values.([]V), q)
+			// Reseeded fixpoints may come off disk (durable recovery): shape-check
+			// against the pinned graph before handing them to the engine, and
+			// fall back to a cold run rather than crash on a corrupt-but-plausible
+			// snapshot that slipped past the coarser reseed checks.
+			if err := ws.Validate(pin.g.NumVertices()); err != nil {
+				prior, fallback = nil, fmt.Sprintf("warm state rejected: %v", err)
+			} else {
+				q.Warm = ws
+				verify = true // every increment is verified against the reference
+				pin.ds.noteWarmHit()
 			}
 		}
+
+		var want []V
+		if verify {
+			key := refKey{app: sp.App, source: sp.Source, eps: sp.Eps, version: pin.version}
+			want = pin.ds.reference(key, func() any { return app.Ref(pin.g, q) }).([]V)
+		}
+
+		res, lm, err := gap.RunLive(pin.frags, app.Factory, q, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out := &JobResult{
+			Vertices:   len(res.Values),
+			Wrong:      -1,
+			Checksum:   app.Checksum(res.Values),
+			WallMS:     float64(lm.WallTime) / 1e6,
+			Updates:    lm.Updates,
+			MsgsSent:   lm.MsgsSent,
+			Crashes:    lm.Crashes,
+			Recoveries: lm.Recoveries,
+			Replayed:   lm.Replayed,
+			MemPeak:    lm.MemPeakBytes,
+			Spilled:    lm.SpilledBytes,
+
+			Incremental: prior != nil,
+			Fallback:    fallback,
+		}
+		if prior != nil {
+			out.IncrementalFrom = prior.version
+		}
+		if want != nil {
+			out.Wrong = app.Wrong(res.Values, want)
+		}
+		if out.Wrong <= 0 {
+			// Retain this fixpoint (raw Ψ and output view, global-indexed) so
+			// the next job on this key re-converges instead of recomputing.
+			pin.ds.storeWarm(wk, &warmEntry{version: pin.version, g: pin.g, values: res.Values, psi: res.Psi})
+		}
+		return out, nil
 	}
-	if out.Wrong <= 0 {
-		// Retain this fixpoint (raw Ψ and output view, global-indexed) so
-		// the next job on this key re-converges instead of recomputing.
-		pin.ds.storeWarm(wk, &warmEntry{version: pin.version, g: pin.g, values: res.Values, psi: res.Psi})
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"argan/internal/algorithms"
 	"argan/internal/durable"
 	"argan/internal/graph"
 	"argan/internal/mem"
@@ -83,19 +84,17 @@ func parseDSKey(key string) (dataset string, scale float64, ok bool) {
 	return name, f, true
 }
 
-// appWarmKind is the snapshot array kind each app's fixpoint must carry;
-// a persisted entry whose kind contradicts its app is corruption (or an
-// incompatible format drift) and is skipped at reseed.
-func appWarmKind(app string) (uint32, bool) {
-	switch app {
-	case "sssp", "pr":
-		return durable.KindF64, true
-	case "bfs":
-		return durable.KindI32, true
-	case "wcc":
-		return durable.KindU32, true
+// fixpointFits reports whether both arrays of a persisted entry carry the
+// value type of its app's row in the live-app table, one value per vertex of
+// an n-vertex graph. An entry whose arrays contradict its app (or that names
+// an app the table does not hold) is corruption or format drift and is
+// skipped at reseed.
+func fixpointFits[V any](e durable.WarmFixpoint, n int) func(*algorithms.LiveApp[V]) (bool, error) {
+	return func(*algorithms.LiveApp[V]) (bool, error) {
+		values, okV := e.Values.([]V)
+		psi, okP := e.Psi.([]V)
+		return okV && okP && len(values) == n && len(psi) == n, nil
 	}
-	return 0, false
 }
 
 // recoverDurable replays the dataset's WAL on top of the freshly loaded
@@ -194,9 +193,7 @@ func (ds *dsState) recoverDurable(store *durable.Store) error {
 	n := g.NumVertices()
 	for _, e := range snap.Entries {
 		wk := warmKey{app: e.App, source: int(e.Source), eps: e.Eps}
-		kind, nv, ok := durable.KindOf(e.Values)
-		wantKind, known := appWarmKind(e.App)
-		kp, np, okP := durable.KindOf(e.Psi)
+		fits, _ := algorithms.DispatchLive(e.App, fixpointFits[float64](e, n), fixpointFits[int32](e, n), fixpointFits[uint32](e, n))
 		hg := held[e.Version]
 		switch {
 		case e.Version > g.Version():
@@ -206,7 +203,7 @@ func (ds *dsState) recoverDurable(store *durable.Store) error {
 			ds.rec.WarmSkipped++
 		case hg == nil:
 			ds.rec.WarmSkipped++ // version replayed but graph not retained (duplicate key)
-		case !ok || !okP || !known || kind != wantKind || kp != kind || nv != n || np != n:
+		case !fits:
 			ds.rec.WarmSkipped++
 		default:
 			if cur := ds.warm[wk]; cur == nil || cur.version <= e.Version {

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"argan/internal/algorithms"
 	"argan/internal/durable"
 	"argan/internal/fault"
 	"argan/internal/gap"
@@ -146,10 +147,8 @@ type JobSpec struct {
 }
 
 func (sp *JobSpec) normalize(cfg Config) (time.Duration, error) {
-	switch sp.App {
-	case "sssp", "bfs", "wcc", "pr":
-	default:
-		return 0, fmt.Errorf("app %q does not run under the live driver (want sssp, bfs, wcc or pr)", sp.App)
+	if err := algorithms.CheckLiveApp(sp.App); err != nil {
+		return 0, err
 	}
 	if sp.Dataset == "" {
 		return 0, fmt.Errorf("dataset is required")
@@ -222,8 +221,6 @@ type JobResult struct {
 	Crashes    int64   `json:"crashes"`
 	Recoveries int64   `json:"recoveries"`
 	Replayed   int64   `json:"replayed"`
-	Epochs     int64   `json:"epochs"`
-	Recovery   string  `json:"recovery,omitempty"`
 	MemPeak    int64   `json:"mem_peak_bytes,omitempty"`
 	Spilled    int64   `json:"spilled_bytes,omitempty"`
 	// Version is the dataset version the job pinned at dispatch.
@@ -235,7 +232,7 @@ type JobResult struct {
 	Incremental     bool   `json:"incremental,omitempty"`
 	IncrementalFrom uint64 `json:"incremental_from,omitempty"`
 	// Fallback carries the reason an available fixpoint could NOT be used
-	// (mutation-log truncation, non-invertible program), i.e. why this run
+	// (mutation-log truncation, version skew), i.e. why this run
 	// recomputed from scratch despite prior state.
 	Fallback string `json:"fallback,omitempty"`
 }

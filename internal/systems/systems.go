@@ -30,7 +30,7 @@ type System struct {
 	// Incremental marks systems whose programming model supports
 	// re-convergence over evolving graphs from a retained fixpoint: the
 	// graph-centric GRAPE family ships it as IncEval, and Argan's ACE
-	// programs get it from the Inverter/idempotence extensions (see
+	// programs get it from their declared ace.Algebra (see
 	// internal/algorithms' warm planners). The vertex-centric systems
 	// compared here recompute from scratch after a mutation.
 	Incremental bool
