@@ -55,8 +55,7 @@ type Fragment struct {
 
 	espill *edgeSpill // non-nil while the edge payload is paged to disk
 
-	globalN     int
-	globalEdges int
+	globalN int
 }
 
 // Worker returns the id of the worker owning this fragment (0-based).
@@ -87,9 +86,6 @@ func (f *Fragment) NumArcs() int {
 
 // GlobalVertices returns |V| of the whole graph.
 func (f *Fragment) GlobalVertices() int { return f.globalN }
-
-// GlobalArcs returns the arc count of the whole graph.
-func (f *Fragment) GlobalArcs() int { return f.globalEdges }
 
 // IsOwned reports whether the local index denotes an owned vertex.
 func (f *Fragment) IsOwned(local uint32) bool { return int(local) < f.numOwned }
@@ -177,10 +173,6 @@ func (f *Fragment) ReplicasIn(local uint32) []uint16 {
 	return f.repIn[f.repInIdx[local]:f.repInIdx[local+1]]
 }
 
-// TrueOutDegree returns the out-degree of an owned vertex in the full graph
-// (equal to OutDegree for owned vertices by construction).
-func (f *Fragment) TrueOutDegree(local uint32) int { return f.OutDegree(local) }
-
 func (f *Fragment) String() string {
 	return fmt.Sprintf("fragment{worker=%d owned=%d ghosts=%d arcs=%d}",
 		f.worker, f.numOwned, f.NumGhosts(), f.NumArcs())
@@ -199,14 +191,14 @@ func BuildFragments(g *Graph, owner []uint16, numWorkers int) ([]*Fragment, erro
 		}
 	}
 	frags := make([]*Fragment, numWorkers)
-	buildMissing(frags, g, owner)
+	fillMissing(frags, func(i int) *Fragment { return buildFragment(g, owner, numWorkers, i) })
 	return frags, nil
 }
 
-// buildMissing builds the fragment of every worker whose slot in frags is
-// still nil, one goroutine each over at most GOMAXPROCS at a time. Builds
-// share only read-only inputs (g, owner) and write distinct slots.
-func buildMissing(frags []*Fragment, g *Graph, owner []uint16) {
+// fillMissing sets every slot of frags that is still nil to derive(i), one
+// goroutine each over at most GOMAXPROCS at a time. Derivations share only
+// read-only inputs and write distinct slots.
+func fillMissing(frags []*Fragment, derive func(i int) *Fragment) {
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, f := range frags {
@@ -214,14 +206,14 @@ func buildMissing(frags []*Fragment, g *Graph, owner []uint16) {
 			continue
 		}
 		if cap(sem) == 1 {
-			frags[i] = buildFragment(g, owner, len(frags), i)
+			frags[i] = derive(i)
 			continue
 		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			frags[i] = buildFragment(g, owner, len(frags), i)
+			frags[i] = derive(i)
 			<-sem
 		}()
 	}
@@ -234,13 +226,12 @@ func buildMissing(frags []*Fragment, g *Graph, owner []uint16) {
 func buildFragment(g *Graph, owner []uint16, numWorkers, worker int) *Fragment {
 	w := uint16(worker)
 	f := &Fragment{
-		worker:      worker,
-		numWorkers:  numWorkers,
-		directed:    g.directed,
-		index:       make([]uint32, g.n),
-		owner:       owner,
-		globalN:     g.n,
-		globalEdges: len(g.outTo),
+		worker:     worker,
+		numWorkers: numWorkers,
+		directed:   g.directed,
+		index:      make([]uint32, g.n),
+		owner:      owner,
+		globalN:    g.n,
 	}
 
 	// Pass 1: flag every neighbour of an owned vertex (pass 2 tells ghosts
@@ -283,80 +274,113 @@ func buildFragment(g *Graph, owner []uint16, numWorkers, worker int) *Fragment {
 			f.locals = append(f.locals, VID(v))
 		}
 	}
-	if g.labels != nil {
-		f.labels = make([]int32, len(f.locals))
-		for l, v := range f.locals {
-			f.labels[l] = g.labels[v]
-		}
+	f.labels = localLabels(g.labels, f.locals)
+
+	// Pass 3: localized adjacency. An undirected graph's CSR stores both
+	// directions in one set of arrays, and so does the fragment's.
+	f.outIndex, f.outTo, f.outW = f.localCSR(g.outIndex, g.outTo, g.outW, arcs)
+	if g.directed {
+		f.inIndex, f.inTo, f.inW = f.localCSR(g.inIndex, g.inTo, g.inW, arcs)
+	} else {
+		f.inIndex, f.inTo, f.inW = f.outIndex, f.outTo, f.outW
 	}
 
-	// Pass 3: localized adjacency. For undirected graphs the Graph CSR
-	// already stores both directions, so both calls read the same arrays.
-	f.outIndex, f.outTo, f.outW = f.localCSR(g.outIndex, g.outTo, g.outW, arcs)
-	f.inIndex, f.inTo, f.inW = f.localCSR(g.inIndex, g.inTo, g.inW, arcs)
-
 	// Pass 4: replica routing tables for owned vertices.
-	f.repOutIdx, f.repOut = f.replicas(g.outIndex, g.outTo)
+	f.repOutIdx, f.repOut = f.replicas(g.outIndex, g.outTo, nil, nil, nil)
 	if g.directed {
-		f.repInIdx, f.repIn = f.replicas(g.inIndex, g.inTo)
+		f.repInIdx, f.repIn = f.replicas(g.inIndex, g.inTo, nil, nil, nil)
 	} else {
 		f.repInIdx, f.repIn = f.repOutIdx, f.repOut
 	}
 	return f
 }
 
+// localLabels gathers the labels of the local vertices; nil when unlabeled.
+func localLabels(labels []int32, locals []VID) []int32 {
+	if labels == nil {
+		return nil
+	}
+	out := make([]int32, len(locals))
+	for l, v := range locals {
+		out[l] = labels[v]
+	}
+	return out
+}
+
 // localCSR translates one direction of the global CSR (gIdx/gTo/gW) into the
-// fragment's local CSR holding arcs distinct arcs. An owned vertex keeps its
-// whole adjacency, a ghost only its arcs to owned vertices; of parallel arcs
-// the first (smallest weight) is kept. Global adjacency is sorted by target
-// and both local groups are numbered by global id, so emitting a vertex's
-// owned neighbours and then its ghost ones yields local-index order.
+// fragment's local CSR holding arcs distinct arcs, one emitRow per local.
 func (f *Fragment) localCSR(gIdx []int64, gTo []VID, gW []float64, arcs int) ([]int64, []uint32, []float64) {
 	idx := make([]int64, len(f.locals)+1)
-	// Branch-free as pass 1: an arc is stored at both cursors before it is
-	// known which one advances, hence one slot of slack.
-	to := make([]uint32, arcs+1)
+	to := make([]uint32, arcs+1) // emitRow's slot of slack
 	ws := make([]float64, arcs+1)
-	var ghostTo []uint32 // ghost neighbours of the current vertex
-	var ghostW []float64
-	numOwned := uint64(f.numOwned)
+	var e rowEmitter
 	k := 0
 	for l, v := range f.locals {
-		lo, hi := gIdx[v], gIdx[v+1]
-		if int(hi-lo) > len(ghostTo) {
-			ghostTo, ghostW = make([]uint32, hi-lo), make([]float64, hi-lo)
-		}
-		nGhost := 0
-		for p := lo; p < hi; p++ {
-			u := gTo[p]
-			if p > lo && gTo[p-1] == u {
-				continue
-			}
-			lu, w := f.index[u], gW[p]
-			to[k], ws[k] = lu, w
-			ghostTo[nGhost], ghostW[nGhost] = lu, w
-			owned := int((uint64(lu) - numOwned) >> 63) // 1 when lu < numOwned
-			k += owned
-			nGhost += 1 - owned
-		}
-		if l < f.numOwned { // every neighbour of an owned vertex is local
-			copy(to[k:], ghostTo[:nGhost])
-			copy(ws[k:], ghostW[:nGhost])
-			k += nGhost
-		}
+		k = e.emitRow(f, to, ws, k, gTo[gIdx[v]:gIdx[v+1]], gW[gIdx[v]:gIdx[v+1]], l < f.numOwned)
 		idx[l+1] = int64(k)
 	}
 	return idx, to[:arcs], ws[:arcs]
 }
 
+// rowEmitter is the one row kernel of the local CSR, shared by the cold build
+// (localCSR) and the patch (patchCSR); it holds the ghost-neighbour scratch.
+type rowEmitter struct {
+	ghostTo []uint32
+	ghostW  []float64
+}
+
+// emitRow writes the local row (numbered by f's index) of a vertex whose
+// global row is adj/adjW into to/ws from k on and returns its end. An owned
+// vertex keeps its whole adjacency, a ghost only its arcs to owned vertices,
+// and of parallel arcs the first (smallest weight). Owned neighbours, then
+// ghost ones, is local-index order: g's rows are sorted by target and both
+// groups are numbered by global id. Branch-free: an arc is stored at both
+// cursors before it is known which advances, so to/ws need a slot of slack.
+func (e *rowEmitter) emitRow(f *Fragment, to []uint32, ws []float64, k int, adj []VID, adjW []float64, owned bool) int {
+	if len(adj) > len(e.ghostTo) {
+		e.ghostTo, e.ghostW = make([]uint32, len(adj)), make([]float64, len(adj))
+	}
+	// Locals: the stores below would make the compiler reload fields per arc.
+	index, ghostTo, ghostW := f.index, e.ghostTo, e.ghostW
+	numOwned := uint64(f.numOwned)
+	nGhost := 0
+	for p, u := range adj {
+		if p > 0 && adj[p-1] == u {
+			continue
+		}
+		lu, w := index[u], adjW[p]
+		to[k], ws[k] = lu, w
+		ghostTo[nGhost], ghostW[nGhost] = lu, w
+		isOwned := int((uint64(lu) - numOwned) >> 63) // 1 when lu < numOwned
+		k += isOwned
+		nGhost += 1 - isOwned
+	}
+	if owned { // every neighbour of an owned vertex is local
+		copy(to[k:], ghostTo[:nGhost])
+		copy(ws[k:], ghostW[:nGhost])
+		k += nGhost
+	}
+	return k
+}
+
 // replicas computes, for each owned vertex, the ascending set of remote
 // workers owning its neighbours in one direction of the global CSR. Ghost
-// entries keep empty ranges.
-func (f *Fragment) replicas(gIdx []int64, gTo []VID) ([]int32, []uint16) {
+// entries keep empty ranges. Given the parent's table (pIdx/pRep), as the
+// patch does, only the rows of redo — the touched owned vertices — are
+// recomputed and every other row is copied: owned rows never move.
+func (f *Fragment) replicas(gIdx []int64, gTo []VID, pIdx []int32, pRep []uint16, redo []patchRow) ([]int32, []uint16) {
 	idx := make([]int32, len(f.locals)+1)
 	var flat []uint16
 	set := make([]uint64, (f.numWorkers+63)/64) // workers seen for the current vertex
 	for l, v := range f.locals[:f.numOwned] {
+		switch {
+		case len(redo) > 0 && redo[0].at == l:
+			redo = redo[1:]
+		case pIdx != nil:
+			flat = append(flat, pRep[pIdx[l]:pIdx[l+1]]...)
+			idx[l+1] = int32(len(flat))
+			continue
+		}
 		for _, u := range gTo[gIdx[v]:gIdx[v+1]] {
 			o := f.owner[u]
 			set[o/64] |= 1 << (o % 64)

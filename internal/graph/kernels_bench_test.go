@@ -20,7 +20,7 @@ func benchLJ(b *testing.B) (*graph.Graph, []uint16) {
 }
 
 // benchPoint is churn-point's batch shape: one delete and one insert whose
-// sources lie in different partitions, so both fragments are rebuilt.
+// sources lie in different partitions, so both fragments are re-derived.
 func benchPoint(b *testing.B, g *graph.Graph, owner []uint16) graph.MutationBatch {
 	b.Helper()
 	for u := 0; u < g.NumVertices(); u++ {
@@ -50,39 +50,48 @@ func BenchmarkBuildFragments(b *testing.B) {
 	}
 }
 
-func BenchmarkUpdateFragmentsPoint(b *testing.B) {
+type benchBatch struct {
+	name  string
+	batch graph.MutationBatch
+}
+
+// benchBatches are the two write shapes of the service benchmark.
+func benchBatches(b *testing.B, g *graph.Graph, owner []uint16) []benchBatch {
+	return []benchBatch{
+		{"Point", benchPoint(b, g, owner)},
+		// churn-bulk's shape: 1 % of the arcs, half deletes, half inserts.
+		{"Bulk", stormBatch(g, 1, g.NumEdges()/100)},
+	}
+}
+
+func BenchmarkUpdateFragments(b *testing.B) {
 	g, owner := benchLJ(b)
 	frags, err := graph.BuildFragments(g, owner, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch := benchPoint(b, g, owner)
-	ng, _, err := g.ApplyMutations(batch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	touched := batch.Endpoints()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nf, rebuilt, err := graph.UpdateFragments(frags, ng, touched)
-		if err != nil || len(rebuilt) != 2 {
-			b.Fatalf("rebuilt %v, err %v", rebuilt, err)
+	for _, bc := range benchBatches(b, g, owner) {
+		ng, _, err := g.ApplyMutations(bc.batch)
+		if err != nil {
+			b.Fatal(err)
 		}
-		benchSink = nf
+		touched := bc.batch.Endpoints()
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nf, dirty, err := graph.UpdateFragments(frags, ng, touched)
+				if err != nil || len(dirty) != 2 {
+					b.Fatalf("re-derived %v, err %v", dirty, err)
+				}
+				benchSink = nf
+			}
+		})
 	}
 }
 
 func BenchmarkApplyMutations(b *testing.B) {
 	g, owner := benchLJ(b)
-	for _, bc := range []struct {
-		name  string
-		batch graph.MutationBatch
-	}{
-		{"Point", benchPoint(b, g, owner)},
-		// churn-bulk's shape: 1 % of the arcs, half deletes, half inserts.
-		{"Bulk", stormBatch(g, 1, g.NumEdges()/100)},
-	} {
+	for _, bc := range benchBatches(b, g, owner) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

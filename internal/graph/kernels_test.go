@@ -140,17 +140,82 @@ func absentEdge(t *testing.T, g *graph.Graph, r *rand.Rand) graph.Edge {
 	return graph.Edge{}
 }
 
+// parallelArc returns an edge of g stored as two or more parallel arcs.
+func parallelArc(g *graph.Graph) (graph.Edge, bool) {
+	for u := range graph.VID(g.NumVertices()) {
+		adj := g.OutNeighbors(u)
+		for i := 1; i < len(adj); i++ {
+			if adj[i] == adj[i-1] {
+				return graph.Edge{Src: u, Dst: adj[i]}, true
+			}
+		}
+	}
+	return graph.Edge{}, false
+}
+
+// localArc returns an edge of g between two distinct vertices owned by one
+// worker, so a batch naming only it dirties a single fragment.
+func localArc(g *graph.Graph, owner []uint16) (graph.Edge, bool) {
+	for u := range graph.VID(g.NumVertices()) {
+		for _, v := range g.OutNeighbors(u) {
+			if v != u && owner[v] == owner[u] {
+				return graph.Edge{Src: u, Dst: v}, true
+			}
+		}
+	}
+	return graph.Edge{}, false
+}
+
+// ghostTurnover builds a batch that, in fragment f, kills the ghost dying
+// (every arc linking it to an owned vertex is deleted) and gives birth to the
+// ghost born (an arc links an absent vertex to an owned one). ok is false
+// when f has no ghost or no absent vertex.
+func ghostTurnover(g *graph.Graph, f *graph.Fragment) (b graph.MutationBatch, dying, born graph.VID, ok bool) {
+	if f.NumGhosts() == 0 || f.NumOwned() == 0 {
+		return b, 0, 0, false
+	}
+	born = graph.NoVID
+	for v := range graph.VID(g.NumVertices()) {
+		if _, local := f.Local(v); !local {
+			born = v
+			break
+		}
+	}
+	if born == graph.NoVID {
+		return b, 0, 0, false
+	}
+	dying = f.Global(uint32(f.NumOwned()))
+	for _, u := range g.OutNeighbors(dying) {
+		if f.OwnerOf(u) == f.Worker() {
+			b.Deletes = append(b.Deletes, graph.Edge{Src: dying, Dst: u})
+		}
+	}
+	for _, u := range g.InNeighbors(dying) {
+		if f.OwnerOf(u) == f.Worker() {
+			b.Deletes = append(b.Deletes, graph.Edge{Src: u, Dst: dying})
+		}
+	}
+	b.Inserts = []graph.Edge{{Src: born, Dst: f.Global(0), W: 4}}
+	return b, dying, born, true
+}
+
 // TestMutationKernelsMatchOracle replays fault.MutationStorm schedules — point
 // batches and 1 %-of-the-arcs bulk batches, each followed by the awkward
 // shapes (delete+reinsert of one key, the same delete twice, a delete of an
 // absent edge) — through ApplyMutations and UpdateFragments, comparing every
-// step with the edge-list oracle and a from-scratch oracle fragment build.
-// Every result is frozen, so all steps but the first and the one after
-// "delete+reinsert" start from a frozen parent and check the fingerprint
-// carried forward against a full hash. Run under -race it also exercises the
-// concurrent fragment rebuild.
+// step with the edge-list oracle and a from-scratch oracle fragment build:
+// the patched fragments must equal it field for field, and the parent
+// fragments they were patched from must still equal the previous step's.
+// Shapes aimed at the patch come first: parallel arcs collapsed by a delete,
+// a self-loop inserted and deleted, a ghost born and one dying in one batch,
+// a batch that dirties one fragment only, and an empty batch with no touched
+// set, which must share every fragment. Every result is frozen, so all steps
+// but the first and the one after "delete+reinsert" start from a frozen
+// parent and check the fingerprint carried forward against a full hash. Run
+// under -race it also exercises the concurrent fragment patch.
 func TestMutationKernelsMatchOracle(t *testing.T) {
 	for _, kg := range kernelGraphs {
+		turnovers := 0 // ghost births and deaths seen on this graph
 		for pi, p := range kernelOwners {
 			for _, k := range []int{1, 2, 4, 7} {
 				g := messyGraph(int64(23+pi), 150, 900, kg.directed, kg.labeled)
@@ -159,13 +224,15 @@ func TestMutationKernelsMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				parents := graph.OracleBuildFragments(g, owner, k) // what frags must stay
 				what := fmt.Sprintf("%s/%s/k=%d", kg.name, p.Name(), k)
 				r := rand.New(rand.NewSource(int64(k)))
 
 				// leaveUnfrozen makes the next step hand an unfrozen graph to
 				// the one after it, which then has no carried sum to start from.
 				leaveUnfrozen := false
-				apply := func(step string, b graph.MutationBatch) {
+				// apply returns the ids of the fragments UpdateFragments re-derived.
+				apply := func(step string, b graph.MutationBatch) []int {
 					t.Helper()
 					ng, inv, err := g.ApplyMutations(b)
 					og, oinv, oerr := g.OracleApplyMutations(b)
@@ -173,7 +240,7 @@ func TestMutationKernelsMatchOracle(t *testing.T) {
 						t.Fatalf("%s %s: error %v, oracle %v", what, step, err, oerr)
 					}
 					if err != nil {
-						return
+						return nil
 					}
 					if ng.Fingerprint() != og.Fingerprint() || ng.FingerprintV1() != og.FingerprintV1() || ng.Version() != og.Version() {
 						t.Fatalf("%s %s: fingerprint %#x v%d, oracle %#x v%d (batch %+v)",
@@ -197,17 +264,57 @@ func TestMutationKernelsMatchOracle(t *testing.T) {
 					if !reflect.DeepEqual(inv, oinv) {
 						t.Fatalf("%s %s: inverse %+v, oracle %+v", what, step, inv, oinv)
 					}
-					nf, rebuilt, err := graph.UpdateFragments(frags, ng, b.Endpoints())
+					touched := b.Endpoints()
+					if b.Empty() {
+						touched = nil
+					}
+					nf, derived, err := graph.UpdateFragments(frags, ng, touched)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameFragments(t, what+" "+step, nf, graph.OracleBuildFragments(ng, owner, k))
-					for _, i := range rebuilt {
+					want := graph.OracleBuildFragments(ng, owner, k)
+					sameFragments(t, what+" "+step, nf, want)
+					sameFragments(t, what+" "+step+" (parent after)", frags, parents)
+					for _, i := range derived {
 						if nf[i] == frags[i] {
-							t.Fatalf("%s %s: rebuilt fragment %d is the old one", what, step, i)
+							t.Fatalf("%s %s: re-derived fragment %d is the old one", what, step, i)
 						}
 					}
-					g, frags = ng, nf
+					if touched == nil && len(derived) != 0 {
+						t.Fatalf("%s %s: no touched vertex, yet fragments %v re-derived", what, step, derived)
+					}
+					g, frags, parents = ng, nf, want
+					return derived
+				}
+
+				if e, ok := parallelArc(g); ok {
+					apply("parallel arcs collapsed", graph.MutationBatch{Deletes: []graph.Edge{e}})
+				}
+				loop := graph.VID(r.Intn(g.NumVertices()))
+				for g.HasEdge(loop, loop) {
+					loop = (loop + 1) % graph.VID(g.NumVertices())
+				}
+				apply("self-loop inserted", graph.MutationBatch{Inserts: []graph.Edge{{Src: loop, Dst: loop, W: 6}}})
+				apply("self-loop deleted", graph.MutationBatch{Deletes: []graph.Edge{{Src: loop, Dst: loop}}})
+				for w := range frags {
+					b, dying, born, ok := ghostTurnover(g, frags[w])
+					if !ok {
+						continue
+					}
+					apply(fmt.Sprintf("ghost turnover in fragment %d", w), b)
+					_, dyingLocal := frags[w].Local(dying)
+					_, bornLocal := frags[w].Local(born)
+					if dyingLocal || !bornLocal {
+						t.Fatalf("%s: fragment %d holds ghost %d: %v, ghost %d: %v, want false, true",
+							what, w, dying, dyingLocal, born, bornLocal)
+					}
+					turnovers++
+				}
+				if e, ok := localArc(g, owner); ok && k > 1 {
+					derived := apply("one fragment dirty", graph.MutationBatch{Deletes: []graph.Edge{e}})
+					if len(derived) != 1 || derived[0] != int(owner[e.Src]) {
+						t.Fatalf("%s: a batch inside fragment %d re-derived %v", what, owner[e.Src], derived)
+					}
 				}
 
 				for i, ev := range fault.MutationStorm(int64(100+k), 6, fault.MutationStormOpts{MinOps: 2, MaxOps: 2}) {
@@ -233,6 +340,9 @@ func TestMutationKernelsMatchOracle(t *testing.T) {
 					apply("empty", graph.MutationBatch{})
 				}
 			}
+		}
+		if turnovers == 0 {
+			t.Fatalf("%s: no partition had a ghost to kill and a vertex to make one", kg.name)
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 // with ApplyMutations, which never touches the receiver: it returns a fresh
 // graph at version+1 whose edge list is the old one ± the batch, plus the
 // exact inverse batch for undo/property testing. Fragments follow with
-// UpdateFragments, which rebuilds only the partitions an edge mutation can
-// reach (the owners of its endpoints) and shares every other fragment's
-// arrays with the previous version — tenants pinned to the old version keep
-// reading data that is immutable by construction.
+// UpdateFragments, which re-derives (patches) only the partitions an edge
+// mutation can reach (the owners of its endpoints) and shares every other
+// fragment's arrays with the previous version — tenants pinned to the old
+// version keep reading data that is immutable by construction.
 
 // MutationBatch is one atomic set of edge mutations. Deletes are applied
 // before inserts, so a delete+insert of the same edge in one batch is a
@@ -235,15 +235,16 @@ var ErrNoSuchEdge = fmt.Errorf("graph: no such edge")
 
 // UpdateFragments derives the fragment partition of newG from the previous
 // version's fragments by copy-on-write: only the fragments owning an
-// endpoint of a mutated edge are rebuilt; every other fragment is a shallow
-// copy sharing all of its arrays with the old version (an arc lives only in
-// the fragments owning one of its endpoints, so no other fragment's local
-// CSR, ghost set or replica table can have changed). The old fragments stay
+// endpoint of a mutated edge are re-derived (patched from their parent, see
+// Fragment.patch, concurrently); every other fragment is a shallow copy
+// sharing all of its arrays with the old version (an arc lives only in the
+// fragments owning one of its endpoints, so no other fragment's local CSR,
+// ghost set or replica table can have changed). The old fragments stay
 // fully usable — jobs pinned to the previous version keep running over them.
 //
 // touched is the set of vertices whose adjacency may differ between the two
 // versions (MutationBatch.Endpoints, or a union of them across versions). It
-// returns the new fragments plus the ids of the workers actually rebuilt.
+// returns the new fragments plus the ids of the workers re-derived.
 func UpdateFragments(oldFrags []*Fragment, newG *Graph, touched []VID) ([]*Fragment, []int, error) {
 	if len(oldFrags) == 0 {
 		return nil, nil, fmt.Errorf("graph: no fragments to update")
@@ -260,20 +261,26 @@ func UpdateFragments(oldFrags []*Fragment, newG *Graph, touched []VID) ([]*Fragm
 		}
 		dirty[owner[v]] = true
 	}
+	touched = slices.Compact(slices.Sorted(slices.Values(touched)))
 
 	out := make([]*Fragment, numWorkers)
-	var rebuilt []int
+	var derived []int
 	for i, f := range oldFrags {
-		// A fragment with spilled edges cannot share its spill file with a
-		// sibling version (close/ownership would double up), so rebuild it.
 		if dirty[i] || f.espill != nil {
-			rebuilt = append(rebuilt, i)
+			derived = append(derived, i)
 			continue
 		}
 		cp := *f
-		cp.globalEdges = len(newG.outTo)
 		out[i] = &cp
 	}
-	buildMissing(out, newG, owner)
-	return out, rebuilt, nil
+	fillMissing(out, func(i int) *Fragment {
+		// A fragment with spilled edges cannot share its spill file with a
+		// sibling version (close/ownership would double up) and has no
+		// resident rows to patch from, so rebuild it.
+		if f := oldFrags[i]; f.espill == nil {
+			return f.patch(newG, touched)
+		}
+		return buildFragment(newG, owner, numWorkers, i)
+	})
+	return out, derived, nil
 }

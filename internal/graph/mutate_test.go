@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -178,47 +179,44 @@ func TestFreezeVersionStamp(t *testing.T) {
 	}
 }
 
-// fragEqual compares the externally observable structure of two fragments.
-func fragEqual(a, b *Fragment) bool {
-	if a.numOwned != b.numOwned || len(a.locals) != len(b.locals) {
-		return false
+// snapshot deep-copies a fragment, so a later write through any array it
+// shares shows up in a reflect.DeepEqual against the original.
+func snapshot(f *Fragment) *Fragment {
+	c := *f
+	c.locals, c.index, c.owner = slices.Clone(f.locals), slices.Clone(f.index), slices.Clone(f.owner)
+	c.outIndex, c.outTo, c.outW = slices.Clone(f.outIndex), slices.Clone(f.outTo), slices.Clone(f.outW)
+	c.inIndex, c.inTo, c.inW = slices.Clone(f.inIndex), slices.Clone(f.inTo), slices.Clone(f.inW)
+	c.labels = slices.Clone(f.labels)
+	c.repOutIdx, c.repOut = slices.Clone(f.repOutIdx), slices.Clone(f.repOut)
+	c.repInIdx, c.repIn = slices.Clone(f.repInIdx), slices.Clone(f.repIn)
+	return &c
+}
+
+// hashOwners spreads the vertices of g over workers by a multiplicative hash.
+func hashOwners(g *Graph, workers int) []uint16 {
+	owner := make([]uint16, g.NumVertices())
+	for v := range owner {
+		owner[v] = uint16((v * 2654435761) % workers)
 	}
-	if !reflect.DeepEqual(a.locals, b.locals) ||
-		!reflect.DeepEqual(a.outIndex, b.outIndex) ||
-		!reflect.DeepEqual(a.outTo, b.outTo) ||
-		!reflect.DeepEqual(a.outW, b.outW) ||
-		!reflect.DeepEqual(a.inIndex, b.inIndex) ||
-		!reflect.DeepEqual(a.inTo, b.inTo) ||
-		!reflect.DeepEqual(a.inW, b.inW) ||
-		!reflect.DeepEqual(a.repOutIdx, b.repOutIdx) ||
-		!reflect.DeepEqual(a.repOut, b.repOut) ||
-		!reflect.DeepEqual(a.repInIdx, b.repInIdx) ||
-		!reflect.DeepEqual(a.repIn, b.repIn) ||
-		!reflect.DeepEqual(a.labels, b.labels) {
-		return false
-	}
-	return a.globalN == b.globalN && a.globalEdges == b.globalEdges
+	return owner
 }
 
 // TestUpdateFragmentsCOW checks that the copy-on-write fragment update is
-// (a) equivalent to a from-scratch partition of the new graph, (b) rebuilds
+// (a) equal to a from-scratch partition of the new graph, (b) re-derives
 // only the touched owners, and (c) leaves the old fragments intact for
-// pinned readers.
+// pinned readers although the patched ones share arrays with them.
 func TestUpdateFragmentsCOW(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		g := testGraph(t, directed, 11)
 		const workers = 5
-		owner := make([]uint16, g.NumVertices())
-		for v := range owner {
-			owner[v] = uint16((v * 2654435761) % workers)
-		}
+		owner := hashOwners(g, workers)
 		frags, err := BuildFragments(g, owner, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldArcs := make([]int, workers)
+		before := make([]*Fragment, workers)
 		for i, f := range frags {
-			oldArcs[i] = f.NumArcs()
+			before[i] = snapshot(f)
 		}
 
 		b := randomBatch(g, 0.01, 77)
@@ -227,7 +225,7 @@ func TestUpdateFragmentsCOW(t *testing.T) {
 			t.Fatal(err)
 		}
 		touched := b.Endpoints()
-		cow, rebuilt, err := UpdateFragments(frags, g2, touched)
+		cow, derived, err := UpdateFragments(frags, g2, touched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,37 +236,123 @@ func TestUpdateFragmentsCOW(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range fresh {
-			if !fragEqual(cow[i], fresh[i]) {
+			if !reflect.DeepEqual(cow[i], fresh[i]) {
 				t.Fatalf("directed=%v: COW fragment %d differs from fresh build", directed, i)
 			}
 		}
 
-		// Only touched owners rebuilt; untouched fragments share arrays.
+		// Only touched owners re-derived; untouched fragments share arrays.
 		touchedOwners := map[int]bool{}
 		for _, v := range touched {
 			touchedOwners[int(owner[v])] = true
 		}
-		rebuiltSet := map[int]bool{}
-		for _, w := range rebuilt {
-			rebuiltSet[w] = true
+		derivedSet := map[int]bool{}
+		for _, w := range derived {
+			derivedSet[w] = true
 		}
 		for w := 0; w < workers; w++ {
-			if rebuiltSet[w] != touchedOwners[w] {
-				t.Fatalf("directed=%v: worker %d rebuilt=%v touched=%v", directed, w, rebuiltSet[w], touchedOwners[w])
+			if derivedSet[w] != touchedOwners[w] {
+				t.Fatalf("directed=%v: worker %d re-derived=%v touched=%v", directed, w, derivedSet[w], touchedOwners[w])
 			}
-			if !rebuiltSet[w] && len(frags[w].outTo) > 0 && &cow[w].outTo[0] != &frags[w].outTo[0] {
+			if !derivedSet[w] && len(frags[w].outTo) > 0 && &cow[w].outTo[0] != &frags[w].outTo[0] {
 				t.Fatalf("directed=%v: untouched worker %d does not share storage", directed, w)
 			}
 		}
 
-		// Old fragments unchanged for pinned readers.
+		// Old fragments unchanged for pinned readers, array for array.
 		for i, f := range frags {
-			if f.NumArcs() != oldArcs[i] || f.GlobalArcs() != g.NumEdges() {
+			if !reflect.DeepEqual(f, before[i]) {
 				t.Fatalf("directed=%v: old fragment %d changed under COW", directed, i)
 			}
 		}
-		if len(rebuilt) == workers {
+		if len(derived) == workers {
 			t.Logf("directed=%v: warning: every worker touched (batch too wide for COW to pay off)", directed)
 		}
+	}
+}
+
+// TestPatchSharesNumbering: a point batch that births and kills no ghost —
+// here a weight replacement across two workers — leaves the vertex
+// numbering as it was, so the patched fragments share locals, index and
+// labels with their parents and copy only the arrays the batch can reach.
+func TestPatchSharesNumbering(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		g := PowerLaw(GenConfig{N: 400, M: 2400, Directed: directed, Alpha: 2.5, Seed: 5, MaxW: 50, Labels: 4})
+		owner := hashOwners(g, 3)
+		frags, err := BuildFragments(g, owner, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e Edge
+		for u := range VID(g.NumVertices()) {
+			if adj := g.OutNeighbors(u); len(adj) > 0 && owner[adj[0]] != owner[u] {
+				e = Edge{Src: u, Dst: adj[0], W: g.OutWeights(u)[0] + 1}
+				break
+			}
+		}
+		b := MutationBatch{Inserts: []Edge{e}}
+		ng, _, err := g.ApplyMutations(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nf, derived, err := UpdateFragments(frags, ng, b.Endpoints())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(derived) != 2 {
+			t.Fatalf("directed=%v: re-derived %v, want the owners of %d and %d", directed, derived, e.Src, e.Dst)
+		}
+		for _, i := range derived {
+			p, c := frags[i], nf[i]
+			if &c.locals[0] != &p.locals[0] || &c.index[0] != &p.index[0] || &c.labels[0] != &p.labels[0] {
+				t.Fatalf("directed=%v: fragment %d renumbered by a batch that changes no ghost", directed, i)
+			}
+			if &c.outTo[0] == &p.outTo[0] || &c.outIndex[0] == &p.outIndex[0] {
+				t.Fatalf("directed=%v: fragment %d writes into its parent's adjacency", directed, i)
+			}
+		}
+	}
+}
+
+// TestUndirectedFragmentsShareAdjacency: an undirected fragment stores its
+// adjacency once — in-arrays alias the out-arrays — whether built, patched,
+// or spilled and reloaded.
+func TestUndirectedFragmentsShareAdjacency(t *testing.T) {
+	g := testGraph(t, false, 8)
+	frags, err := BuildFragments(g, hashOwners(g, 3), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := randomBatch(g, 0.01, 9)
+	ng, _, err := g.ApplyMutations(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, _, err := UpdateFragments(frags, ng, b.Endpoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliased := func(what string, f *Fragment) {
+		t.Helper()
+		if &f.inIndex[0] != &f.outIndex[0] || &f.inTo[0] != &f.outTo[0] || &f.inW[0] != &f.outW[0] {
+			t.Fatalf("%s fragment %d holds a second copy of its adjacency", what, f.worker)
+		}
+	}
+	for i := range frags {
+		aliased("built", frags[i])
+		aliased("patched", patched[i])
+	}
+
+	f := patched[0]
+	want := snapshot(f)
+	if _, err := f.SpillEdges(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.UnspillEdges(); err != nil {
+		t.Fatal(err)
+	}
+	aliased("reloaded", f)
+	if !reflect.DeepEqual(f, want) {
+		t.Fatal("spill -> unspill changed the fragment")
 	}
 }

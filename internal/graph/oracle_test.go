@@ -41,14 +41,13 @@ func oracleBuildFragment(g *Graph, owner []uint16, numWorkers, worker int) *Frag
 	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
 
 	f := &Fragment{
-		worker:      worker,
-		numWorkers:  numWorkers,
-		directed:    g.directed,
-		numOwned:    len(owned),
-		locals:      append(append([]VID{}, owned...), ghosts...),
-		owner:       owner,
-		globalN:     g.n,
-		globalEdges: len(g.outTo),
+		worker:     worker,
+		numWorkers: numWorkers,
+		directed:   g.directed,
+		numOwned:   len(owned),
+		locals:     append(append([]VID{}, owned...), ghosts...),
+		owner:      owner,
+		globalN:    g.n,
 	}
 	index := make(map[VID]uint32, len(f.locals))
 	f.index = make([]uint32, g.n)

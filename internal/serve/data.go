@@ -19,9 +19,9 @@ import (
 //
 // Datasets evolve: Service.Mutate applies a graph.MutationBatch under the
 // per-dataset version counter, producing a fresh frozen graph at version+1
-// with copy-on-write fragment partitions (graph.UpdateFragments rebuilds
-// only the partitions owning a mutated endpoint). Jobs pin the version
-// current at dispatch — everything they can reach is immutable by
+// with copy-on-write fragment partitions (graph.UpdateFragments re-derives
+// (patches) only the partitions owning a mutated endpoint). Jobs pin the
+// version current at dispatch — everything they can reach is immutable by
 // construction, so tenants running over version k are undisturbed by the
 // swap to k+1. Completed fixpoints are retained per query key and used to
 // warm-start re-convergence on later versions (see job.go).
@@ -252,8 +252,8 @@ func (c *dataCache) pin(dataset string, scale float64, workers int) (pinned, err
 // the new graph and COW-updated fragment partitions. expect, when non-nil,
 // is an optimistic-concurrency guard: the mutation only applies if the
 // current version matches (mismatch returns graph.ErrVersionMismatch).
-// Returns the old/new versions plus rebuilt/shared fragment counts summed
-// over the cached worker counts.
+// Returns the old/new versions plus re-derived (patched) and shared fragment
+// counts summed over the cached worker counts.
 func (c *dataCache) mutate(dataset string, scale float64, b graph.MutationBatch, expect *uint64) (*MutateResult, error) {
 	ds, err := c.state(dataset, scale)
 	if err != nil {
@@ -296,7 +296,7 @@ func (c *dataCache) mutate(dataset string, scale float64, b graph.MutationBatch,
 		if e.err != nil {
 			continue
 		}
-		nfs, rebuilt, err := graph.UpdateFragments(e.val, ng, touched)
+		nfs, derived, err := graph.UpdateFragments(e.val, ng, touched)
 		if err != nil {
 			return nil, err
 		}
@@ -304,8 +304,8 @@ func (c *dataCache) mutate(dataset string, scale float64, b graph.MutationBatch,
 		ne.once.Do(func() {}) // mark filled
 		ne.done.Store(true)
 		nfrags[workers] = ne
-		res.RebuiltFragments += len(rebuilt)
-		res.SharedFragments += workers - len(rebuilt)
+		res.RebuiltFragments += len(derived)
+		res.SharedFragments += workers - len(derived)
 	}
 	if ds.wal != nil {
 		// Durability point: the batch is appended and fsynced as the LAST

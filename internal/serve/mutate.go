@@ -32,8 +32,9 @@ type MutateResult struct {
 	Inserts    int     `json:"inserts"`
 	Deletes    int     `json:"deletes"`
 	// RebuiltFragments / SharedFragments count fragment partitions across
-	// the cached worker counts: rebuilt ones own a mutated endpoint, shared
-	// ones are carried over from the previous version by copy-on-write.
+	// the cached worker counts: "rebuilt" ones own a mutated endpoint and are
+	// re-derived (patched from the previous version's), shared ones are
+	// carried over from the previous version by copy-on-write.
 	RebuiltFragments int `json:"rebuilt_fragments"`
 	SharedFragments  int `json:"shared_fragments"`
 }
