@@ -27,9 +27,15 @@ func SeqPageRank(g *graph.Graph, eps float64) []float64 {
 		queue[v] = graph.VID(v)
 		inQ[v] = true
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); {
+		v := queue[head]
+		head++
+		// Slide the live tail down once the popped prefix dominates, so the
+		// FIFO reuses one array instead of growing a new one.
+		if head > 1024 && head*2 > len(queue) {
+			queue = append(queue[:0], queue[head:]...)
+			head = 0
+		}
 		inQ[v] = false
 		d := delta[v]
 		if d < eps {

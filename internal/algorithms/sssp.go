@@ -7,7 +7,6 @@
 package algorithms
 
 import (
-	"container/heap"
 	"math"
 
 	"argan/internal/ace"
@@ -25,45 +24,21 @@ func SeqSSSP(g *graph.Graph, src graph.VID) []float64 {
 		dist[i] = Inf
 	}
 	dist[src] = 0
-	pq := &distHeap{{0, src}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.d > dist[it.v] {
-			continue
+	pq := ace.Heap{{P: 0, ID: src}}
+	for len(pq) > 0 {
+		it := pq.Pop()
+		if it.P > dist[it.ID] {
+			continue // stale: a shorter path to it.ID popped first
 		}
-		adj, ws := g.OutNeighbors(it.v), g.OutWeights(it.v)
+		adj, ws := g.OutNeighbors(it.ID), g.OutWeights(it.ID)
 		for i, u := range adj {
-			if nd := it.d + ws[i]; nd < dist[u] {
+			if nd := it.P + ws[i]; nd < dist[u] {
 				dist[u] = nd
-				heap.Push(pq, distItem{nd, u})
+				pq.Push(ace.Item{P: nd, ID: u})
 			}
 		}
 	}
 	return dist
-}
-
-type distItem struct {
-	d float64
-	v graph.VID
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
-	}
-	return h[i].v < h[j].v
-}
-func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)   { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // SSSP is the ACE program derived from Dijkstra's algorithm: the status

@@ -34,35 +34,29 @@ func Run[V any](g *graph.Graph, factory ace.Factory[V], q ace.Query) ([]V, int64
 	prog.Setup(f, q)
 
 	psi := make([]V, f.NumLocal())
-	active := newQueue(f.NumOwned())
-	var prio func(uint32) float64
-	var ctx *ace.Ctx[V]
-	if p, ok := any(prog).(ace.Prioritizer[V]); ok {
-		prio = func(l uint32) float64 { return p.Priority(psi[l]) }
-		active = newPQ(f.NumOwned(), prio)
-	}
-	ctx = ace.NewCtx(f, psi,
+	active := ace.ActiveSetOf(prog, psi, f.NumOwned())
+	ctx := ace.NewCtx(f, psi,
 		func(l uint32, v V) { psi[l] = v; activateDeps(prog, f, active, l) },
 		func(l uint32, d V) {
 			nv, ch := prog.Aggregate(psi[l], d)
 			if ch {
 				psi[l] = nv
-				active.push(l)
+				active.Push(l)
 			}
 		},
-		func(l uint32) { active.push(l) },
+		func(l uint32) { active.Push(l) },
 	)
 	for l := uint32(0); int(l) < f.NumLocal(); l++ {
 		v, act := prog.InitValue(f, l, q)
 		psi[l] = v
 		if act && f.IsOwned(l) {
-			active.push(l)
+			active.Push(l)
 		}
 	}
 	var updates int64
 	limit := int64(2000) * int64(g.NumVertices()+1)
-	for !active.empty() {
-		v := active.pop()
+	for !active.Empty() {
+		v := active.Pop()
 		prog.Update(ctx, v)
 		updates++
 		if updates > limit {
@@ -76,24 +70,24 @@ func Run[V any](g *graph.Graph, factory ace.Factory[V], q ace.Query) ([]V, int64
 	return out, updates, nil
 }
 
-func activateDeps[V any](p ace.Program[V], f *graph.Fragment, a *queue, l uint32) {
+func activateDeps[V any](p ace.Program[V], f *graph.Fragment, a *ace.ActiveSet, l uint32) {
 	switch p.Deps() {
 	case ace.DepSelf:
 		// Push-style programs propagate explicitly.
 	case ace.DepOut:
 		for _, u := range f.InNeighbors(l) {
-			a.push(u)
+			a.Push(u)
 		}
 	case ace.DepBoth:
 		for _, u := range f.InNeighbors(l) {
-			a.push(u)
+			a.Push(u)
 		}
 		for _, u := range f.OutNeighbors(l) {
-			a.push(u)
+			a.Push(u)
 		}
 	default:
 		for _, u := range f.OutNeighbors(l) {
-			a.push(u)
+			a.Push(u)
 		}
 	}
 }
@@ -119,104 +113,4 @@ func Verify[V any](g *graph.Graph, frags []*graph.Fragment, factory ace.Factory[
 		}
 	}
 	return nil
-}
-
-// queue is a small FIFO / priority active set shared by the sequential
-// runner (a simplified twin of the engine's).
-type queue struct {
-	inQ  []bool
-	size int
-	fifo []uint32
-	head int
-	prio func(uint32) float64
-	heap []uint32
-}
-
-func newQueue(n int) *queue { return &queue{inQ: make([]bool, n)} }
-
-func newPQ(n int, prio func(uint32) float64) *queue {
-	return &queue{inQ: make([]bool, n), prio: prio}
-}
-
-func (a *queue) empty() bool { return a.size == 0 }
-
-func (a *queue) push(l uint32) {
-	if int(l) >= len(a.inQ) || a.inQ[l] {
-		if a.prio != nil && int(l) < len(a.inQ) && a.inQ[l] {
-			a.heap = append(a.heap, l)
-			a.up(len(a.heap) - 1)
-		}
-		return
-	}
-	a.inQ[l] = true
-	a.size++
-	if a.prio == nil {
-		a.fifo = append(a.fifo, l)
-		return
-	}
-	a.heap = append(a.heap, l)
-	a.up(len(a.heap) - 1)
-}
-
-func (a *queue) pop() uint32 {
-	a.size--
-	if a.prio == nil {
-		for !a.inQ[a.fifo[a.head]] {
-			a.head++
-		}
-		v := a.fifo[a.head]
-		a.head++
-		a.inQ[v] = false
-		return v
-	}
-	for {
-		v := a.heap[0]
-		last := len(a.heap) - 1
-		a.heap[0] = a.heap[last]
-		a.heap = a.heap[:last]
-		if len(a.heap) > 0 {
-			a.down(0)
-		}
-		if a.inQ[v] {
-			a.inQ[v] = false
-			return v
-		}
-	}
-}
-
-func (a *queue) less(i, j int) bool {
-	pi, pj := a.prio(a.heap[i]), a.prio(a.heap[j])
-	if pi != pj {
-		return pi < pj
-	}
-	return a.heap[i] < a.heap[j]
-}
-
-func (a *queue) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !a.less(i, p) {
-			return
-		}
-		a.heap[i], a.heap[p] = a.heap[p], a.heap[i]
-		i = p
-	}
-}
-
-func (a *queue) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(a.heap) && a.less(l, m) {
-			m = l
-		}
-		if r < len(a.heap) && a.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		a.heap[i], a.heap[m] = a.heap[m], a.heap[i]
-		i = m
-	}
 }

@@ -97,30 +97,3 @@ func TestVerifyDetectsMismatch(t *testing.T) {
 		t.Fatal("want mismatch error")
 	}
 }
-
-func TestQueuePriorityOrder(t *testing.T) {
-	prio := []float64{5, 1, 3, 2, 4}
-	q := newPQ(5, func(l uint32) float64 { return prio[l] })
-	for i := 0; i < 5; i++ {
-		q.push(uint32(i))
-	}
-	want := []uint32{1, 3, 2, 4, 0}
-	for _, w := range want {
-		if got := q.pop(); got != w {
-			t.Fatalf("pop = %d, want %d", got, w)
-		}
-	}
-	if !q.empty() {
-		t.Fatal("queue should be empty")
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	q := newQueue(4)
-	q.push(2)
-	q.push(0)
-	q.push(2) // duplicate ignored
-	if q.pop() != 2 || q.pop() != 0 || !q.empty() {
-		t.Fatal("fifo order wrong")
-	}
-}

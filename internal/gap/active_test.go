@@ -3,31 +3,32 @@ package gap
 import (
 	"testing"
 	"testing/quick"
+
+	"argan/internal/ace"
 )
 
 func TestActiveSetFIFO(t *testing.T) {
-	a := newActiveSet(8, nil)
+	a := ace.NewActiveSet(8, nil)
 	if !a.Empty() || a.Len() != 0 {
 		t.Fatal("fresh set not empty")
 	}
 	a.Push(3)
 	a.Push(1)
 	a.Push(3) // duplicate ignored
-	if a.Len() != 2 || a.Peek() != 3 {
-		t.Fatalf("len=%d peek=%d", a.Len(), a.Peek())
+	if a.Len() != 2 {
+		t.Fatalf("len=%d", a.Len())
 	}
-	got := a.Drain()
-	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("drain = %v", got)
+	if snap := a.Snapshot(); len(snap) != 2 || snap[0] != 3 || snap[1] != 1 {
+		t.Fatalf("snapshot = %v", snap)
 	}
-	if !a.Empty() {
-		t.Fatal("not empty after drain")
+	if a.Pop() != 3 || a.Pop() != 1 || !a.Empty() {
+		t.Fatal("fifo order wrong")
 	}
 }
 
 func TestActiveSetPriority(t *testing.T) {
 	prio := []float64{9, 2, 7, 1}
-	a := newActiveSet(4, func(l uint32) float64 { return prio[l] })
+	a := ace.NewActiveSet(4, func(l uint32) float64 { return prio[l] })
 	for i := 3; i >= 0; i-- {
 		a.Push(uint32(i))
 	}
@@ -54,7 +55,7 @@ func TestActiveSetPopOnce(t *testing.T) {
 		if usePrio {
 			pf = func(l uint32) float64 { return prio[l] }
 		}
-		a := newActiveSet(32, pf)
+		a := ace.NewActiveSet(32, pf)
 		inSet := map[uint32]bool{}
 		for _, p := range pushes {
 			v := uint32(p % 32)

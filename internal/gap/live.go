@@ -168,6 +168,8 @@ func (c LiveConfig) withDefaults() (LiveConfig, error) {
 // LiveMetrics summarizes a live run.
 type LiveMetrics struct {
 	WallTime time.Duration
+	// Updates is exact: every worker publishes its local count at each
+	// indicator check and at the end of each LocalEval round.
 	Updates  int64
 	MsgsSent int64
 	Batches  int64
@@ -1030,21 +1032,25 @@ func (d *liveDriver[V]) worker(st *liveState[V]) {
 			}
 			return false
 		}
+		// Updates are counted in steps and published to the run-wide
+		// d.updates once per check and once at round end, not per update:
+		// every worker writes that cache line.
 		steps := 0
 		for !st.active.Empty() {
 			v := st.active.Pop()
 			st.prog.Update(st.ctx, v)
-			d.updates.Add(1)
 			if d.hasCrashes {
 				d.updCount[id].Add(1)
 			}
 			steps++
 			if steps%ce == 0 {
+				d.updates.Add(int64(ce))
 				if checkStep() {
 					return
 				}
 			}
 		}
+		d.updates.Add(int64(steps % ce))
 		flushAll(true)
 		if tr != nil {
 			t1 := ts()

@@ -1,6 +1,7 @@
 package gap
 
 import (
+	"fmt"
 	"testing"
 
 	"argan/internal/ace"
@@ -76,6 +77,47 @@ func BenchmarkRunLivePageRank(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunLiveLJ is one cold live run per iteration on the service
+// benchmark's graph, LJ@0.5 hash-split over 1 and 2 workers: SSSP and BFS
+// from the top out-degree vertex (the head of the pool the service
+// benchmark draws sources from), PageRank at the service's eps.
+func BenchmarkRunLiveLJ(b *testing.B) {
+	g := graph.MustDataset("LJ", 0.5)
+	src := graph.VID(0)
+	for v := 1; v < g.NumVertices(); v++ {
+		if g.OutDegree(graph.VID(v)) > g.OutDegree(src) {
+			src = graph.VID(v)
+		}
+	}
+	run := map[string]func([]*graph.Fragment) error{
+		"sssp": func(fs []*graph.Fragment) error {
+			_, _, err := RunLive(fs, algorithms.NewSSSP(), ace.Query{Source: src}, LiveConfig{Mode: ModeGAP})
+			return err
+		},
+		"bfs": func(fs []*graph.Fragment) error {
+			_, _, err := RunLive(fs, algorithms.NewBFS(), ace.Query{Source: src}, LiveConfig{Mode: ModeGAP})
+			return err
+		},
+		"pr": func(fs []*graph.Fragment) error {
+			_, _, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, LiveConfig{Mode: ModeGAP})
+			return err
+		},
+	}
+	for _, app := range []string{"sssp", "bfs", "pr"} {
+		for _, n := range []int{1, 2} {
+			fs := benchFrags(b, g, n)
+			b.Run(fmt.Sprintf("%s/%d", app, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := run[app](fs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -267,6 +267,9 @@ func TestLivePipelineVariantsAgree(t *testing.T) {
 // TestLiveOneWorkerScheduleIgnoresCoreCount: a 1-worker run is one goroutine
 // exchanging no messages, so the update schedule — and with it
 // LiveMetrics.Updates — must not depend on how many cores the process has.
+// The counts are pinned: the active set's pop order (FIFO, or the heap's
+// (priority, id) order with its exact sift comparisons) fixes them, so a
+// change to either shows here.
 func TestLiveOneWorkerScheduleIgnoresCoreCount(t *testing.T) {
 	g := testGraph(true, 16)
 	fs := frags(t, g, 1)
@@ -278,18 +281,41 @@ func TestLiveOneWorkerScheduleIgnoresCoreCount(t *testing.T) {
 		}
 		return lm.Updates
 	}
-	for name, run := range map[string]func() (*LiveMetrics, error){
-		"sssp": func() (*LiveMetrics, error) {
+	for name, c := range map[string]struct {
+		want int64
+		run  func() (*LiveMetrics, error)
+	}{
+		"sssp": {383, func() (*LiveMetrics, error) {
 			_, lm, err := RunLive(fs, algorithms.NewSSSP(), ace.Query{Source: 0}, LiveConfig{Mode: ModeGAP})
 			return lm, err
-		},
-		"pagerank": func() (*LiveMetrics, error) {
+		}},
+		"bfs": {383, func() (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewBFS(), ace.Query{Source: 0}, LiveConfig{Mode: ModeGAP})
+			return lm, err
+		}},
+		"pagerank": {12997, func() (*LiveMetrics, error) {
 			_, lm, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, LiveConfig{Mode: ModeGAP})
 			return lm, err
-		},
+		}},
 	} {
-		if one, two := updates(1, run), updates(2, run); one != two || one == 0 {
-			t.Fatalf("%s: %d updates at GOMAXPROCS=1, %d at GOMAXPROCS=2", name, one, two)
+		if one, two := updates(1, c.run), updates(2, c.run); one != two || one != c.want {
+			t.Fatalf("%s: %d updates at GOMAXPROCS=1, %d at GOMAXPROCS=2, want %d", name, one, two, c.want)
 		}
+	}
+}
+
+// TestLiveOneWorkerSSSPAllocs bounds the garbage of a 1-worker SSSP run. The
+// active set's heap holds typed items, so the count is the run's fixed setup
+// (fragment state, goroutines, channels), not one boxed item per push — the
+// container/heap version made 1178 allocations on this graph.
+func TestLiveOneWorkerSSSPAllocs(t *testing.T) {
+	fs := frags(t, testGraph(true, 16), 1)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := RunLive(fs, algorithms.NewSSSP(), ace.Query{Source: 0}, LiveConfig{Mode: ModeGAP}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("1-worker SSSP run makes %.0f allocations, want <= 200", allocs)
 	}
 }

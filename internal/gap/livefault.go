@@ -191,6 +191,8 @@ func (d *liveDriver[V]) monitor() {
 			d.requestLocalCkpt()
 			lastCkpt = now
 		}
+		// updates lags by at most one CheckEvery per worker (published at
+		// indicator checks), far inside any watchdog budget.
 		_, _, _, _, progress := d.coord.status()
 		cur := [3]int64{progress, d.updates.Load(), d.msgsSent.Load()}
 		if cur != lastProg {

@@ -36,7 +36,9 @@ type Health struct {
 	Unrecoverable bool
 
 	// Sent/Recv are the termination ledger's transport counts; Updates is
-	// the cumulative f_xv invocation count.
+	// the cumulative f_xv invocation count. Workers count updates locally
+	// and publish at each indicator check and round end, so mid-run it
+	// lags by at most one CheckEvery per worker.
 	Sent, Recv int64
 	Updates    int64
 	// ProgressAge is how long the watchdog has seen no progress (reports,

@@ -93,7 +93,7 @@ type liveState[V any] struct {
 	deps ace.DepKind
 
 	psi    []V
-	active *activeSet
+	active *ace.ActiveSet
 	ctx    *ace.Ctx[V]
 
 	out []liveOutAcc[V]
@@ -129,11 +129,7 @@ func newLiveState[V any](id int, f *graph.Fragment, prog ace.Program[V], q ace.Q
 	st := &liveState[V]{id: id, frag: f, prog: prog, deps: prog.Deps(), pool: pool}
 	prog.Setup(f, q)
 	st.psi = make([]V, f.NumLocal())
-	var prio func(uint32) float64
-	if p, ok := any(prog).(ace.Prioritizer[V]); ok {
-		prio = func(l uint32) float64 { return p.Priority(st.psi[l]) }
-	}
-	st.active = newActiveSet(f.NumOwned(), prio)
+	st.active = ace.ActiveSetOf(prog, st.psi, f.NumOwned())
 	st.out = make([]liveOutAcc[V], f.NumWorkers())
 	for j := range st.out {
 		st.out[j] = liveOutAcc[V]{gen: 1}

@@ -222,7 +222,7 @@ type simWorker[V any] struct {
 
 	psi    []V
 	ctx    *ace.Ctx[V]
-	active *activeSet
+	active *ace.ActiveSet
 
 	// B⁺: accumulated incoming messages.
 	inBuf     []ace.Message[V]
@@ -305,11 +305,7 @@ func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[
 
 	prog.Setup(f, q)
 	w.psi = make([]V, f.NumLocal())
-	var prio func(uint32) float64
-	if p, ok := any(prog).(ace.Prioritizer[V]); ok {
-		prio = func(l uint32) float64 { return p.Priority(w.psi[l]) }
-	}
-	w.active = newActiveSet(f.NumOwned(), prio)
+	w.active = ace.ActiveSetOf(prog, w.psi, f.NumOwned())
 	w.ctx = ace.NewCtx(f, w.psi, w.ctxSet, w.ctxSend, w.ctxActivate)
 	for l := uint32(0); int(l) < f.NumLocal(); l++ {
 		v, act := prog.InitValue(f, l, q)
