@@ -29,7 +29,6 @@ import (
 	"argan/internal/adapt"
 	"argan/internal/algorithms"
 	"argan/internal/core"
-	"argan/internal/fixpoint"
 	"argan/internal/gap"
 	"argan/internal/graph"
 	"argan/internal/netsim"
@@ -220,7 +219,7 @@ func Run[V any](g *Graph, env Env, cfg Config, factory Factory[V], q Query) ([]V
 // whole graph — the §IV batch algorithm A the program was derived from.
 // Use it as the ground truth when validating a new program.
 func RunSequential[V any](g *Graph, factory Factory[V], q Query) ([]V, error) {
-	out, _, err := fixpoint.Run(g, func() ace.Program[V] { return factory() }, q)
+	out, _, err := gap.RunSequential(g, func() ace.Program[V] { return factory() }, q)
 	return out, err
 }
 

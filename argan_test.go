@@ -3,6 +3,9 @@ package argan
 import (
 	"math"
 	"testing"
+
+	"argan/internal/algorithms"
+	"argan/internal/graph"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -172,6 +175,42 @@ func TestPublicAPIWelshPowell(t *testing.T) {
 			if u != VID(v) && wp.Values[perm[v]] == wp.Values[perm[u]] {
 				t.Fatalf("conflict on edge (%d,%d)", v, u)
 			}
+		}
+	}
+}
+
+// republishCore is Core whose update also re-publishes its vertex's value
+// when nothing changed — legal ACE code that must not re-wake anyone.
+type republishCore struct{ *algorithms.Core }
+
+func (p republishCore) Update(ctx *Ctx[int32], l uint32) {
+	p.Core.Update(ctx, l)
+	ctx.Set(l, ctx.Get(l))
+}
+
+// TestRunSequentialIgnoresUnchangedSet: the sequential runner treats a Set
+// of an unchanged value as the engine does — stored, not shipped, no
+// dependent re-activated — so a program the engine converges on converges
+// here too instead of hitting the non-convergence cap.
+func TestRunSequentialIgnoresUnchangedSet(t *testing.T) {
+	g := graph.PowerLaw(graph.GenConfig{N: 200, M: 1400, Directed: false, Seed: 32})
+	factory := func() Program[int32] { return republishCore{&algorithms.Core{}} }
+	want := algorithms.SeqCore(g)
+	seq, err := RunSequential(g, factory, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := Env{Workers: 4}
+	par, m, err := Run(g, env, env.DefaultConfig(), factory, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Converged {
+		t.Fatal("engine did not converge")
+	}
+	for v, c := range want {
+		if seq[v] != c || par[v] != c {
+			t.Fatalf("core[%d]: sequential %d, engine %d, want %d", v, seq[v], par[v], c)
 		}
 	}
 }

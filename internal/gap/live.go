@@ -327,7 +327,7 @@ type liveDriver[V any] struct {
 	chans  []chan liveEnvelope[V]
 	coord  *liveCoord
 	ctrl   *liveCtrl
-	states []*liveState[V]
+	states []*workerState[V]
 	start  time.Time
 	wg     sync.WaitGroup
 
@@ -463,9 +463,9 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	d.ctrl = newLiveCtrl(n)
 	d.updCount = make([]atomic.Int64, n)
 	d.pool = &batchPool[V]{}
-	d.states = make([]*liveState[V], n)
+	d.states = make([]*workerState[V], n)
 	for i := range d.states {
-		d.states[i] = newLiveState(i, frags[i], factory(), q, d.pool)
+		d.states[i] = newWorkerState(i, frags[i], factory(), q, d.pool)
 	}
 
 	if d.seqOn {
@@ -503,10 +503,12 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		for i := range d.states {
 			st := d.states[i]
 			snap := localSnap[V]{
-				valid:  true,
-				base:   captureLive(st),
-				expInc: make([]int32, n),
-				bounds: make([][]incBound, n),
+				valid:   true,
+				base:    st.capture(),
+				sendSeq: make([]uint64, n),
+				cursor:  make([]uint64, n),
+				expInc:  make([]int32, n),
+				bounds:  make([][]incBound, n),
 			}
 			if st.rs.undo != nil {
 				snap.undo = make([][]undoRec[V], n)
@@ -631,7 +633,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 
 // worker runs one incarnation of worker st.id. A restarted worker is a fresh
 // call over the restored state.
-func (d *liveDriver[V]) worker(st *liveState[V]) {
+func (d *liveDriver[V]) worker(st *workerState[V]) {
 	defer d.wg.Done()
 	// Panic containment: an Update function that panics fails the run (first
 	// failure wins) instead of killing the process, so a service can
@@ -642,395 +644,76 @@ func (d *liveDriver[V]) worker(st *liveState[V]) {
 			d.coord.fail(fmt.Errorf("%w: worker %d: %v\n%s", ErrWorkerPanic, st.id, r, debug.Stack()))
 		}
 	}()
-	cfg := d.cfg
-	id := st.id
-	tr := cfg.Tracer
-	ts := func() float64 { return float64(sinceFn(d.start)) / 1e3 }
-	nowMS := func() float64 { return float64(sinceFn(d.start)) / 1e6 }
-
-	// CPU-profile attribution: the goroutine always carries its worker id;
-	// phase labels are refreshed only when tracing is on
-	// (SetGoroutineLabels allocates, and phase flips are hot).
-	wid := strconv.Itoa(id)
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("worker", wid, "phase", "local_eval")))
-	defer pprof.SetGoroutineLabels(context.Background())
-	setPhase := func(string) {}
-	if tr != nil {
-		setPhase = func(p string) {
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("worker", wid, "phase", p)))
-		}
+	w := &liveWorker[V]{
+		d: d, st: st, id: st.id, tr: d.cfg.Tracer, wid: strconv.Itoa(st.id),
+		throttle: (d.gov != nil && d.gov.Budget() > 0) || d.logCap > 0,
 	}
+	if d.hasLink {
+		w.hold = make([][]ace.Message[V], d.n)
+	}
+	// CPU-profile attribution: the goroutine always carries its worker id;
+	// phase labels are refreshed only when tracing is on (SetGoroutineLabels
+	// allocates, and phase flips are hot).
+	w.label("local_eval")
+	defer pprof.SetGoroutineLabels(context.Background())
+	w.run()
+}
+
+// liveWorker is one incarnation of a live worker goroutine: the driver, the
+// worker's ACE state, and the transport bookkeeping that lives as long as
+// the goroutine does.
+type liveWorker[V any] struct {
+	d   *liveDriver[V]
+	st  *workerState[V]
+	id  int
+	tr  obs.Tracer
+	wid string // runtime/pprof worker label
+
+	// throttle: the run is governed or log-capped, so every flush first
+	// checks for memory or log-retention pressure.
+	throttle bool
 
 	// localSent/localRecv reset at every report (they feed the termination
 	// detector); sentCum/recvCum are the monotone variants the tracer
 	// reports as per-round counter deltas.
-	var localSent, localRecv int64
-	var sentCum, recvCum int64
-	var hold [][]ace.Message[V] // reorder fault: batches held past FIFO order
-	if d.hasLink {
-		hold = make([][]ace.Message[V], d.n)
-	}
+	localSent, localRecv int64
+	sentCum, recvCum     int64
+	// hold keeps the batches a reorder fault holds past FIFO order (nil
+	// without link faults).
+	hold [][]ace.Message[V]
+}
 
-	beat := func() { d.ctrl.beats[id].Store(int64(sinceFn(d.start))) }
-	beat()
-
-	// crashed fires any due crash from the plan: the goroutine stops
-	// beating and exits, exactly like a lost process. It reports nothing
-	// to the coordinator — detection is genuinely heartbeat-based.
-	crashed := func() bool {
-		if !d.hasCrashes {
-			return false
-		}
-		c, ok := d.inj.TakeDue(id, d.updCount[id].Load(), nowMS())
-		if !ok {
-			return false
-		}
-		d.crashes.Add(1)
-		if tr != nil {
-			tr.Mark(id, obs.MarkCrash, ts())
-		}
-		if c.Panic {
-			// Rogue-program fault: blow up on the worker goroutine instead
-			// of exiting cleanly. The containment guard converts it into a
-			// run failure (ErrWorkerPanic) — the fault plan's witness that a
-			// panicking tenant is quarantined, not fatal to the process.
-			panic(fmt.Sprintf("fault: injected panic on worker %d", id))
-		}
-		d.ctrl.noteCrash(id, c.Restart)
-		return true
-	}
-
-	// Batches arriving from the transport are owned by this worker once
-	// received: after h_in they are recycled into the driver's pool (the
-	// senders' takeOut draws replacements from it), closing the
-	// zero-allocation loop. Every drained envelope is counted as received —
-	// even ones the exactly-once layer then drops or buffers — because the
-	// termination ledger balances transport deliveries, not applications.
-	ingest := func(env liveEnvelope[V]) {
-		k := int64(len(env.msgs))
-		if d.coord.atomicCnt {
-			d.coord.arecv.Add(k)
-		} else {
-			localRecv += k
-		}
-		recvCum += k
-		if d.diag {
-			d.wrecv[id].Add(k)
-		}
-		if st.rs != nil {
-			st.seqIngest(env)
-			return
-		}
-		st.ingest(env.msgs)
-		d.pool.put(env.msgs)
-	}
-	drain := func() int {
-		got := 0
-		for {
-			select {
-			case env := <-d.chans[id]:
-				ingest(env)
-				got++
-			default:
-				return got
-			}
-		}
-	}
-
-	// stamp wraps a batch for the wire; under the exactly-once layer it
-	// draws the next per-link sequence number and (when the run can recover
-	// a crash) retains a copy in the sender-side log before the batch ever
-	// becomes visible.
-	stamp := func(j int, msgs []ace.Message[V]) liveEnvelope[V] {
-		env := liveEnvelope[V]{from: int32(id), msgs: msgs}
-		if rs := st.rs; rs != nil {
-			rs.sendSeq[j]++
-			env.seq = rs.sendSeq[j]
-			env.inc = rs.myInc
-			if d.mlog != nil {
-				d.mlog.append(id, j, env.seq, msgs)
-			}
-		}
-		return env
-	}
-	// countSent books a shipped envelope. On a recovering run the count lands
-	// in the coordinator's crash-safe atomics before the envelope is inserted,
-	// so quiescence can never close over an uncounted in-flight message.
-	countSent := func(k int64) {
-		if d.coord.atomicCnt {
-			d.coord.asent.Add(k)
-		} else {
-			localSent += k
-		}
-		sentCum += k
-		d.msgsSent.Add(k)
-		d.batches.Add(1)
-		if d.diag {
-			d.wsent[id].Add(k)
-		}
-	}
-
-	// send ships one stamped envelope to peer j. A full peer mailbox (the
-	// peer may be dead) is retried with exponential backoff while draining
-	// our own mailbox so mutual sends cannot deadlock. While blocked, the
-	// worker keeps servicing rollback notices — a survivor wedged on a dead
-	// peer's full mailbox must still ack, or recovery would deadlock.
-	send := func(j int, env liveEnvelope[V]) {
-		if len(env.msgs) == 0 {
-			return
-		}
-		countSent(int64(len(env.msgs)))
-		backoff := liveSendBackoff
-		for {
-			select {
-			case d.chans[j] <- env:
-				return
-			case <-d.coord.done:
-				return
-			default:
-			}
-			if d.recover {
-				d.drainNotices(st)
-			}
-			if drain() == 0 {
-				beat()
-				time.Sleep(backoff)
-				if backoff < liveSendBackMax {
-					backoff *= 2
-				}
-			}
-		}
-	}
-
-	// ended reports whether the run is over: a closed run (failure,
-	// cancellation, or quiescence declared while we computed) ends the
-	// incarnation at the next check, so cancellation latency is one CheckEvery
-	// interval, not the rest of the active set.
-	ended := func() bool {
-		select {
-		case <-d.coord.done:
-			return true
-		default:
-			return false
-		}
-	}
-
-	// flushAllInner ships every non-empty out-accumulator, routing each
-	// batch through its drawn link fate when link faults are on. "Drop" is
-	// lossless: the transport retransmits after the retry delay, so the
-	// batch arrives late rather than never (the programs are not assumed
-	// idempotent against true loss). "Reorder" holds the batch back until
-	// a later batch to the same peer has passed it.
-	flushAllInner := func(final bool) {
-		for j := 0; j < d.n; j++ {
-			if j == id {
-				continue
-			}
-			msgs := st.takeOut(j)
-			sentFresh := false
-			if len(msgs) > 0 {
-				if d.hasLink {
-					switch f := d.inj.BatchFate(id, j); {
-					case f.Drop:
-						// Count the batch as sent now — termination
-						// cannot be declared while it is in flight —
-						// and hand it to an asynchronous retransmitter.
-						// Sleeping inline here would stall heartbeats
-						// and every other peer's flush for the whole
-						// retry delay.
-						env := stamp(j, msgs)
-						countSent(int64(len(msgs)))
-						d.retransmit(j, env)
-						sentFresh = true
-					case f.Dup:
-						// Copy before the first send: the receiver may
-						// recycle the original while we still read it.
-						// Both copies carry the same sequence number, so
-						// the dedup layer (when on) drops the second.
-						env := stamp(j, msgs)
-						cp := env
-						cp.msgs = append(d.pool.get(), msgs...)
-						send(j, env)
-						send(j, cp)
-						sentFresh = true
-					case f.Reorder:
-						// Held batches stay unstamped and uncounted: the
-						// sequence number is drawn at actual ship time, so
-						// a crash loses nothing the checkpoint replay
-						// would miss (held mass is re-derived from Ψ).
-						hold[j] = append(hold[j], msgs...)
-						d.pool.put(msgs)
-					default:
-						send(j, stamp(j, msgs))
-						sentFresh = true
-					}
-				} else {
-					send(j, stamp(j, msgs))
-					sentFresh = true
-				}
-			}
-			if hold != nil && len(hold[j]) > 0 && (sentFresh || final) {
-				hb := hold[j]
-				hold[j] = nil
-				send(j, stamp(j, hb))
-			}
-		}
-	}
-	// h_out spans wrap the whole flush sweep; the wrapper (not the inner
-	// func) closes the span so an early return on a finished run cannot
-	// leave it open.
-	flushAll := flushAllInner
-	if (d.gov != nil && d.gov.Budget() > 0) || d.logCap > 0 {
-		inner := flushAll
-		flushAll = func(final bool) {
-			// Rung 2: backpressure. A pressured run pauses its senders
-			// before each flush so receivers and the checkpoint ladder can
-			// catch up; draining first keeps the pause from growing our own
-			// mailbox. Log-retention pressure (rung 1 overshooting its byte
-			// cap) applies the same brake.
-			if d.gov.Stage() >= mem.StageThrottle || d.logPressure.Load() {
-				drain()
-				beat()
-				if tr != nil {
-					tr.SpanBegin(id, obs.PhaseThrottle, ts())
-				}
-				time.Sleep(liveThrottleSleep)
-				if tr != nil {
-					tr.SpanEnd(id, obs.PhaseThrottle, ts())
-				}
-				d.throttles.Add(1)
-			}
-			inner(final)
-		}
-	}
-	if tr != nil {
-		prev := flushAll
-		flushAll = func(final bool) {
-			setPhase("h_out")
-			tr.SpanBegin(id, obs.PhaseHout, ts())
-			prev(final)
-			tr.SpanEnd(id, obs.PhaseHout, ts())
-			setPhase("local_eval")
-		}
-	}
-
-	// serviceMem honors a pending edge-streaming request (degradation rung
-	// 3) at the worker's safe points: the fragment's edge payloads page to
-	// disk and every adjacency read goes through the spilled accessors until
-	// the caller unspills after the run. Index arrays stay resident.
-	serviceMem := func() {
-		if d.edgeSpillReq == nil || !d.edgeSpillReq[id].Load() {
-			return
-		}
-		d.edgeSpillReq[id].Store(false)
-		if st.frag.EdgesSpilled() {
-			return
-		}
-		if tr != nil {
-			tr.SpanBegin(id, obs.PhaseSpill, ts())
-		}
-		freed, err := st.frag.SpillEdges(d.gov.SpillDir())
-		if tr != nil {
-			tr.SpanEnd(id, obs.PhaseSpill, ts())
-		}
-		if err == nil && freed > 0 {
-			d.fragAcct.Add(-freed)
-			d.gov.NoteSpill(freed)
-			d.edgeSpills.Add(1)
-			if tr != nil {
-				tr.Mark(id, obs.MarkSpill, ts())
-			}
-		}
-	}
-
-	// serviceLocal is the localized-recovery safe point: process any
-	// rollback notices from the monitor, then honor a pending checkpoint
-	// request. Checkpoints are taken inline — no barrier, no park — after
-	// flushing held batches so the snapshot can never strand an unstamped
-	// message. No-op on runs that cannot recover a crash.
-	serviceLocal := func() {
-		if !d.recover {
-			return
-		}
-		d.drainNotices(st)
-		if d.ckptReq[id].Load() {
-			d.ckptReq[id].Store(false)
-			for j := range hold {
-				if len(hold[j]) > 0 {
-					hb := hold[j]
-					hold[j] = nil
-					send(j, stamp(j, hb))
-				}
-			}
-			d.takeLocalCkpt(st)
-			if tr != nil {
-				t := ts()
-				tr.Mark(id, obs.MarkCkpt, t)
-				tr.Sample(id, obs.GaugeLogSize, t, float64(d.mlog.retainedFrom(id)))
-			}
-		}
-	}
-
+// run is the worker's loop of LocalEval rounds: ingest, iterate with an
+// indicator check every CheckEvery updates, flush, report idle, wait.
+func (w *liveWorker[V]) run() {
+	d, st, id, tr := w.d, w.st, w.id, w.tr
+	w.beat()
 	for {
-		if ended() {
+		if w.ended() || w.crashed() {
 			return
 		}
-		if crashed() {
-			return
-		}
-		serviceLocal()
-		serviceMem()
-		beat()
+		w.serviceLocal()
+		w.serviceMem()
+		w.beat()
 		// Effective check granularity: recovery may have reseeded this
 		// worker's η toward finer checks (see runLocalRecovery).
-		ce := cfg.CheckEvery
+		ce := d.cfg.CheckEvery
 		if d.ckEvery != nil {
 			if v := int(d.ckEvery[id].Load()); v > 0 {
 				ce = v
 			}
 		}
-		// One LocalEval round: ingest, iterate with periodic indicator
-		// checks, flush.
 		var sent0, recv0 int64
 		if tr != nil {
-			t0 := ts()
+			t0 := w.ts()
 			tr.Sample(id, obs.GaugeMailbox, t0, float64(len(d.chans[id])))
 			tr.SpanBegin(id, obs.PhaseLocalEval, t0)
-			sent0, recv0 = sentCum, recvCum
+			sent0, recv0 = w.sentCum, w.recvCum
 		}
-		drain()
+		w.drain()
 		d.rounds.Add(1)
 		if tr != nil {
-			tr.Sample(id, obs.GaugeActive, ts(), float64(st.active.Len()))
-		}
-		// checkStep is the shared per-CheckEvery indicator check (ξ⁺/ξ⁻):
-		// heartbeat, end-of-run/crash checks, slowdown injection, then pick up
-		// fresh messages or push accumulated ones. Returns true when the
-		// worker must exit.
-		checkStep := func() bool {
-			beat()
-			if ended() {
-				return true
-			}
-			if crashed() {
-				return true
-			}
-			serviceLocal()
-			serviceMem()
-			if d.hasSlow {
-				if f := d.inj.SlowFactor(id, nowMS()); f > 1 {
-					time.Sleep(time.Duration((f - 1) * float64(100*time.Microsecond)))
-				}
-			}
-			if drain() == 0 && cfg.Mode != ModeAPGC {
-				if tr != nil {
-					tr.Mark(id, obs.MarkR3, ts())
-				}
-				flushAll(false)
-			}
-			return false
+			tr.Sample(id, obs.GaugeActive, w.ts(), float64(st.active.Len()))
 		}
 		// Updates are counted in steps and published to the run-wide
 		// d.updates once per check and once at round end, not per update:
@@ -1045,60 +728,395 @@ func (d *liveDriver[V]) worker(st *liveState[V]) {
 			steps++
 			if steps%ce == 0 {
 				d.updates.Add(int64(ce))
-				if checkStep() {
+				if w.checkStep() {
 					return
 				}
 			}
 		}
 		d.updates.Add(int64(steps % ce))
-		flushAll(true)
+		w.flushAll(true)
 		if tr != nil {
-			t1 := ts()
+			t1 := w.ts()
 			tr.Count(id, obs.CounterUpdates, t1, int64(steps))
-			tr.Count(id, obs.CounterMsgsSent, t1, sentCum-sent0)
-			tr.Count(id, obs.CounterMsgsRecv, t1, recvCum-recv0)
+			tr.Count(id, obs.CounterMsgsSent, t1, w.sentCum-sent0)
+			tr.Count(id, obs.CounterMsgsRecv, t1, w.recvCum-recv0)
 			tr.SpanEnd(id, obs.PhaseLocalEval, t1)
 			tr.Mark(id, obs.MarkIdle, t1)
 		}
-		// Idle transition: report and block for more input. The timeout
-		// keeps the heartbeat alive and lets the worker service rollback
-		// notices, checkpoint requests and due time-triggered crashes while
-		// idle. The recovery-reseeded check granularity snaps back to the
+		// The recovery-reseeded check granularity snaps back to the
 		// configured bound here — the replayed backlog it was finer for has
 		// drained.
 		if d.ckEvery != nil {
-			d.ckEvery[id].Store(int32(cfg.CheckEvery))
+			d.ckEvery[id].Store(int32(d.cfg.CheckEvery))
 		}
-		d.coord.report(id, true, localSent, localRecv)
-		localSent, localRecv = 0, 0
-	idleWait:
-		for {
-			select {
-			case env := <-d.chans[id]:
+		d.coord.report(id, true, w.localSent, w.localRecv)
+		w.localSent, w.localRecv = 0, 0
+		if w.idleWait() {
+			return
+		}
+	}
+}
+
+func (w *liveWorker[V]) ts() float64    { return float64(sinceFn(w.d.start)) / 1e3 }
+func (w *liveWorker[V]) nowMS() float64 { return float64(sinceFn(w.d.start)) / 1e6 }
+func (w *liveWorker[V]) beat()          { w.d.ctrl.beats[w.id].Store(int64(sinceFn(w.d.start))) }
+
+// label sets the goroutine's runtime/pprof worker and phase labels.
+func (w *liveWorker[V]) label(phase string) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("worker", w.wid, "phase", phase)))
+}
+
+// ended reports whether the run is over: a closed run (failure,
+// cancellation, or quiescence declared while we computed) ends the
+// incarnation at the next check, so cancellation latency is one CheckEvery
+// interval, not the rest of the active set.
+func (w *liveWorker[V]) ended() bool {
+	select {
+	case <-w.d.coord.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// crashed fires any due crash from the plan: the goroutine stops beating and
+// exits, exactly like a lost process. It reports nothing to the coordinator
+// — detection is genuinely heartbeat-based.
+func (w *liveWorker[V]) crashed() bool {
+	d := w.d
+	if !d.hasCrashes {
+		return false
+	}
+	c, ok := d.inj.TakeDue(w.id, d.updCount[w.id].Load(), w.nowMS())
+	if !ok {
+		return false
+	}
+	d.crashes.Add(1)
+	if w.tr != nil {
+		w.tr.Mark(w.id, obs.MarkCrash, w.ts())
+	}
+	if c.Panic {
+		// Rogue-program fault: blow up on the worker goroutine instead of
+		// exiting cleanly. The containment guard converts it into a run
+		// failure (ErrWorkerPanic) — the fault plan's witness that a
+		// panicking tenant is quarantined, not fatal to the process.
+		panic(fmt.Sprintf("fault: injected panic on worker %d", w.id))
+	}
+	d.ctrl.noteCrash(w.id, c.Restart)
+	return true
+}
+
+// ingest is h_in for one envelope from the transport. Its batch is owned by
+// this worker once received: after h_in it is recycled into the driver's
+// pool (the senders' takeOut draws replacements from it), closing the
+// zero-allocation loop. Every drained envelope is counted as received —
+// even ones the exactly-once layer then drops or buffers — because the
+// termination ledger balances transport deliveries, not applications.
+func (w *liveWorker[V]) ingest(env liveEnvelope[V]) {
+	d := w.d
+	k := int64(len(env.msgs))
+	if d.coord.atomicCnt {
+		d.coord.arecv.Add(k)
+	} else {
+		w.localRecv += k
+	}
+	w.recvCum += k
+	if d.diag {
+		d.wrecv[w.id].Add(k)
+	}
+	if w.st.rs != nil {
+		w.st.seqIngest(env)
+		return
+	}
+	w.st.ingest(env.msgs)
+	d.pool.put(env.msgs)
+}
+
+// drain ingests every envelope already in the mailbox and returns how many.
+func (w *liveWorker[V]) drain() int {
+	got := 0
+	for {
+		select {
+		case env := <-w.d.chans[w.id]:
+			w.ingest(env)
+			got++
+		default:
+			return got
+		}
+	}
+}
+
+// stamp wraps a batch for the wire; under the exactly-once layer it draws
+// the next per-link sequence number and (when the run can recover a crash)
+// retains a copy in the sender-side log before the batch ever becomes
+// visible.
+func (w *liveWorker[V]) stamp(j int, msgs []ace.Message[V]) liveEnvelope[V] {
+	env := liveEnvelope[V]{from: int32(w.id), msgs: msgs}
+	if rs := w.st.rs; rs != nil {
+		rs.sendSeq[j]++
+		env.seq = rs.sendSeq[j]
+		env.inc = rs.myInc
+		if w.d.mlog != nil {
+			w.d.mlog.append(w.id, j, env.seq, msgs)
+		}
+	}
+	return env
+}
+
+// countSent books a shipped envelope. On a recovering run the count lands in
+// the coordinator's crash-safe atomics before the envelope is inserted, so
+// quiescence can never close over an uncounted in-flight message.
+func (w *liveWorker[V]) countSent(k int64) {
+	d := w.d
+	if d.coord.atomicCnt {
+		d.coord.asent.Add(k)
+	} else {
+		w.localSent += k
+	}
+	w.sentCum += k
+	d.msgsSent.Add(k)
+	d.batches.Add(1)
+	if d.diag {
+		d.wsent[w.id].Add(k)
+	}
+}
+
+// send ships one stamped envelope to peer j. A full peer mailbox (the peer
+// may be dead) is retried with exponential backoff while draining our own
+// mailbox so mutual sends cannot deadlock. While blocked, the worker keeps
+// servicing rollback notices — a survivor wedged on a dead peer's full
+// mailbox must still ack, or recovery would deadlock.
+func (w *liveWorker[V]) send(j int, env liveEnvelope[V]) {
+	if len(env.msgs) == 0 {
+		return
+	}
+	d := w.d
+	w.countSent(int64(len(env.msgs)))
+	backoff := liveSendBackoff
+	for {
+		select {
+		case d.chans[j] <- env:
+			return
+		case <-d.coord.done:
+			return
+		default:
+		}
+		if d.recover {
+			d.drainNotices(w.st)
+		}
+		if w.drain() == 0 {
+			w.beat()
+			time.Sleep(backoff)
+			if backoff < liveSendBackMax {
+				backoff *= 2
+			}
+		}
+	}
+}
+
+// sendHeld ships the batch the reorder fault held back for peer j, if any.
+func (w *liveWorker[V]) sendHeld(j int) {
+	if hb := w.hold[j]; len(hb) > 0 {
+		w.hold[j] = nil
+		w.send(j, w.stamp(j, hb))
+	}
+}
+
+// flushAll is h_out: it ships every non-empty out-accumulator, routing each
+// batch through its drawn link fate when link faults are on. "Drop" is
+// lossless: the transport retransmits after the retry delay, so the batch
+// arrives late rather than never (the programs are not assumed idempotent
+// against true loss). "Reorder" holds the batch back until a later batch to
+// the same peer has passed it, or the round ends (final).
+func (w *liveWorker[V]) flushAll(final bool) {
+	d, id, tr := w.d, w.id, w.tr
+	if tr != nil {
+		w.label("h_out")
+		tr.SpanBegin(id, obs.PhaseHout, w.ts())
+	}
+	// Rung 2: backpressure. A pressured run pauses its senders before each
+	// flush so receivers and the checkpoint ladder can catch up; draining
+	// first keeps the pause from growing our own mailbox. Log-retention
+	// pressure (rung 1 overshooting its byte cap) applies the same brake.
+	if w.throttle && (d.gov.Stage() >= mem.StageThrottle || d.logPressure.Load()) {
+		w.drain()
+		w.beat()
+		if tr != nil {
+			tr.SpanBegin(id, obs.PhaseThrottle, w.ts())
+		}
+		time.Sleep(liveThrottleSleep)
+		if tr != nil {
+			tr.SpanEnd(id, obs.PhaseThrottle, w.ts())
+		}
+		d.throttles.Add(1)
+	}
+	for j := 0; j < d.n; j++ {
+		if j == id {
+			continue
+		}
+		msgs := w.st.takeOut(j)
+		sentFresh := false
+		if len(msgs) > 0 {
+			if d.hasLink {
+				switch f := d.inj.BatchFate(id, j); {
+				case f.Drop:
+					// Count the batch as sent now — termination cannot be
+					// declared while it is in flight — and hand it to an
+					// asynchronous retransmitter. Sleeping inline here would
+					// stall heartbeats and every other peer's flush for the
+					// whole retry delay.
+					env := w.stamp(j, msgs)
+					w.countSent(int64(len(msgs)))
+					d.retransmit(j, env)
+					sentFresh = true
+				case f.Dup:
+					// Copy before the first send: the receiver may recycle
+					// the original while we still read it. Both copies carry
+					// the same sequence number, so the dedup layer (when on)
+					// drops the second.
+					env := w.stamp(j, msgs)
+					cp := env
+					cp.msgs = append(d.pool.get(), msgs...)
+					w.send(j, env)
+					w.send(j, cp)
+					sentFresh = true
+				case f.Reorder:
+					// Held batches stay unstamped and uncounted: the sequence
+					// number is drawn at actual ship time, so a crash loses
+					// nothing the checkpoint replay would miss (held mass is
+					// re-derived from Ψ).
+					w.hold[j] = append(w.hold[j], msgs...)
+					d.pool.put(msgs)
+				default:
+					w.send(j, w.stamp(j, msgs))
+					sentFresh = true
+				}
+			} else {
+				w.send(j, w.stamp(j, msgs))
+				sentFresh = true
+			}
+		}
+		if w.hold != nil && (sentFresh || final) {
+			w.sendHeld(j)
+		}
+	}
+	if tr != nil {
+		tr.SpanEnd(id, obs.PhaseHout, w.ts())
+		w.label("local_eval")
+	}
+}
+
+// serviceMem honors a pending edge-streaming request (degradation rung 3) at
+// the worker's safe points: the fragment's edge payloads page to disk and
+// every adjacency read goes through the spilled accessors until the caller
+// unspills after the run. Index arrays stay resident.
+func (w *liveWorker[V]) serviceMem() {
+	d, id, tr := w.d, w.id, w.tr
+	if d.edgeSpillReq == nil || !d.edgeSpillReq[id].Load() {
+		return
+	}
+	d.edgeSpillReq[id].Store(false)
+	if w.st.frag.EdgesSpilled() {
+		return
+	}
+	if tr != nil {
+		tr.SpanBegin(id, obs.PhaseSpill, w.ts())
+	}
+	freed, err := w.st.frag.SpillEdges(d.gov.SpillDir())
+	if tr != nil {
+		tr.SpanEnd(id, obs.PhaseSpill, w.ts())
+	}
+	if err == nil && freed > 0 {
+		d.fragAcct.Add(-freed)
+		d.gov.NoteSpill(freed)
+		d.edgeSpills.Add(1)
+		if tr != nil {
+			tr.Mark(id, obs.MarkSpill, w.ts())
+		}
+	}
+}
+
+// serviceLocal is the localized-recovery safe point: process any rollback
+// notices from the monitor, then honor a pending checkpoint request.
+// Checkpoints are taken inline — no barrier, no park — after flushing held
+// batches so the snapshot can never strand an unstamped message. No-op on
+// runs that cannot recover a crash.
+func (w *liveWorker[V]) serviceLocal() {
+	d, id := w.d, w.id
+	if !d.recover {
+		return
+	}
+	d.drainNotices(w.st)
+	if !d.ckptReq[id].Load() {
+		return
+	}
+	d.ckptReq[id].Store(false)
+	for j := range w.hold {
+		w.sendHeld(j)
+	}
+	d.takeLocalCkpt(w.st)
+	if tr := w.tr; tr != nil {
+		t := w.ts()
+		tr.Mark(id, obs.MarkCkpt, t)
+		tr.Sample(id, obs.GaugeLogSize, t, float64(d.mlog.retainedFrom(id)))
+	}
+}
+
+// checkStep is the per-CheckEvery indicator check (ξ⁺/ξ⁻): heartbeat,
+// end-of-run/crash checks, slowdown injection, then pick up fresh messages
+// or push accumulated ones. Returns true when the worker must exit.
+func (w *liveWorker[V]) checkStep() bool {
+	d := w.d
+	w.beat()
+	if w.ended() || w.crashed() {
+		return true
+	}
+	w.serviceLocal()
+	w.serviceMem()
+	if d.hasSlow {
+		if f := d.inj.SlowFactor(w.id, w.nowMS()); f > 1 {
+			time.Sleep(time.Duration((f - 1) * float64(100*time.Microsecond)))
+		}
+	}
+	if w.drain() == 0 && d.cfg.Mode != ModeAPGC {
+		if w.tr != nil {
+			w.tr.Mark(w.id, obs.MarkR3, w.ts())
+		}
+		w.flushAll(false)
+	}
+	return false
+}
+
+// idleWait blocks an idle worker for more input. The timeout keeps the
+// heartbeat alive and lets the worker service rollback notices, checkpoint
+// requests and due time-triggered crashes while idle. Returns true when the
+// worker must exit.
+func (w *liveWorker[V]) idleWait() bool {
+	d, id := w.d, w.id
+	for {
+		select {
+		case env := <-d.chans[id]:
+			d.coord.report(id, false, 0, 0)
+			if w.tr != nil {
+				w.tr.Mark(id, obs.MarkBusy, w.ts())
+			}
+			w.ingest(env)
+			return false
+		case <-d.coord.done:
+			return true
+		case <-time.After(d.beatEvery):
+			w.beat()
+			if w.ended() || w.crashed() {
+				return true
+			}
+			w.serviceLocal()
+			w.serviceMem()
+			if !w.st.active.Empty() {
+				// A rollback notice un-applied contributions and
+				// re-activated their vertices: go process them.
 				d.coord.report(id, false, 0, 0)
-				if tr != nil {
-					tr.Mark(id, obs.MarkBusy, ts())
-				}
-				ingest(env)
-				break idleWait
-			case <-d.coord.done:
-				return
-			case <-time.After(d.beatEvery):
-				beat()
-				if ended() {
-					return
-				}
-				if crashed() {
-					return
-				}
-				serviceLocal()
-				serviceMem()
-				if !st.active.Empty() {
-					// A rollback notice un-applied contributions and
-					// re-activated their vertices: go process them.
-					d.coord.report(id, false, 0, 0)
-					break idleWait
-				}
+				return false
 			}
 		}
 	}

@@ -43,8 +43,8 @@ func BenchmarkFlushIngest(b *testing.B) {
 	g := benchGraph(b)
 	fs := benchFrags(b, g, 2)
 	pool := &batchPool[float64]{}
-	s0 := newLiveState(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
-	s1 := newLiveState(1, fs[1], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
+	s0 := newWorkerState(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
+	s1 := newWorkerState(1, fs[1], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
 	// Drain the InitialSync payloads so iterations start clean.
 	for j := range s0.out {
 		s0.takeOut(j)

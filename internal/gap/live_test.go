@@ -103,95 +103,9 @@ func TestLiveRejectsBarrierModes(t *testing.T) {
 	}
 }
 
-func TestLiveBSPMatchesSequential(t *testing.T) {
-	g := graph.PowerLaw(graph.GenConfig{N: 2500, M: 20000, Directed: true, Seed: 26, MaxW: 20})
-	want := algorithms.SeqSSSP(g, 0)
-	for _, n := range []int{1, 4, 8} {
-		res, lm, err := RunLiveBSP(frags(t, g, n), algorithms.NewSSSP(), ace.Query{Source: 0}, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, d := range want {
-			if res.Values[v] != d {
-				t.Fatalf("n=%d: dist[%d] = %v, want %v", n, v, res.Values[v], d)
-			}
-		}
-		if lm.Rounds == 0 || res.Metrics.Supersteps != lm.Rounds {
-			t.Fatalf("superstep accounting wrong: %+v vs %+v", lm, res.Metrics)
-		}
-	}
-	// PageRank under live BSP too (non-idempotent aggregation relies on the
-	// exactly-once exchange of the barrier).
-	wantPR := algorithms.SeqPageRank(g, 1e-4)
-	res, _, err := RunLiveBSP(frags(t, g, 6), algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, r := range wantPR {
-		if math.Abs(res.Values[v]-r) > 0.02*(r+1) {
-			t.Fatalf("pr[%d] = %v, want ~%v", v, res.Values[v], r)
-		}
-	}
-}
-
-func TestLiveBSPErrorsAndCaps(t *testing.T) {
-	if _, _, err := RunLiveBSP(nil, algorithms.NewSSSP(), ace.Query{}, 0, nil); err == nil {
-		t.Fatal("want error for no fragments")
-	}
-	// A superstep cap cuts the run short but still returns.
-	g := graph.Chain(50, true)
-	res, lm, err := RunLiveBSP(frags(t, g, 4), algorithms.NewBFS(), ace.Query{Source: 0}, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm.Rounds != 3 {
-		t.Fatalf("cap ignored: %d rounds", lm.Rounds)
-	}
-	_ = res
-}
-
-func TestLiveBSPPullPrograms(t *testing.T) {
-	// Pull-style programs exercise the shared live-state's replica sync
-	// (ctxSet) and dependent re-activation across all DepKinds.
-	g := graph.PowerLaw(graph.GenConfig{N: 900, M: 7000, Directed: true, Seed: 27, MaxW: 9, Labels: 6})
-	fs := frags(t, g, 5)
-	col, _, err := RunLiveBSP(fs, algorithms.NewColor(), ace.Query{}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, c := range algorithms.SeqColor(g) {
-		if col.Values[v] != c {
-			t.Fatalf("color[%d] = %d, want %d", v, col.Values[v], c)
-		}
-	}
-
-	gu := graph.PowerLaw(graph.GenConfig{N: 700, M: 5200, Directed: false, Seed: 28})
-	core, _, err := RunLiveBSP(frags(t, gu, 4), algorithms.NewCore(), ace.Query{}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, c := range algorithms.SeqCore(gu) {
-		if core.Values[v] != c {
-			t.Fatalf("core[%d] = %d, want %d", v, core.Values[v], c)
-		}
-	}
-
-	pat := algorithms.RandomPattern(g, 4, 5, 5)
-	sim, _, err := RunLiveBSP(fs, algorithms.NewSim(), ace.Query{Pattern: pat}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, m := range algorithms.SeqSim(g, pat) {
-		if sim.Values[v] != m {
-			t.Fatalf("sim[%d] = %b, want %b", v, sim.Values[v], m)
-		}
-	}
-}
-
-// TestLivePipelineVariantsAgree: the async and BSP drivers are the two
-// consumers of the one pooled, combining message pipeline; both must reach
-// the sequential fixpoint at every worker count — bit-equal for the
-// min-fold programs, within tolerance for PageRank.
+// TestLivePipelineVariantsAgree: the pooled, combining message pipeline
+// must reach the sequential fixpoint at every worker count — bit-equal for
+// the min-fold programs, within tolerance for PageRank.
 func TestLivePipelineVariantsAgree(t *testing.T) {
 	g := testGraph(true, 15)
 	cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16}
@@ -211,11 +125,6 @@ func TestLivePipelineVariantsAgree(t *testing.T) {
 				t.Fatalf("async n=%d: %v", n, err)
 			}
 			exact(t, "async", res.Values, want)
-			res, _, err = RunLiveBSP(frags(t, g, n), algorithms.NewSSSP(), ace.Query{Source: 0}, 0, nil)
-			if err != nil {
-				t.Fatalf("bsp n=%d: %v", n, err)
-			}
-			exact(t, "bsp", res.Values, want)
 		}
 	})
 	t.Run("bfs_wcc", func(t *testing.T) {
@@ -255,11 +164,6 @@ func TestLivePipelineVariantsAgree(t *testing.T) {
 				t.Fatalf("async n=%d: %v", n, err)
 			}
 			near("async", res.Values)
-			res, _, err = RunLiveBSP(frags(t, g, n), algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, 0, nil)
-			if err != nil {
-				t.Fatalf("bsp n=%d: %v", n, err)
-			}
-			near("bsp", res.Values)
 		}
 	})
 }
@@ -291,6 +195,10 @@ func TestLiveOneWorkerScheduleIgnoresCoreCount(t *testing.T) {
 		}},
 		"bfs": {383, func() (*LiveMetrics, error) {
 			_, lm, err := RunLive(fs, algorithms.NewBFS(), ace.Query{Source: 0}, LiveConfig{Mode: ModeGAP})
+			return lm, err
+		}},
+		"wcc": {400, func() (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewWCC(), ace.Query{}, LiveConfig{Mode: ModeGAP})
 			return lm, err
 		}},
 		"pagerank": {12997, func() (*LiveMetrics, error) {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"argan/internal/ace"
 	"argan/internal/obs"
 )
 
@@ -26,7 +25,7 @@ type liveCtrl struct {
 // liveRestartUnknown marks a worker that died without announcing a restart
 // delay (a heartbeat false positive, or a plan bug). The monitor never
 // respawns such a worker — its goroutine might still be alive, and two
-// goroutines over one liveState would race — so the watchdog handles it.
+// goroutines over one workerState would race — so the watchdog handles it.
 const liveRestartUnknown = -2
 
 func newLiveCtrl(n int) *liveCtrl {
@@ -59,64 +58,6 @@ func (c *liveCtrl) isUnrecoverable() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.unrecoverable
-}
-
-// liveSnap is the fragment-state base of one worker's checkpoint (see
-// localSnap): status variables, program-private aux state, the active set
-// and the un-flushed out-accumulators. In-flight messages are not captured —
-// the senders' logs replay them.
-type liveSnap[V any] struct {
-	psi    []V
-	aux    any
-	active []uint32
-	out    [][]ace.Message[V]
-
-	// Sequence state of the exactly-once layer. Snapshots are taken at a
-	// worker-local safe point; batches sitting in the reorder buffers are
-	// simply dropped — the retained log replays them.
-	sendSeq []uint64
-	cursor  []uint64
-}
-
-func captureLive[V any](st *liveState[V]) liveSnap[V] {
-	s := liveSnap[V]{
-		psi:    append([]V(nil), st.psi...),
-		active: st.active.Snapshot(),
-		out:    make([][]ace.Message[V], len(st.out)),
-	}
-	if cp, ok := any(st.prog).(ace.Checkpointer); ok {
-		s.aux = cp.SnapshotAux()
-	}
-	for j := range st.out {
-		s.out[j] = append([]ace.Message[V](nil), st.out[j].msgs...)
-	}
-	if rs := st.rs; rs != nil {
-		s.sendSeq = append([]uint64(nil), rs.sendSeq...)
-		s.cursor = append([]uint64(nil), rs.cursor...)
-	}
-	return s
-}
-
-// restoreLive rolls st back to the snapshot in place: the ACE context
-// closes over the psi slice, so values are copied into it rather than the
-// slice being replaced. Safe to call repeatedly with the same snapshot.
-func restoreLive[V any](st *liveState[V], s *liveSnap[V]) {
-	copy(st.psi, s.psi)
-	if cp, ok := any(st.prog).(ace.Checkpointer); ok {
-		cp.RestoreAux(s.aux)
-	}
-	st.active.Reset(s.active)
-	for j := range st.out {
-		st.restoreOut(j, s.out[j])
-	}
-	if rs := st.rs; rs != nil && s.sendSeq != nil {
-		copy(rs.sendSeq, s.sendSeq)
-		copy(rs.cursor, s.cursor)
-		for i := range rs.robuf {
-			rs.robuf[i] = nil
-		}
-		rs.resetBuf()
-	}
 }
 
 // monitor is the coordinator-side control loop: heartbeat failure

@@ -83,7 +83,7 @@ type rollEntry struct {
 }
 
 // recoverState is one worker's half of the exactly-once / localized-recovery
-// protocol. It is owned by whoever owns the liveState (the worker goroutine,
+// protocol. It is owned by whoever owns the workerState (the worker goroutine,
 // or the monitor during a restore).
 type recoverState[V any] struct {
 	myInc   int32    // this worker's current incarnation (stamped on sends)
@@ -156,7 +156,7 @@ func (rs *recoverState[V]) boundLimit(s int, inc int32) uint64 {
 // applyFrom is h_in for one sequenced batch: aggregate every message,
 // re-activate dependents, and (when inverting) record the applied
 // contributions under the batch's sequence number.
-func (st *liveState[V]) applyFrom(s int, seq uint64, msgs []ace.Message[V]) {
+func (st *workerState[V]) applyFrom(s int, seq uint64, msgs []ace.Message[V]) {
 	rs := st.rs
 	var hits []undoHit[V]
 	for _, m := range msgs {
@@ -172,13 +172,7 @@ func (st *liveState[V]) applyFrom(s int, seq uint64, msgs []ace.Message[V]) {
 			hits = append(hits, undoHit[V]{local: lv, val: m.Val})
 		}
 		st.psi[lv] = nv
-		if st.deps == ace.DepSelf {
-			if st.frag.IsOwned(lv) {
-				st.active.Push(lv)
-			}
-		} else {
-			st.activateDeps(lv)
-		}
+		st.wake(lv)
 	}
 	if rs.undo != nil && len(hits) > 0 {
 		rs.undo[s] = append(rs.undo[s], undoRec[V]{seq: seq, hits: hits})
@@ -190,7 +184,7 @@ func (st *liveState[V]) applyFrom(s int, seq uint64, msgs []ace.Message[V]) {
 // applied (draining any buffered successors). The caller has already counted
 // the envelope as received — the termination ledger counts transport
 // deliveries, not applications.
-func (st *liveState[V]) seqIngest(env liveEnvelope[V]) {
+func (st *workerState[V]) seqIngest(env liveEnvelope[V]) {
 	rs := st.rs
 	s := int(env.from)
 	recycle := st.pool.put
@@ -245,7 +239,7 @@ func (st *liveState[V]) seqIngest(env liveEnvelope[V]) {
 // (inverting programs), and lower the cursor to the stable cut so the
 // restarted sender's re-derived stream is accepted. Idempotent per (sender,
 // inc) — a restore may re-deliver a notice the snapshot already processed.
-func (st *liveState[V]) rollbackSender(s int, inc int32, stable uint64) {
+func (st *workerState[V]) rollbackSender(s int, inc int32, stable uint64) {
 	rs := st.rs
 	if rs.expInc[s] >= inc {
 		return
@@ -267,13 +261,7 @@ func (st *liveState[V]) rollbackSender(s int, inc int32, stable uint64) {
 			}
 			for _, h := range rec.hits {
 				st.psi[h.local] = rs.invert(st.psi[h.local], h.val)
-				if st.deps == ace.DepSelf {
-					if st.frag.IsOwned(h.local) {
-						st.active.Push(h.local)
-					}
-				} else {
-					st.activateDeps(h.local)
-				}
+				st.wake(h.local)
 			}
 		}
 		rs.undo[s] = keep
@@ -558,14 +546,20 @@ func (l *msgLog[V]) size() int {
 }
 
 // localSnap is one worker's uncoordinated checkpoint: the fragment snapshot
-// (including sequence state) plus the receive-side protocol state needed to
-// repair it against rollbacks that happen after it was taken.
+// and its sequence state, plus the receive-side protocol state needed to
+// repair it against rollbacks that happen after it was taken. In-flight
+// messages are not captured — the senders' logs replay them.
 type localSnap[V any] struct {
-	valid  bool
-	base   liveSnap[V]
-	expInc []int32
-	bounds [][]incBound
-	undo   [][]undoRec[V]
+	valid bool
+	base  stateSnap[V]
+	// Sequence state of the exactly-once layer. Snapshots are taken at a
+	// worker-local safe point; batches sitting in the reorder buffers are
+	// simply dropped — the retained log replays them.
+	sendSeq []uint64
+	cursor  []uint64
+	expInc  []int32
+	bounds  [][]incBound
+	undo    [][]undoRec[V]
 	// page holds the bulky snapshot parts when they were paged to the spill
 	// tier at checkpoint time (base.psi/active/out are then nil); restores
 	// materialize it back without consuming it.
@@ -576,7 +570,7 @@ type localSnap[V any] struct {
 // park) and publishes it together with the stable cursors that let peers
 // prune their logs. Called only from the worker's own safe points, so the
 // state is quiescent: no half-applied batch, no half-flushed accumulator.
-func (d *liveDriver[V]) takeLocalCkpt(st *liveState[V]) {
+func (d *liveDriver[V]) takeLocalCkpt(st *workerState[V]) {
 	id := st.id
 	rs := st.rs
 	n := d.n
@@ -599,10 +593,12 @@ func (d *liveDriver[V]) takeLocalCkpt(st *liveState[V]) {
 		}
 	}
 	snap := localSnap[V]{
-		valid:  true,
-		base:   captureLive(st),
-		expInc: append([]int32(nil), rs.expInc...),
-		bounds: make([][]incBound, n),
+		valid:   true,
+		base:    st.capture(),
+		sendSeq: append([]uint64(nil), rs.sendSeq...),
+		cursor:  append([]uint64(nil), rs.cursor...),
+		expInc:  append([]int32(nil), rs.expInc...),
+		bounds:  make([][]incBound, n),
 	}
 	for s := 0; s < n; s++ {
 		snap.bounds[s] = append([]incBound(nil), rs.bounds[s]...)
@@ -682,7 +678,7 @@ func (d *liveDriver[V]) pruneLog(sender int) {
 // acks them. Returns the number processed. Callable from any of the worker's
 // safe points, including the send retry loop (a survivor blocked on a dead
 // peer's full mailbox must still ack, or recovery would deadlock).
-func (d *liveDriver[V]) drainNotices(st *liveState[V]) int {
+func (d *liveDriver[V]) drainNotices(st *workerState[V]) int {
 	id := st.id
 	if !d.noticeFlag[id].Load() {
 		return 0
@@ -825,7 +821,13 @@ func (d *liveDriver[V]) restoreLocal(w int) bool {
 			return false
 		}
 	}
-	restoreLive(st, &snap.base)
+	st.restore(&snap.base)
+	copy(rs.sendSeq, snap.sendSeq)
+	copy(rs.cursor, snap.cursor)
+	for i := range rs.robuf {
+		rs.robuf[i] = nil
+	}
+	rs.resetBuf()
 	copy(rs.expInc, snap.expInc)
 	for s := 0; s < d.n; s++ {
 		rs.bounds[s] = append(rs.bounds[s][:0], snap.bounds[s]...)

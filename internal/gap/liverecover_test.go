@@ -16,14 +16,14 @@ import (
 
 // --- exactly-once layer unit tests -----------------------------------------
 
-// recTestState builds a two-worker liveState for worker 0 with the sequence
+// recTestState builds a two-worker workerState for worker 0 with the sequence
 // layer attached (PageRank: non-idempotent sum aggregation, invertible).
-func recTestState(t *testing.T) (*liveState[float64], uint32) {
+func recTestState(t *testing.T) (*workerState[float64], uint32) {
 	t.Helper()
 	g := testGraph(true, 11)
 	fs := frags(t, g, 2)
 	prog := algorithms.NewPageRank()()
-	st := newLiveState(0, fs[0], prog, ace.Query{Eps: 1e-3}, &batchPool[float64]{})
+	st := newWorkerState(0, fs[0], prog, ace.Query{Eps: 1e-3}, &batchPool[float64]{})
 	st.rs = newRecoverState[float64](2, ace.AlgebraOf(prog).Invert)
 	lv, ok := st.frag.Local(fs[0].Global(0))
 	if !ok {

@@ -90,7 +90,7 @@ type snapPage struct {
 }
 
 // spillSnap pages the bulky parts of base out and nils them in place.
-func spillSnap[V any](sp *mem.Spiller, base *liveSnap[V]) (*snapPage, error) {
+func spillSnap[V any](sp *mem.Spiller, base *stateSnap[V]) (*snapPage, error) {
 	var buf bytes.Buffer
 	if err := graph.WriteLE(&buf, base.psi); err != nil {
 		return nil, err
@@ -119,7 +119,7 @@ func spillSnap[V any](sp *mem.Spiller, base *liveSnap[V]) (*snapPage, error) {
 
 // unspillSnap materializes a paged checkpoint back into base. The page
 // itself stays valid — restores do not consume it.
-func unspillSnap[V any](pg *snapPage, base *liveSnap[V]) error {
+func unspillSnap[V any](pg *snapPage, base *stateSnap[V]) error {
 	p := make([]byte, pg.size)
 	if err := pg.sp.ReadAt(p, pg.off); err != nil {
 		return err
@@ -148,7 +148,7 @@ func unspillSnap[V any](pg *snapPage, base *liveSnap[V]) error {
 
 // snapResidentBytes estimates the RAM held by the bulky parts of a resident
 // snapshot (the parts spillSnap would page out).
-func snapResidentBytes[V any](base *liveSnap[V], vSize, wire int64) int64 {
+func snapResidentBytes[V any](base *stateSnap[V], vSize, wire int64) int64 {
 	b := int64(len(base.psi))*vSize + int64(len(base.active))*4
 	for _, out := range base.out {
 		b += int64(len(out)) * wire

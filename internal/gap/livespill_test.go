@@ -111,7 +111,7 @@ func TestSnapPageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := liveSnap[float64]{
+	base := stateSnap[float64]{
 		psi:    []float64{1.5, 2.5, 3.5},
 		active: []uint32{7, 9},
 		out: [][]ace.Message[float64]{
@@ -119,7 +119,7 @@ func TestSnapPageRoundTrip(t *testing.T) {
 			nil,
 		},
 	}
-	want := liveSnap[float64]{
+	want := stateSnap[float64]{
 		psi:    append([]float64(nil), base.psi...),
 		active: append([]uint32(nil), base.active...),
 		out: [][]ace.Message[float64]{
@@ -135,7 +135,7 @@ func TestSnapPageRoundTrip(t *testing.T) {
 		t.Fatal("spillSnap must nil the paged fields")
 	}
 	for round := 0; round < 2; round++ {
-		var got liveSnap[float64]
+		var got stateSnap[float64]
 		if err := unspillSnap(pg, &got); err != nil {
 			t.Fatalf("unspillSnap round %d: %v", round, err)
 		}

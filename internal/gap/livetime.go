@@ -2,13 +2,16 @@ package gap
 
 import (
 	"errors"
-	"sync"
 	"time"
 )
 
 var errNoFragments = errors.New("gap: no fragments")
 
-type waitGroup = sync.WaitGroup
-
 func timeNow() time.Time                  { return time.Now() }
 func timeSince(t time.Time) time.Duration { return time.Since(t) }
+
+// Indirections shared by the live driver (kept tiny so tests can stub time).
+var (
+	nowFn   = timeNow
+	sinceFn = timeSince
+)

@@ -18,7 +18,7 @@ type Result[V any] struct {
 	// Psi holds the raw converged status variables Ψ per global vertex —
 	// distinct from Values for programs whose Output transforms Ψ (Δ-PR
 	// leaves residual parked deltas there). Incremental warm starts need Ψ,
-	// not the output view. Filled by the live drivers; nil under RunSim.
+	// not the output view. Filled by RunLive; nil under RunSim.
 	Psi []V
 	// Metrics is the accounting used by the experiments.
 	Metrics Metrics
@@ -104,9 +104,7 @@ func RunSimTruth[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Q
 			m.TwSamples = append(m.TwSamples, w.tuner.Samples()...)
 			m.EtaHistory = append(m.EtaHistory, w.tuner.EtaHistory())
 		}
-		for l := uint32(0); int(l) < w.frag.NumOwned(); l++ {
-			res.Values[w.frag.Global(l)] = w.prog.Output(w.ctx, l)
-		}
+		w.outputs(res.Values)
 	}
 	m.finalize()
 	return res, nil
@@ -196,33 +194,11 @@ const (
 	prioResume  = 1
 )
 
-// outPeer is one B⁻_{i,j}: messages aggregated per target vertex.
-type outPeer[V any] struct {
-	msgs  []ace.Message[V]
-	index map[graph.VID]int
-	bytes int
-}
-
-func (o *outPeer[V]) reset() {
-	o.msgs = o.msgs[:0]
-	o.bytes = 0
-	for k := range o.index {
-		delete(o.index, k)
-	}
-}
-
+// simWorker is one worker of the virtual-time run: the shared ACE state plus
+// the sim's clock, B⁺ and granularity control.
 type simWorker[V any] struct {
-	s    *sim[V]
-	id   int
-	frag *graph.Fragment
-	prog ace.Program[V]
-	q    ace.Query
-	deps ace.DepKind
-	cat  ace.Category
-
-	psi    []V
-	ctx    *ace.Ctx[V]
-	active *ace.ActiveSet
+	workerState[V]
+	s *sim[V]
 
 	// B⁺: accumulated incoming messages.
 	inBuf     []ace.Message[V]
@@ -230,10 +206,11 @@ type simWorker[V any] struct {
 	inLast    float64 // arrival time of the newest pending message
 	inBatches int
 
-	// B⁻_j per peer.
-	out     []outPeer[V]
-	touched []int // peers that received messages during the current update
-	touchfl []bool
+	// Wire bytes buffered in B⁻_j per peer, and the peers that received
+	// messages during the current update (R1 rechecks only those).
+	outBytes []int
+	touched  []int
+	touchfl  []bool
 
 	eta   float64
 	tuner *adapt.Tuner[V]
@@ -273,9 +250,7 @@ type simWorker[V any] struct {
 	roundOpen  bool
 	updEmitted int64
 
-	// Staleness bookkeeping.
-	vcost  []float64 // Category II streak costs
-	stale2 float64
+	// Staleness bookkeeping beside the state's Category II streaks.
 	sumC   []float64 // Category III accumulators
 	cumD   []float64
 	sumCxD []float64
@@ -285,36 +260,20 @@ type simWorker[V any] struct {
 
 func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[V], q ace.Query, truth []V) *simWorker[V] {
 	w := &simWorker[V]{
-		s: s, id: id, frag: f, prog: prog, q: q,
-		deps: prog.Deps(), cat: prog.Category(),
-		inFirst: -1,
-		out:     make([]outPeer[V], f.NumWorkers()),
-		touchfl: make([]bool, f.NumWorkers()),
-		r1Next:  make([]float64, f.NumWorkers()),
-		eta:     s.cfg.Eta0,
-		slow:    1,
-		truth:   truth,
-		tr:      s.cfg.Tracer,
+		s:        s,
+		inFirst:  -1,
+		outBytes: make([]int, f.NumWorkers()),
+		touchfl:  make([]bool, f.NumWorkers()),
+		r1Next:   make([]float64, f.NumWorkers()),
+		eta:      s.cfg.Eta0,
+		slow:     1,
+		truth:    truth,
+		tr:       s.cfg.Tracer,
 	}
 	if s.cfg.SlowFactor != nil && id < len(s.cfg.SlowFactor) && s.cfg.SlowFactor[id] > 0 {
 		w.slow = s.cfg.SlowFactor[id]
 	}
-	for j := range w.out {
-		w.out[j].index = map[graph.VID]int{}
-	}
-
-	prog.Setup(f, q)
-	w.psi = make([]V, f.NumLocal())
-	w.active = ace.ActiveSetOf(prog, w.psi, f.NumOwned())
-	w.ctx = ace.NewCtx(f, w.psi, w.ctxSet, w.ctxSend, w.ctxActivate)
-	for l := uint32(0); int(l) < f.NumLocal(); l++ {
-		v, act := prog.InitValue(f, l, q)
-		w.psi[l] = v
-		if act && f.IsOwned(l) {
-			w.active.Push(l)
-		}
-	}
-	switch w.cat {
+	switch prog.Category() {
 	case ace.CategoryII:
 		w.vcost = make([]float64, f.NumOwned())
 	case ace.CategoryIII:
@@ -331,25 +290,15 @@ func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[
 		w.aapDelay = 2 * s.cfg.Net.Model.Alpha
 	}
 
-	if is, ok := any(prog).(ace.InitialSyncer); ok && is.InitialSync() {
-		for l := uint32(0); int(l) < f.NumOwned(); l++ {
-			g := f.Global(l)
-			for _, r := range f.ReplicasOut(l) {
-				w.enqueueOut(int(r), g, w.psi[l])
-			}
-			if f.Directed() && w.deps != ace.DepIn && w.deps != ace.DepSelf {
-				for _, r := range f.ReplicasIn(l) {
-					if !w.sentTo(f.ReplicasOut(l), r) {
-						w.enqueueOut(int(r), g, w.psi[l])
-					}
-				}
-			}
-		}
-		for j := range w.touchfl {
-			w.touchfl[j] = false
-		}
-		w.touched = w.touched[:0]
+	// A nil pool: delivered batches are never recycled, so the flight
+	// registry can re-ship them on rollback.
+	w.onEnqueue = w.countOut
+	w.init(id, f, prog, q, nil)
+	// InitialSync traffic is not an update's: R1 starts with no touched peer.
+	for j := range w.touchfl {
+		w.touchfl[j] = false
 	}
+	w.touched = w.touched[:0]
 
 	if s.cfg.Mode == ModeGAP && s.cfg.Adapt != adapt.PolicyFixed {
 		tcfg := adapt.DefaultConfig(w.cat, func(b int) float64 { return s.cfg.Net.Model.TB(b) })
@@ -388,134 +337,12 @@ func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[
 	return w
 }
 
-// --- ctx callbacks -------------------------------------------------------
-
-// noteChange records that the observable value of an owned vertex changed:
-// the cost streak accumulated under the previous value was stale work
-// (Category II accounting; the streak is also the AAP delay sketch's
-// staleness signal).
-func (w *simWorker[V]) noteChange(local uint32) {
-	if w.vcost != nil && w.frag.IsOwned(local) {
-		w.stale2 += w.vcost[local]
-		w.vcost[local] = 0
-	}
-}
-
-func (w *simWorker[V]) ctxSet(local uint32, val V) {
-	old := w.psi[local]
-	w.psi[local] = val
-	if w.prog.Equal(old, val) {
-		return
-	}
-	if w.deps != ace.DepSelf {
-		// For pull programs the status variable is the observable value.
-		w.noteChange(local)
-	}
-	if w.deps == ace.DepSelf {
-		// Push-style programs propagate explicitly via Send; Set only
-		// stores the local state.
-		return
-	}
-	g := w.frag.Global(local)
-	switch w.deps {
-	case ace.DepOut:
-		for _, r := range w.frag.ReplicasIn(local) {
-			w.enqueueOut(int(r), g, val)
-		}
-	case ace.DepBoth:
-		for _, r := range w.frag.ReplicasOut(local) {
-			w.enqueueOut(int(r), g, val)
-		}
-		for _, r := range w.frag.ReplicasIn(local) {
-			if !w.sentTo(w.frag.ReplicasOut(local), r) {
-				w.enqueueOut(int(r), g, val)
-			}
-		}
-	default:
-		for _, r := range w.frag.ReplicasOut(local) {
-			w.enqueueOut(int(r), g, val)
-		}
-	}
-	w.activateDependents(local)
-}
-
-// sentTo reports whether worker r appears in the sorted replica list.
-func (w *simWorker[V]) sentTo(reps []uint16, r uint16) bool {
-	for _, x := range reps {
-		if x == r {
-			return true
-		}
-		if x > r {
-			return false
-		}
-	}
-	return false
-}
-
-func (w *simWorker[V]) activateDependents(local uint32) {
-	switch w.deps {
-	case ace.DepOut:
-		for _, u := range w.frag.InNeighbors(local) {
-			if w.frag.IsOwned(u) {
-				w.active.Push(u)
-			}
-		}
-	case ace.DepBoth:
-		for _, u := range w.frag.InNeighbors(local) {
-			if w.frag.IsOwned(u) {
-				w.active.Push(u)
-			}
-		}
-		for _, u := range w.frag.OutNeighbors(local) {
-			if w.frag.IsOwned(u) {
-				w.active.Push(u)
-			}
-		}
-	default:
-		for _, u := range w.frag.OutNeighbors(local) {
-			if w.frag.IsOwned(u) {
-				w.active.Push(u)
-			}
-		}
-	}
-}
-
-func (w *simWorker[V]) ctxSend(local uint32, d V) {
-	if w.frag.IsOwned(local) {
-		nv, ch := w.prog.Aggregate(w.psi[local], d)
-		if ch {
-			w.psi[local] = nv
-			if w.cat == ace.CategoryII {
-				w.noteChange(local)
-			}
-			w.active.Push(local)
-		}
-		return
-	}
-	g := w.frag.Global(local)
-	w.enqueueOut(w.frag.OwnerOf(g), g, d)
-}
-
-func (w *simWorker[V]) ctxActivate(local uint32) {
-	if w.frag.IsOwned(local) {
-		w.active.Push(local)
-	}
-}
-
-func (w *simWorker[V]) enqueueOut(peer int, g graph.VID, val V) {
-	o := &w.out[peer]
-	oldBytes := o.bytes
-	if i, ok := o.index[g]; ok {
-		agg, _ := w.prog.Aggregate(o.msgs[i].Val, val)
-		o.bytes += w.prog.Size(agg) - w.prog.Size(o.msgs[i].Val)
-		o.msgs[i].Val = agg
-	} else {
-		o.index[g] = len(o.msgs)
-		o.msgs = append(o.msgs, ace.Message[V]{V: g, Val: val})
-		o.bytes += 4 + w.prog.Size(val)
-	}
-	if d := o.bytes - oldBytes; d > 0 && w.tuner != nil {
-		w.tuner.RecordBytes(peer, w.now, d)
+// countOut is the sim's enqueue hook: B⁻ byte accounting, the tuner's
+// send-volume record and R1's touched-peer list.
+func (w *simWorker[V]) countOut(peer, dBytes int) {
+	w.outBytes[peer] += dBytes
+	if dBytes > 0 && w.tuner != nil {
+		w.tuner.RecordBytes(peer, w.now, dBytes)
 	}
 	if !w.touchfl[peer] {
 		w.touchfl[peer] = true
@@ -594,27 +421,7 @@ func (w *simWorker[V]) hin(newRound bool) {
 	c := w.s.cfg.Net.Model.RecvCost(w.inBatches, len(w.inBuf)) * w.slow
 	w.now += c
 	w.metrics.Tc += c
-	for _, m := range w.inBuf {
-		lv, ok := w.frag.Local(m.V)
-		if !ok {
-			continue
-		}
-		nv, ch := w.prog.Aggregate(w.psi[lv], m.Val)
-		if !ch {
-			continue
-		}
-		w.psi[lv] = nv
-		if w.deps == ace.DepSelf {
-			if w.frag.IsOwned(lv) {
-				if w.cat == ace.CategoryII {
-					w.noteChange(lv)
-				}
-				w.active.Push(lv)
-			}
-		} else {
-			w.activateDependents(lv)
-		}
-	}
+	w.ingest(w.inBuf)
 	w.inBuf = w.inBuf[:0]
 	w.inBatches = 0
 	w.inFirst = -1
@@ -633,30 +440,27 @@ func (w *simWorker[V]) hin(newRound bool) {
 // flush sends B⁻_{i,j} as one batch M_{i,j} (h_out), charging the
 // sender-side cost and scheduling the delivery.
 func (w *simWorker[V]) flush(peer int) {
-	o := &w.out[peer]
-	if len(o.msgs) == 0 {
+	batch := w.takeOut(peer)
+	if batch == nil {
 		return
 	}
+	bytes := w.outBytes[peer]
+	w.outBytes[peer] = 0
 	if w.tr != nil {
 		w.tr.SpanBegin(w.id, obs.PhaseHout, w.now)
 	}
-	c := w.s.cfg.Net.Model.SendCost(len(o.msgs)) * w.slow
+	c := w.s.cfg.Net.Model.SendCost(len(batch)) * w.slow
 	w.now += c
 	w.metrics.Tc += c
 	w.metrics.Flushes++
-	w.metrics.MsgsSent += int64(len(o.msgs))
-	w.metrics.BytesSent += int64(o.bytes)
+	w.metrics.MsgsSent += int64(len(batch))
+	w.metrics.BytesSent += int64(bytes)
 	if w.tr != nil {
-		w.tr.Count(w.id, obs.CounterMsgsSent, w.now, int64(len(o.msgs)))
-		w.tr.Count(w.id, obs.CounterBytesSent, w.now, int64(o.bytes))
+		w.tr.Count(w.id, obs.CounterMsgsSent, w.now, int64(len(batch)))
+		w.tr.Count(w.id, obs.CounterBytesSent, w.now, int64(bytes))
 		w.tr.Count(w.id, obs.CounterFlushes, w.now, 1)
 		w.tr.SpanEnd(w.id, obs.PhaseHout, w.now)
 	}
-
-	batch := make([]ace.Message[V], len(o.msgs))
-	copy(batch, o.msgs)
-	bytes := o.bytes
-	o.reset()
 
 	if w.s.barrier {
 		w.s.coord.hold(w.id, peer, batch, bytes)
@@ -1040,20 +844,14 @@ type coordinator[V any] struct {
 	arrivals   int
 	stepStart  float64
 	sumArrive  float64
-	held       []heldBatch[V]
+	held       []ace.Batch[V]
 	supersteps int64
 	waitHits   int
 	firstVol   int // message volume of the first superstep
 }
 
-type heldBatch[V any] struct {
-	from, to int
-	msgs     []ace.Message[V]
-	bytes    int
-}
-
 func (c *coordinator[V]) hold(from, to int, msgs []ace.Message[V], bytes int) {
-	c.held = append(c.held, heldBatch[V]{from, to, msgs, bytes})
+	c.held = append(c.held, ace.Batch[V]{From: from, To: to, Msgs: msgs, Bytes: bytes})
 }
 
 func (c *coordinator[V]) arrive(w *simWorker[V], t float64) {
@@ -1102,9 +900,9 @@ func (c *coordinator[V]) arrive(w *simWorker[V], t float64) {
 	// worker at its last arrival.
 	lastAt := map[int]float64{}
 	for _, b := range batches {
-		at := c.s.ship(b.from, b.to, b.msgs, b.bytes, t)
-		if at > lastAt[b.to] {
-			lastAt[b.to] = at
+		at := c.s.ship(b.From, b.To, b.Msgs, b.Bytes, t)
+		if at > lastAt[b.To] {
+			lastAt[b.To] = at
 		}
 	}
 	for to := range c.s.workers {
@@ -1133,9 +931,9 @@ func (c *coordinator[V]) arrive(w *simWorker[V], t float64) {
 	c.stepStart = t
 }
 
-func (c *coordinator[V]) release(batches []heldBatch[V], t float64) {
+func (c *coordinator[V]) release(batches []ace.Batch[V], t float64) {
 	for _, b := range batches {
-		c.s.ship(b.from, b.to, b.msgs, b.bytes, t)
+		c.s.ship(b.From, b.To, b.Msgs, b.Bytes, t)
 	}
 }
 
@@ -1152,7 +950,7 @@ func (c *coordinator[V]) maybeSwitch(t float64) {
 	}
 	vol := 0
 	for _, b := range c.held {
-		vol += len(b.msgs)
+		vol += len(b.Msgs)
 	}
 	if c.supersteps == 1 || vol > c.firstVol {
 		c.firstVol = vol

@@ -62,20 +62,13 @@ type flight[V any] struct {
 // state stay monotone across a rollback (work done in a doomed epoch was
 // really done — it is exactly the cost a fault adds).
 type workerSnap[V any] struct {
-	psi             []V
-	aux             any
-	active          []uint32
+	stateSnap[V]
+	outBytes        []int
 	inBuf           []ace.Message[V]
 	inFirst, inLast float64
 	inBatches       int
-	out             []outSnap[V]
 	eta             float64
 	idle            bool
-}
-
-type outSnap[V any] struct {
-	msgs  []ace.Message[V]
-	bytes int
 }
 
 // clusterSnap is a globally consistent snapshot at virtual time t.
@@ -278,21 +271,13 @@ func (ft *simFT[V]) takeSnapshot(t float64, charge bool) float64 {
 	maxCost := 0.0
 	for i, w := range s.workers {
 		ws := &snap.workers[i]
-		ws.psi = append([]V(nil), w.psi...)
-		if cp, ok := any(w.prog).(ace.Checkpointer); ok {
-			ws.aux = cp.SnapshotAux()
-		}
-		ws.active = w.active.Snapshot()
+		ws.stateSnap = w.capture()
+		ws.outBytes = append([]int(nil), w.outBytes...)
 		ws.inBuf = append([]ace.Message[V](nil), w.inBuf...)
 		ws.inFirst, ws.inLast, ws.inBatches = w.inFirst, w.inLast, w.inBatches
-		ws.out = make([]outSnap[V], len(w.out))
 		bytes := 0
-		for j := range w.out {
-			ws.out[j] = outSnap[V]{
-				msgs:  append([]ace.Message[V](nil), w.out[j].msgs...),
-				bytes: w.out[j].bytes,
-			}
-			bytes += w.out[j].bytes
+		for _, b := range w.outBytes {
+			bytes += b
 		}
 		ws.eta = w.eta
 		ws.idle = w.idle
@@ -351,22 +336,10 @@ func (ft *simFT[V]) rollback(t float64) {
 	// Restore workers.
 	for i, w := range s.workers {
 		ws := &snap.workers[i]
-		copy(w.psi, ws.psi) // in place: w.ctx closed over this slice
-		if cp, ok := any(w.prog).(ace.Checkpointer); ok && ws.aux != nil {
-			cp.RestoreAux(ws.aux)
-		}
-		w.active.Reset(ws.active)
+		w.restore(&ws.stateSnap)
+		copy(w.outBytes, ws.outBytes)
 		w.inBuf = append(w.inBuf[:0], ws.inBuf...)
 		w.inFirst, w.inLast, w.inBatches = ws.inFirst, ws.inLast, ws.inBatches
-		for j := range w.out {
-			o := &w.out[j]
-			o.reset()
-			o.msgs = append(o.msgs, ws.out[j].msgs...)
-			o.bytes = ws.out[j].bytes
-			for k, m := range o.msgs {
-				o.index[m.V] = k
-			}
-		}
 		w.touched = w.touched[:0]
 		for j := range w.touchfl {
 			w.touchfl[j] = false

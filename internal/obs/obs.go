@@ -26,8 +26,6 @@ const (
 	PhaseHout
 	// PhaseAdjust is one granularity adjustment (Algorithm 2 phase 2).
 	PhaseAdjust
-	// PhaseSuperstep is one superstep of the live BSP driver.
-	PhaseSuperstep
 	// PhaseRecovery spans a fault recovery: from failure detection to the
 	// crashed worker's restart (rollback + state restore + replay).
 	PhaseRecovery
@@ -57,8 +55,6 @@ func (p Phase) String() string {
 		return "h_out"
 	case PhaseAdjust:
 		return "Adjust"
-	case PhaseSuperstep:
-		return "superstep"
 	case PhaseRecovery:
 		return "recovery"
 	case PhaseCheckpoint:
