@@ -55,16 +55,7 @@ var liveApps = []interface{ name() string }{
 	},
 	&LiveApp[int32]{
 		Name: "bfs", Factory: NewBFS(), TakesSource: true,
-		Ref: func(g *graph.Graph, q ace.Query) []int32 {
-			// SeqBFS marks unreachable -1; the engine leaves InitValue's bfsInf.
-			hops := SeqBFS(g, q.Source)
-			for v, h := range hops {
-				if h < 0 {
-					hops[v] = bfsInf
-				}
-			}
-			return hops
-		},
+		Ref:   func(g *graph.Graph, q ace.Query) []int32 { return seqHops(g, q.Source) },
 		Equal: exact[int32],
 		Warm: func(oldG, newG *graph.Graph, touched []graph.VID, _, hops []int32, q ace.Query) *ace.WarmState[int32] {
 			return WarmBFS(oldG, newG, touched, hops, q.Source)

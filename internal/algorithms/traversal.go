@@ -32,6 +32,18 @@ func SeqBFS(g *graph.Graph, src graph.VID) []int32 {
 
 const bfsInf = int32(math.MaxInt32)
 
+// seqHops is SeqBFS in the BFS program's value domain: SeqBFS marks an
+// unreachable vertex -1, the engine leaves InitValue's bfsInf.
+func seqHops(g *graph.Graph, src graph.VID) []int32 {
+	hops := SeqBFS(g, src)
+	for v, h := range hops {
+		if h < 0 {
+			hops[v] = bfsInf
+		}
+	}
+	return hops
+}
+
 // BFS is breadth-first search as an ACE program: SSSP with unit weights over
 // int32 hop counts. Category II.
 type BFS struct {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"argan/internal/graph"
@@ -62,6 +63,14 @@ func (s *Service) Mutate(dataset string, req MutateRequest) (*MutateResult, erro
 	b := graph.MutationBatch{Inserts: req.Inserts, Deletes: req.Deletes}
 	if b.Empty() {
 		return nil, fmt.Errorf("empty mutation batch")
+	}
+	// Every app assumes non-negative finite weights: on a negative cycle the
+	// SSSP reference and engine never settle. Refused before the WAL sees
+	// the batch; replay stays permissive so older logs still open.
+	for _, e := range b.Inserts {
+		if !(e.W >= 0) || math.IsInf(e.W, 1) {
+			return nil, fmt.Errorf("insert (%d,%d): weight %v is not finite and non-negative", e.Src, e.Dst, e.W)
+		}
 	}
 	s.mu.Lock()
 	if s.draining {

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -158,6 +159,31 @@ func TestMutateGuards(t *testing.T) {
 	s.Drain(time.Second)
 	if _, err := s.Mutate("HW", MutateRequest{Scale: 0.02, Inserts: ins}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining mutate: %v", err)
+	}
+}
+
+// TestMutateRejectsBadWeights: a negative, NaN or infinite insert weight
+// is refused whole before it reaches the dataset, so no SSSP job can meet a
+// negative cycle (on one, the sequential reference never returns).
+func TestMutateRejectsBadWeights(t *testing.T) {
+	s := New(Config{Cores: 2})
+	if err := s.Preload("HW", 0.02, 2); err != nil {
+		t.Fatalf("preload: %v", err)
+	}
+	runVerified(t, s, "sssp")
+	for _, w := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := s.Mutate("HW", MutateRequest{Scale: 0.02, Inserts: []graph.Edge{
+			{Src: 1, Dst: 40, W: w}, {Src: 40, Dst: 1, W: w},
+		}})
+		if err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+	}
+	if p, _ := s.data.pin("HW", 0.02, 2); p.version != 0 {
+		t.Fatalf("refused mutations bumped the version to %d", p.version)
+	}
+	if res := runVerified(t, s, "sssp"); res.Version != 0 {
+		t.Fatalf("sssp after refused mutations ran at version %d", res.Version)
 	}
 }
 
