@@ -170,8 +170,9 @@ func (c *Ctx[V]) Psi() []V { return c.psi }
 // and re-activates dependents according to the program's DepKind.
 func (c *Ctx[V]) Set(local uint32, v V) { c.set(local, v) }
 
-// Send scatters a delta toward a vertex (DepSelf programs): local targets
-// are aggregated immediately, ghost targets are buffered for their owner.
+// Send scatters a delta toward a vertex (DepSelf programs), aggregating it
+// into the target's status variable at once: an owned target is activated,
+// a ghost's is the out-buffer toward its owner (see Algebra).
 func (c *Ctx[V]) Send(local uint32, d V) { c.send(local, d) }
 
 // Activate re-inserts an owned vertex into the active set H.

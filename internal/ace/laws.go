@@ -46,18 +46,21 @@ func AccumulationLaws() Laws {
 func ReplacementLaws() Laws { return Laws{Idempotent: true} }
 
 // Algebra is a program's one declaration of its aggregate function: the
-// laws g_aggr satisfies plus, where they exist, its pure and inverse forms.
-// The runtime trusts this value — message combining, replay tolerance,
-// retraction and incrementability are all derived from it — and CheckLaws
-// property-tests the same value, so what the driver relies on is what the
-// tests check.
+// laws g_aggr satisfies plus, where it exists, its inverse. The runtime
+// trusts this value — the out-buffer rule, replay tolerance, retraction and
+// incrementability are all derived from it — and CheckLaws property-tests
+// the same value, so what the driver relies on is what the tests check.
+//
+// Outgoing messages are folded by Aggregate itself: a ghost's status
+// variable is its owner's out-buffer. Under a ReplayTolerant algebra the
+// ghost keeps its value across flushes as a cache of what its owner has been
+// sent, so a send that does not change it is dropped at the sender; this
+// requires the ghost's InitValue to be no better than any value its owner
+// can hold. Under any other algebra a ghost restarts from its InitValue at
+// every flush, so each flush ships the fold of one window's sends into the
+// InitValue, which should be Aggregate's identity.
 type Algebra[V any] struct {
 	Laws
-	// Combine is Aggregate without the changed flag: a pure fold the runtime
-	// applies to coalesce two values addressed to one vertex inside an
-	// outgoing batch, before h_out. It must not touch program state. nil
-	// makes the runtime fold through Aggregate instead.
-	Combine func(a, b V) V
 	// Invert removes one previously aggregated contribution:
 	// Invert(Aggregate(cur, x), x) == cur. Sum folds have one (Δ-PageRank:
 	// subtraction); lattice joins do not and leave it nil.
@@ -65,8 +68,8 @@ type Algebra[V any] struct {
 }
 
 // Algebraic is the optional Program extension carrying the declaration. A
-// program without it gets the zero Algebra: no law is assumed, batches are
-// coalesced through Aggregate, and nothing below is derived.
+// program without it gets the zero Algebra: no law is assumed, ghosts
+// restart at every flush, and nothing below is derived.
 type Algebraic[V any] interface {
 	Algebra() Algebra[V]
 }
@@ -105,9 +108,9 @@ func CanIncrement[V any](p Program[V]) bool {
 }
 
 // CheckLaws verifies the declared algebra of the program's Aggregate over
-// the given sample values: each declared law, that Combine agrees with the
-// Aggregate fold, and that Invert undoes it. leq is the program's partial
-// order (nil skips the monotonicity check). It returns the first violation.
+// the given sample values: each declared law, and that Invert undoes the
+// Aggregate fold. leq is the program's partial order (nil skips the
+// monotonicity check). It returns the first violation.
 func CheckLaws[V any](p Program[V], alg Algebra[V], leq func(a, b V) bool, samples []V) error {
 	laws := alg.Laws
 	agg := func(a, b V) V {
@@ -125,9 +128,6 @@ func CheckLaws[V any](p Program[V], alg Algebra[V], leq func(a, b V) bool, sampl
 				if !leq(agg(a, b), a) {
 					return fmt.Errorf("ace: %s: aggregate not monotone at (%v,%v)", p.Name(), a, b)
 				}
-			}
-			if alg.Combine != nil && !p.Equal(alg.Combine(a, b), agg(a, b)) {
-				return fmt.Errorf("ace: %s: Combine disagrees with aggregate at (%v,%v)", p.Name(), a, b)
 			}
 			if alg.Invert != nil && !p.Equal(alg.Invert(agg(a, b), b), a) {
 				return fmt.Errorf("ace: %s: Invert does not undo aggregate at (%v,%v)", p.Name(), a, b)

@@ -38,8 +38,7 @@ func TestCheckLawsViolations(t *testing.T) {
 		{&badProg{}, Algebra[int32]{Laws: Laws{Idempotent: true}}, "not idempotent"},
 		// Subtraction is monotone on non-negative samples; addition is not.
 		{&addProg{}, Algebra[int32]{Laws: Laws{Monotone: true}}, "not monotone"},
-		// A Combine that is not the aggregate, an Invert that is not its inverse.
-		{&badProg{}, Algebra[int32]{Combine: sum}, "Combine disagrees"},
+		// An Invert that is not the aggregate's inverse.
 		{&addProg{}, Algebra[int32]{Invert: sum}, "Invert does not undo"},
 	}
 	for _, c := range cases {
@@ -59,11 +58,10 @@ func TestCheckLawsPasses(t *testing.T) {
 	if err := CheckLaws[int32](&addProg{}, Algebra[int32]{Laws: Laws{Monotone: true}}, nil, []int32{1, 2}); err != nil {
 		t.Fatal("monotone check must be skipped with nil leq")
 	}
-	// Addition with its true pure and inverse forms.
+	// Addition with its true inverse.
 	sum := Algebra[int32]{
-		Laws:    AccumulationLaws(),
-		Combine: func(a, b int32) int32 { return a + b },
-		Invert:  func(cur, x int32) int32 { return cur - x },
+		Laws:   AccumulationLaws(),
+		Invert: func(cur, x int32) int32 { return cur - x },
 	}
 	if err := CheckLaws[int32](&addProg{}, sum, nil, []int32{0, 1, 5, 7}); err != nil {
 		t.Fatal(err)
@@ -96,7 +94,7 @@ func TestAlgebraDerivations(t *testing.T) {
 			t.Errorf("%s: Recoverable = %v, want %v", c.name, got, c.recovers)
 		}
 	}
-	if a := AlgebraOf[int32](&addProg{}); a.Recoverable() || a.Combine != nil || CanIncrement[int32](&addProg{}) {
+	if a := AlgebraOf[int32](&addProg{}); a.Recoverable() || a.Invert != nil || CanIncrement[int32](&addProg{}) {
 		t.Errorf("a program without an Algebra method must get the zero algebra, got %+v", a.Laws)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"argan/internal/ace"
 	"argan/internal/durable"
+	"argan/internal/graph"
 )
 
 // checkLiveRow holds one table row to what every consumer assumes of it: the
@@ -45,7 +46,54 @@ func checkLiveRow[V any](t *testing.T) func(*LiveApp[V]) (struct{}, error) {
 		if err := app.CheckSource(2, 3); err != nil {
 			t.Errorf("%s: CheckSource(|V|-1) = %v", app.Name, err)
 		}
+		if ace.AlgebraOf(p).ReplayTolerant() {
+			checkGhostCache(t, app)
+		}
 		return struct{}{}, nil
+	}
+}
+
+// checkGhostCache holds a replay-tolerant row to the precondition of the
+// engine's ghost cache, cold and warm: a ghost's InitValue is no better than
+// its owner's, so a send that does not improve the ghost cannot improve the
+// owner either and may be dropped at the sender.
+func checkGhostCache[V any](t *testing.T, app *LiveApp[V]) {
+	oldG := graph.PowerLaw(graph.GenConfig{N: 300, M: 1800, Directed: true, Seed: 9, MaxW: 20})
+	q := ace.Query{Source: 3, Eps: DefaultPREps}
+	b := churnBatch(oldG, 9, 8)
+	newG, _, err := oldG.ApplyMutations(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := app.Ref(oldG, q)
+	warm := q
+	warm.Warm = app.Warm(oldG, newG, b.Endpoints(), ref, ref, q)
+	owner := make([]uint16, newG.NumVertices())
+	for v := range owner {
+		owner[v] = uint16(v % 2)
+	}
+	fs, err := graph.BuildFragments(newG, owner, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]ace.Query{"cold": q, "warm": warm} {
+		progs := make([]ace.Program[V], len(fs))
+		for i, f := range fs {
+			progs[i] = app.Factory()
+			progs[i].Setup(f, q)
+		}
+		for i, f := range fs {
+			for l := uint32(f.NumOwned()); int(l) < f.NumLocal(); l++ {
+				g := f.Global(l)
+				of := fs[f.OwnerOf(g)]
+				ol, _ := of.Local(g)
+				ghost, _ := progs[i].InitValue(f, l, q)
+				own, _ := progs[f.OwnerOf(g)].InitValue(of, ol, q)
+				if _, ch := progs[i].Aggregate(own, ghost); ch {
+					t.Fatalf("%s %s: ghost of %d starts at %v, better than its owner's %v", app.Name, name, g, ghost, own)
+				}
+			}
+		}
 	}
 }
 

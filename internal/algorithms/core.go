@@ -138,7 +138,7 @@ func (p *Core) Aggregate(cur, in int32) (int32, bool) {
 
 // Algebra implements ace.Algebraic (min over estimates, a lattice join).
 func (p *Core) Algebra() ace.Algebra[int32] {
-	return ace.Algebra[int32]{Laws: ace.SelectionLaws(), Combine: minOf[int32]}
+	return ace.Algebra[int32]{Laws: ace.SelectionLaws()}
 }
 
 // Equal implements ace.Program.

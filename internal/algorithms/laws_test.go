@@ -12,7 +12,7 @@ import (
 // The §II-B convergence conditions, checked as executable algebraic laws
 // of every built-in program's aggregate function over random samples. Each
 // program is checked against its own declared ace.Algebra — the value the
-// live driver derives combining, replay tolerance and retraction from.
+// runtime derives the ghost cache, replay tolerance and retraction from.
 
 func floatSamples(r *rand.Rand, n int) []float64 {
 	s := []float64{0, 1, math.Inf(1)}
@@ -29,11 +29,11 @@ func TestSSSPLaws(t *testing.T) {
 	if err := ace.CheckLaws(p, ace.AlgebraOf(p), leq, floatSamples(r, 25)); err != nil {
 		t.Fatal(err)
 	}
-	// The declared Combine is checked, not trusted: max is not min.
+	// The declaration is checked, not trusted: min has no inverse.
 	bad := ace.AlgebraOf(p)
-	bad.Combine = math.Max
-	if err := ace.CheckLaws(p, bad, leq, floatSamples(r, 25)); err == nil || !strings.Contains(err.Error(), "Combine disagrees") {
-		t.Fatalf("a Combine that is not the aggregate must be caught, got %v", err)
+	bad.Invert = math.Max
+	if err := ace.CheckLaws(p, bad, leq, floatSamples(r, 25)); err == nil || !strings.Contains(err.Error(), "Invert does not undo") {
+		t.Fatalf("an Invert min does not have must be caught, got %v", err)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestPageRankLaws(t *testing.T) {
 	// The declared inverse is checked, not trusted: addition is no inverse
 	// of addition.
 	bad := ace.AlgebraOf(p)
-	bad.Invert = addDelta
+	bad.Invert = func(a, b float64) float64 { return a + b }
 	if err := ace.CheckLaws(p, bad, leq, s); err == nil || !strings.Contains(err.Error(), "Invert does not undo") {
 		t.Fatalf("a wrong Invert must be caught, got %v", err)
 	}

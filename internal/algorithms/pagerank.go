@@ -116,7 +116,9 @@ func (p *PageRank) Setup(f *graph.Fragment, q ace.Query) {
 // InitValue implements ace.Program: every owned vertex holds the teleport
 // mass (1-d) as its initial delta — or, on a warm start, the prior run's
 // parked residual delta plus the planner's (A′−A)·rank re-seed correction.
-// Ghosts always start at 0: their Ψ is a scatter accumulator.
+// Ghosts always start at 0: their Ψ is the scatter accumulator toward the
+// owner, and as sum is not replay-tolerant it restarts from this value —
+// Aggregate's identity — after every flush.
 func (p *PageRank) InitValue(f *graph.Fragment, local uint32, q ace.Query) (float64, bool) {
 	if !f.IsOwned(local) {
 		return 0, false
@@ -170,18 +172,17 @@ func (p *PageRank) Size(float64) int { return 8 }
 // Output implements ace.Program: the accumulated rank.
 func (p *PageRank) Output(ctx *ace.Ctx[float64], local uint32) float64 { return p.rank[local] }
 
-// Algebra implements ace.Algebraic: addition is the aggregate, so two deltas
-// headed to one vertex fold to their sum before leaving the worker
-// (coalescing preserves the fixpoint exactly), and removing a previously
-// folded contribution is subtraction. Localized recovery uses the inverse to
-// un-apply the post-checkpoint deltas a rolled-back sender re-sends; the
-// resulting (possibly negative) pending delta is parked by Update's eps
-// threshold and cancelled exactly by the replayed mass.
+// Algebra implements ace.Algebraic: addition is the aggregate, so the deltas
+// headed to one ghost in one flush window leave the worker as their sum,
+// and removing a previously folded contribution is subtraction. Localized
+// recovery uses the inverse to un-apply the post-checkpoint deltas a
+// rolled-back sender re-sends; the resulting (possibly negative) pending
+// delta is parked by Update's eps threshold and cancelled exactly by the
+// replayed mass.
 func (p *PageRank) Algebra() ace.Algebra[float64] {
-	return ace.Algebra[float64]{Laws: ace.AccumulationLaws(), Combine: addDelta, Invert: subDelta}
+	return ace.Algebra[float64]{Laws: ace.AccumulationLaws(), Invert: subDelta}
 }
 
-func addDelta(a, b float64) float64         { return a + b }
 func subDelta(cur, contrib float64) float64 { return cur - contrib }
 
 // SnapshotAux implements ace.Checkpointer: the rank vector is mutable state

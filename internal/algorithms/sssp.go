@@ -73,8 +73,10 @@ func (p *SSSP) Setup(f *graph.Fragment, q ace.Query) {
 
 // InitValue implements ace.Program. On a warm start, owned vertices resume
 // from the planner-adjusted prior distances (dirty ones reset to +Inf);
-// ghosts always start cold at +Inf — their Ψ is a min-accumulator refilled
-// by the first scatter that reaches them.
+// ghosts always start cold at +Inf. A ghost's Ψ caches the least distance
+// sent to its owner (min is replay-tolerant), so it must start no better
+// than any value the owner can hold: +Inf, or 0 for the source, whose owner
+// holds 0 warm or cold.
 func (p *SSSP) InitValue(f *graph.Fragment, local uint32, q ace.Query) (float64, bool) {
 	if p.warm != nil && f.IsOwned(local) {
 		g := f.Global(local)
@@ -131,20 +133,12 @@ func (p *SSSP) Output(ctx *ace.Ctx[float64], local uint32) float64 { return ctx.
 // Priority orders the active set by tentative distance (Dijkstra order).
 func (p *SSSP) Priority(v float64) float64 { return v }
 
-// Algebra implements ace.Algebraic: min is a lattice join, so two distances
-// headed to one vertex fold to their minimum before leaving the worker, and
+// Algebra implements ace.Algebraic: min is a lattice join, so a distance
+// that does not lower a ghost's cache never leaves the worker, and
 // re-folding a replayed distance is harmless — localized recovery repairs
 // survivors by re-ingestion alone.
 func (p *SSSP) Algebra() ace.Algebra[float64] {
-	return ace.Algebra[float64]{Laws: ace.SelectionLaws(), Combine: minOf[float64]}
-}
-
-// minOf is the pure form of the min-fold aggregates (SSSP, BFS, WCC, Core).
-func minOf[V int32 | uint32 | float64](a, b V) V {
-	if b < a {
-		return b
-	}
-	return a
+	return ace.Algebra[float64]{Laws: ace.SelectionLaws()}
 }
 
 // SeqBellmanFord is the queue-based Bellman-Ford reference.

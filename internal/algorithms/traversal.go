@@ -73,7 +73,8 @@ func (p *BFS) Setup(f *graph.Fragment, q ace.Query) {
 
 // InitValue implements ace.Program. Warm starts follow the SSSP pattern:
 // owned vertices resume from the planner-adjusted hop counts, ghosts start
-// cold.
+// cold — a ghost caches the least hop count sent to its owner, so it must
+// start no better than any value the owner can hold.
 func (p *BFS) InitValue(f *graph.Fragment, local uint32, q ace.Query) (int32, bool) {
 	if p.warm != nil && f.IsOwned(local) {
 		g := f.Global(local)
@@ -127,7 +128,7 @@ func (p *BFS) Priority(v int32) float64 { return float64(v) }
 
 // Algebra implements ace.Algebraic (min hop count, a lattice join).
 func (p *BFS) Algebra() ace.Algebra[int32] {
-	return ace.Algebra[int32]{Laws: ace.SelectionLaws(), Combine: minOf[int32]}
+	return ace.Algebra[int32]{Laws: ace.SelectionLaws()}
 }
 
 // SeqWCC labels weakly connected components with the smallest member id.
@@ -198,8 +199,9 @@ func (p *WCC) Setup(f *graph.Fragment, q ace.Query) {
 
 // InitValue implements ace.Program. Warm starts resume owned vertices from
 // the planner-adjusted labels (deletion-affected components reset to
-// self-labels); ghosts always start at their own id, the min-fold identity
-// for anything the owner will scatter.
+// self-labels); ghosts always start at their own id. A ghost caches the
+// least label sent to its owner, so it must start no better than any label
+// the owner can hold — and no owner's label exceeds its own id.
 func (p *WCC) InitValue(f *graph.Fragment, local uint32, q ace.Query) (uint32, bool) {
 	if p.warm != nil && f.IsOwned(local) {
 		g := f.Global(local)
@@ -249,7 +251,7 @@ func (p *WCC) Output(ctx *ace.Ctx[uint32], local uint32) uint32 { return ctx.Get
 
 // Algebra implements ace.Algebraic (min label, a lattice join).
 func (p *WCC) Algebra() ace.Algebra[uint32] {
-	return ace.Algebra[uint32]{Laws: ace.SelectionLaws(), Combine: minOf[uint32]}
+	return ace.Algebra[uint32]{Laws: ace.SelectionLaws()}
 }
 
 // Cost implements ace.Coster: WCC scans both adjacencies on directed graphs.

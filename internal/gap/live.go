@@ -562,7 +562,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 			d.ckptAcct = d.gov.Account("ckpt")
 			d.ckptBytes = make([]int64, n)
 			for i := range d.localSnaps {
-				c := snapResidentBytes(&d.localSnaps[i].base, d.vSize, d.wireEst)
+				c := snapResidentBytes(&d.localSnaps[i].base, d.vSize)
 				d.ckptAcct.Add(c)
 				d.ckptBytes[i] = c
 			}

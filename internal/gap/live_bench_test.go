@@ -37,24 +37,24 @@ func BenchmarkFragmentBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFlushIngest measures the flush → transport → h_in round trip
-// between two workers.
+// BenchmarkFlushIngest measures the send → flush → h_in round trip between
+// two workers: one PageRank scatter along every out-arc of worker 0 (each
+// ghost send folds into the ghost's Ψ), takeOut's batch, and worker 1's
+// ingest of it.
 func BenchmarkFlushIngest(b *testing.B) {
 	g := benchGraph(b)
 	fs := benchFrags(b, g, 2)
 	pool := &batchPool[float64]{}
 	s0 := newWorkerState(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
 	s1 := newWorkerState(1, fs[1], algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, pool)
-	// Drain the InitialSync payloads so iterations start clean.
-	for j := range s0.out {
-		s0.takeOut(j)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for l := uint32(0); int(l) < s0.frag.NumOwned(); l++ {
-			for _, r := range s0.frag.ReplicasOut(l) {
-				s0.enqueue(int(r), l, s0.frag.Global(l), 0.5)
+			for _, u := range s0.frag.OutNeighbors(l) {
+				if !s0.frag.IsOwned(u) {
+					s0.ctxSend(u, 0.5)
+				}
 			}
 		}
 		msgs := s0.takeOut(1)
@@ -84,7 +84,8 @@ func BenchmarkRunLivePageRank(b *testing.B) {
 // BenchmarkRunLiveLJ is one cold live run per iteration on the service
 // benchmark's graph, LJ@0.5 hash-split over 1 and 2 workers: SSSP and BFS
 // from the top out-degree vertex (the head of the pool the service
-// benchmark draws sources from), PageRank at the service's eps.
+// benchmark draws sources from), WCC, and PageRank at the service's eps.
+// Each leg reports the run's messages and updates per op beside its time.
 func BenchmarkRunLiveLJ(b *testing.B) {
 	g := graph.MustDataset("LJ", 0.5)
 	src := graph.VID(0)
@@ -93,30 +94,41 @@ func BenchmarkRunLiveLJ(b *testing.B) {
 			src = graph.VID(v)
 		}
 	}
-	run := map[string]func([]*graph.Fragment) error{
-		"sssp": func(fs []*graph.Fragment) error {
-			_, _, err := RunLive(fs, algorithms.NewSSSP(), ace.Query{Source: src}, LiveConfig{Mode: ModeGAP})
-			return err
+	cfg := LiveConfig{Mode: ModeGAP}
+	run := map[string]func([]*graph.Fragment) (*LiveMetrics, error){
+		"sssp": func(fs []*graph.Fragment) (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewSSSP(), ace.Query{Source: src}, cfg)
+			return lm, err
 		},
-		"bfs": func(fs []*graph.Fragment) error {
-			_, _, err := RunLive(fs, algorithms.NewBFS(), ace.Query{Source: src}, LiveConfig{Mode: ModeGAP})
-			return err
+		"bfs": func(fs []*graph.Fragment) (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewBFS(), ace.Query{Source: src}, cfg)
+			return lm, err
 		},
-		"pr": func(fs []*graph.Fragment) error {
-			_, _, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, LiveConfig{Mode: ModeGAP})
-			return err
+		"wcc": func(fs []*graph.Fragment) (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewWCC(), ace.Query{}, cfg)
+			return lm, err
+		},
+		"pr": func(fs []*graph.Fragment) (*LiveMetrics, error) {
+			_, lm, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
+			return lm, err
 		},
 	}
-	for _, app := range []string{"sssp", "bfs", "pr"} {
+	for _, app := range []string{"sssp", "bfs", "wcc", "pr"} {
 		for _, n := range []int{1, 2} {
 			fs := benchFrags(b, g, n)
 			b.Run(fmt.Sprintf("%s/%d", app, n), func(b *testing.B) {
 				b.ReportAllocs()
+				var msgs, updates int64
 				for i := 0; i < b.N; i++ {
-					if err := run[app](fs); err != nil {
+					lm, err := run[app](fs)
+					if err != nil {
 						b.Fatal(err)
 					}
+					msgs += lm.MsgsSent
+					updates += lm.Updates
 				}
+				b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+				b.ReportMetric(float64(updates)/float64(b.N), "updates/op")
 			})
 		}
 	}

@@ -612,9 +612,9 @@ func (d *liveDriver[V]) takeLocalCkpt(st *workerState[V]) {
 		}
 	}
 	// Account the snapshot and, under memory pressure, page its bulky parts
-	// (Ψ, active set, out-accumulators) to the spill tier; the repair state
+	// (Ψ, active set, pending out-buffer ids) to the spill tier; the repair state
 	// stays resident. The superseded snapshot's page is released.
-	cost := snapResidentBytes(&snap.base, d.vSize, d.wireEst)
+	cost := snapResidentBytes(&snap.base, d.vSize)
 	if d.snapSp != nil && d.gov.Stage() >= mem.StageCkpt {
 		if pg, err := spillSnap(d.snapSp, &snap.base); err == nil {
 			snap.page = pg

@@ -76,8 +76,8 @@ func decodeMsgs[V any](sp *mem.Spiller, off int64, count, wire int) ([]ace.Messa
 }
 
 // snapPage is one local checkpoint paged out to the spill tier: Ψ, the
-// active set and the out-accumulators in a single record. The program's aux
-// state and the small per-peer sequence vectors stay resident. Records are
+// active set and the pending out-buffer ids in a single record. The
+// program's aux state and the small per-peer sequence vectors stay resident. Records are
 // immutable and retained until the next checkpoint replaces them, so a
 // snapshot can be restored any number of times.
 type snapPage struct {
@@ -133,12 +133,12 @@ func unspillSnap[V any](pg *snapPage, base *stateSnap[V]) error {
 	if err := graph.ReadLE(r, base.active); err != nil {
 		return err
 	}
-	base.out = make([][]ace.Message[V], len(pg.outLens))
+	base.out = make([][]uint32, len(pg.outLens))
 	for j, k := range pg.outLens {
 		if k == 0 {
 			continue
 		}
-		base.out[j] = make([]ace.Message[V], k)
+		base.out[j] = make([]uint32, k)
 		if err := graph.ReadLE(r, base.out[j]); err != nil {
 			return err
 		}
@@ -148,10 +148,10 @@ func unspillSnap[V any](pg *snapPage, base *stateSnap[V]) error {
 
 // snapResidentBytes estimates the RAM held by the bulky parts of a resident
 // snapshot (the parts spillSnap would page out).
-func snapResidentBytes[V any](base *stateSnap[V], vSize, wire int64) int64 {
+func snapResidentBytes[V any](base *stateSnap[V], vSize int64) int64 {
 	b := int64(len(base.psi))*vSize + int64(len(base.active))*4
 	for _, out := range base.out {
-		b += int64(len(out)) * wire
+		b += int64(len(out)) * 4
 	}
 	return b
 }

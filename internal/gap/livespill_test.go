@@ -114,18 +114,12 @@ func TestSnapPageRoundTrip(t *testing.T) {
 	base := stateSnap[float64]{
 		psi:    []float64{1.5, 2.5, 3.5},
 		active: []uint32{7, 9},
-		out: [][]ace.Message[float64]{
-			{{V: 1, Val: 0.25}, {V: 2, Val: 0.75}},
-			nil,
-		},
+		out:    [][]uint32{{1, 2}, nil},
 	}
 	want := stateSnap[float64]{
 		psi:    append([]float64(nil), base.psi...),
 		active: append([]uint32(nil), base.active...),
-		out: [][]ace.Message[float64]{
-			append([]ace.Message[float64](nil), base.out[0]...),
-			nil,
-		},
+		out:    [][]uint32{append([]uint32(nil), base.out[0]...), nil},
 	}
 	pg, err := spillSnap(sp, &base)
 	if err != nil {

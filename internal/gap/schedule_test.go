@@ -109,7 +109,10 @@ func TestSimSchedulePinned(t *testing.T) {
 }
 
 // simScheduleWant was recorded from the map-indexed sim accumulators that
-// preceded the shared worker state.
+// preceded the shared worker state. The sssp and wcc rows were re-recorded
+// when a ghost's Ψ became the out-buffer: a replay-tolerant ghost caches
+// what its owner was sent, so fewer messages leave and the schedule moves;
+// the pr and color rows did not change.
 var simScheduleWant = map[string]simSchedule{
 	"color/AAP":         {Updates: 5291, MsgsSent: 4730, BytesSent: 37840, Rounds: 53, Supersteps: 0, Flushes: [4]int64{30, 39, 35, 39}},
 	"color/APVC":        {Updates: 2097, MsgsSent: 2355, BytesSent: 18840, Rounds: 1281, Supersteps: 0, Flushes: [4]int64{501, 589, 604, 661}},
@@ -121,15 +124,15 @@ var simScheduleWant = map[string]simSchedule{
 	"pr/BSP":            {Updates: 21241, MsgsSent: 21819, BytesSent: 261828, Rounds: 159, Supersteps: 41, Flushes: [4]int64{113, 113, 113, 113}},
 	"pr/GAwD":           {Updates: 29931, MsgsSent: 40653, BytesSent: 487836, Rounds: 282, Supersteps: 0, Flushes: [4]int64{926, 1019, 990, 178}},
 	"pr/PowerSwitch":    {Updates: 15035, MsgsSent: 25023, BytesSent: 300276, Rounds: 194, Supersteps: 49, Flushes: [4]int64{137, 138, 137, 140}},
-	"sssp/AAP":          {Updates: 685, MsgsSent: 1615, BytesSent: 19380, Rounds: 38, Supersteps: 0, Flushes: [4]int64{15, 18, 20, 22}},
-	"sssp/APVC":         {Updates: 390, MsgsSent: 1709, BytesSent: 20508, Rounds: 360, Supersteps: 0, Flushes: [4]int64{176, 184, 178, 192}},
-	"sssp/BSP":          {Updates: 651, MsgsSent: 1491, BytesSent: 17892, Rounds: 24, Supersteps: 8, Flushes: [4]int64{14, 15, 12, 16}},
-	"sssp/GAwD":         {Updates: 823, MsgsSent: 2470, BytesSent: 29640, Rounds: 57, Supersteps: 0, Flushes: [4]int64{83, 50, 50, 94}},
-	"sssp/PowerSwitch":  {Updates: 652, MsgsSent: 1771, BytesSent: 21252, Rounds: 36, Supersteps: 6, Flushes: [4]int64{20, 20, 15, 17}},
-	"sssp/crash":        {Updates: 733, MsgsSent: 2234, BytesSent: 26808, Rounds: 58, Supersteps: 0, Flushes: [4]int64{63, 68, 63, 90}},
-	"wcc/AAP":           {Updates: 903, MsgsSent: 2155, BytesSent: 17240, Rounds: 22, Supersteps: 0, Flushes: [4]int64{11, 8, 11, 12}},
-	"wcc/APVC":          {Updates: 422, MsgsSent: 3736, BytesSent: 29888, Rounds: 410, Supersteps: 0, Flushes: [4]int64{244, 270, 263, 267}},
-	"wcc/BSP":           {Updates: 798, MsgsSent: 1862, BytesSent: 14896, Rounds: 12, Supersteps: 4, Flushes: [4]int64{9, 8, 8, 9}},
-	"wcc/GAwD":          {Updates: 901, MsgsSent: 3662, BytesSent: 29296, Rounds: 185, Supersteps: 0, Flushes: [4]int64{45, 104, 64, 181}},
-	"wcc/PowerSwitch":   {Updates: 880, MsgsSent: 2211, BytesSent: 17688, Rounds: 12, Supersteps: 4, Flushes: [4]int64{9, 9, 9, 9}},
+	"sssp/AAP":          {Updates: 685, MsgsSent: 1137, BytesSent: 13644, Rounds: 36, Supersteps: 0, Flushes: [4]int64{12, 17, 17, 20}},
+	"sssp/APVC":         {Updates: 392, MsgsSent: 924, BytesSent: 11088, Rounds: 262, Supersteps: 0, Flushes: [4]int64{93, 110, 113, 117}},
+	"sssp/BSP":          {Updates: 651, MsgsSent: 1105, BytesSent: 13260, Rounds: 23, Supersteps: 8, Flushes: [4]int64{12, 11, 10, 15}},
+	"sssp/GAwD":         {Updates: 861, MsgsSent: 1531, BytesSent: 18372, Rounds: 38, Supersteps: 0, Flushes: [4]int64{33, 16, 32, 42}},
+	"sssp/PowerSwitch":  {Updates: 652, MsgsSent: 1192, BytesSent: 14304, Rounds: 27, Supersteps: 6, Flushes: [4]int64{17, 12, 12, 17}},
+	"sssp/crash":        {Updates: 744, MsgsSent: 1341, BytesSent: 16092, Rounds: 44, Supersteps: 0, Flushes: [4]int64{34, 35, 33, 42}},
+	"wcc/AAP":           {Updates: 903, MsgsSent: 1951, BytesSent: 15608, Rounds: 21, Supersteps: 0, Flushes: [4]int64{9, 7, 9, 12}},
+	"wcc/APVC":          {Updates: 421, MsgsSent: 1356, BytesSent: 10848, Rounds: 286, Supersteps: 0, Flushes: [4]int64{70, 131, 128, 156}},
+	"wcc/BSP":           {Updates: 798, MsgsSent: 1710, BytesSent: 13680, Rounds: 12, Supersteps: 4, Flushes: [4]int64{9, 7, 6, 9}},
+	"wcc/GAwD":          {Updates: 901, MsgsSent: 1949, BytesSent: 15592, Rounds: 86, Supersteps: 0, Flushes: [4]int64{12, 43, 27, 74}},
+	"wcc/PowerSwitch":   {Updates: 880, MsgsSent: 1734, BytesSent: 13872, Rounds: 12, Supersteps: 4, Flushes: [4]int64{9, 7, 7, 9}},
 }

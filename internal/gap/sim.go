@@ -337,8 +337,8 @@ func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[
 	return w
 }
 
-// countOut is the sim's enqueue hook: B⁻ byte accounting, the tuner's
-// send-volume record and R1's touched-peer list.
+// countOut is the sim's mark hook (onEnqueue): B⁻ byte accounting, the
+// tuner's send-volume record and R1's touched-peer list.
 func (w *simWorker[V]) countOut(peer, dBytes int) {
 	w.outBytes[peer] += dBytes
 	if dBytes > 0 && w.tuner != nil {
@@ -471,7 +471,7 @@ func (w *simWorker[V]) flush(peer int) {
 
 func (w *simWorker[V]) hasPendingOut() bool {
 	for j := range w.out {
-		if len(w.out[j].msgs) > 0 {
+		if len(w.out[j].ids) > 0 {
 			return true
 		}
 	}
@@ -640,7 +640,7 @@ func (w *simWorker[V]) applyR1() {
 		// Wake an idle peer only with a batch worth shipping, at most one
 		// per latency window, so straggler mitigation does not degenerate
 		// into message spray.
-		if len(w.out[j].msgs) < 4 || !w.s.idleV[j] || w.now < w.r1Next[j] {
+		if len(w.out[j].ids) < 4 || !w.s.idleV[j] || w.now < w.r1Next[j] {
 			return
 		}
 		w.r1Next[j] = w.now + w.s.cfg.Net.Model.Alpha

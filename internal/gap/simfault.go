@@ -343,7 +343,7 @@ func (ft *simFT[V]) rollback(t float64) {
 		w.touched = w.touched[:0]
 		for j := range w.touchfl {
 			w.touchfl[j] = false
-			if j != w.id && len(w.out[j].msgs) > 0 {
+			if j != w.id && len(w.out[j].ids) > 0 {
 				w.touchfl[j] = true
 				w.touched = append(w.touched, j)
 			}

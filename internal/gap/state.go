@@ -2,6 +2,7 @@ package gap
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"argan/internal/ace"
@@ -102,13 +103,18 @@ type workerState[V any] struct {
 	active *ace.ActiveSet
 	ctx    *ace.Ctx[V]
 
-	out []outAcc[V]
+	// out[j] is B⁻_j; the pending values are Ψ itself (see takeOut).
+	out []outIDs
+	// owner[l-NumOwned] is the worker owning ghost l.
+	owner []uint16
+	// ghostInit holds each ghost's InitValue, which a shipped ghost restarts
+	// from. It is nil under a replay-tolerant algebra: a ghost then keeps its
+	// value as a cache of what its owner has been sent, and a send that does
+	// not improve it is dropped.
+	ghostInit []V
 
-	// pool supplies takeOut's replacement accumulators (nil: fresh slices).
+	// pool supplies takeOut's batches (nil: fresh slices).
 	pool *batchPool[V]
-	// combine coalesces two outgoing values for one vertex (the declared
-	// ace.Algebra's Combine, falling back to an Aggregate fold).
-	combine func(a, b V) V
 
 	// rs is the live driver's exactly-once ingestion and localized-recovery
 	// state (per-peer sequence cursors, reorder buffers, sender incarnations,
@@ -119,24 +125,21 @@ type workerState[V any] struct {
 
 	// The sim's bookkeeping. vcost holds the Category II streak cost of each
 	// owned vertex and stale2 the streaks found stale (noteChange);
-	// onEnqueue sees every enqueue with the change it made to the peer's
-	// wire bytes. vcost and onEnqueue are nil under the live and sequential
-	// runners, which pay one nil check per site.
+	// onEnqueue sees every mark, and every change to a marked value, with
+	// the change it made to the peer's wire bytes. vcost and onEnqueue are
+	// nil under the live and sequential runners, which pay one nil check per
+	// site.
 	vcost     []float64
 	stale2    float64
 	onEnqueue func(peer, dBytes int)
 }
 
-// outAcc accumulates the outgoing batch B⁻ for one peer. It coalesces
-// through a generation-stamped dense index keyed by the sender's local
-// vertex id (every enqueued vertex is local to the sender), so a flush is a
-// pointer swap plus a generation bump — no per-flush allocation.
-type outAcc[V any] struct {
-	msgs []ace.Message[V]
-
-	slotGen []uint32 // slotGen[l] == gen ⇒ msgs[slotIdx[l]] holds vertex l
-	slotIdx []uint32
-	gen     uint32
+// outIDs is B⁻ for one peer: the local ids whose Ψ is pending for it, in
+// first-mark order, and a dense mark that lists each id once per flush
+// window.
+type outIDs struct {
+	ids  []uint32
+	mark []bool
 }
 
 // newWorkerState builds worker id's state over fragment f.
@@ -147,75 +150,71 @@ func newWorkerState[V any](id int, f *graph.Fragment, prog ace.Program[V], q ace
 }
 
 // init sets up Ψ, H and B⁻ in place: InitValue seeds Ψ and H, and an
-// InitialSyncer's border values are enqueued to their replicas. A runner that
+// InitialSyncer's border values are marked for their replicas. A runner that
 // embeds the state sets its bookkeeping fields first, so the InitialSync
-// enqueues are counted too.
+// marks are counted too.
 func (st *workerState[V]) init(id int, f *graph.Fragment, prog ace.Program[V], q ace.Query, pool *batchPool[V]) {
 	st.id, st.frag, st.prog, st.pool = id, f, prog, pool
 	st.deps, st.cat = prog.Deps(), prog.Category()
 	prog.Setup(f, q)
 	st.psi = make([]V, f.NumLocal())
 	st.active = ace.ActiveSetOf(prog, st.psi, f.NumOwned())
-	st.out = make([]outAcc[V], f.NumWorkers())
+	st.out = make([]outIDs, f.NumWorkers())
 	for j := range st.out {
-		st.out[j] = outAcc[V]{gen: 1}
-	}
-	if st.combine = ace.AlgebraOf(prog).Combine; st.combine == nil {
-		st.combine = func(a, b V) V {
-			v, _ := prog.Aggregate(a, b)
-			return v
+		if j != id {
+			st.out[j].mark = make([]bool, f.NumLocal())
 		}
 	}
+	st.owner = make([]uint16, f.NumGhosts())
+	cache := ace.AlgebraOf(prog).ReplayTolerant()
 	st.ctx = ace.NewCtx(f, st.psi, st.ctxSet, st.ctxSend, st.ctxActivate)
 	for l := uint32(0); int(l) < f.NumLocal(); l++ {
 		v, act := prog.InitValue(f, l, q)
 		st.psi[l] = v
-		if act && f.IsOwned(l) {
-			st.active.Push(l)
+		if f.IsOwned(l) {
+			if act {
+				st.active.Push(l)
+			}
+			continue
+		}
+		st.owner[int(l)-f.NumOwned()] = uint16(f.OwnerOf(f.Global(l)))
+		if !cache {
+			st.ghostInit = append(st.ghostInit, v)
 		}
 	}
 	if is, ok := any(prog).(ace.InitialSyncer); ok && is.InitialSync() {
 		for l := uint32(0); int(l) < f.NumOwned(); l++ {
-			g := f.Global(l)
 			for _, r := range f.ReplicasOut(l) {
-				st.enqueue(int(r), l, g, st.psi[l])
+				st.mark(int(r), l, st.psi[l])
 			}
 			if f.Directed() && st.deps != ace.DepIn && st.deps != ace.DepSelf {
-				st.enqueueNew(f.ReplicasIn(l), f.ReplicasOut(l), l, g, st.psi[l])
+				st.markNew(f.ReplicasIn(l), f.ReplicasOut(l), l, st.psi[l])
 			}
 		}
 	}
 }
 
-// enqueue buffers ⟨g, val⟩ for peer. l is the sender-local id of g (every
-// vertex a worker ships is local to it: owned border vertices and ghosts),
-// which keys the dense coalescing index.
-func (st *workerState[V]) enqueue(peer int, l uint32, g graph.VID, val V) {
+// mark lists l in B⁻_peer once per flush window; old is Ψ[l] before the
+// change that prompted the mark, so the byte hook sees the change in size of
+// a value already listed.
+func (st *workerState[V]) mark(peer int, l uint32, old V) {
 	o := &st.out[peer]
-	if o.slotGen == nil {
-		o.slotGen = make([]uint32, st.frag.NumLocal())
-		o.slotIdx = make([]uint32, st.frag.NumLocal())
-	}
-	if o.slotGen[l] == o.gen {
-		k := o.slotIdx[l]
-		old := o.msgs[k].Val
-		o.msgs[k].Val = st.combine(old, val)
+	if o.mark[l] {
 		if st.onEnqueue != nil {
-			st.onEnqueue(peer, st.prog.Size(o.msgs[k].Val)-st.prog.Size(old))
+			st.onEnqueue(peer, st.prog.Size(st.psi[l])-st.prog.Size(old))
 		}
 		return
 	}
-	o.slotGen[l] = o.gen
-	o.slotIdx[l] = uint32(len(o.msgs))
-	o.msgs = append(o.msgs, ace.Message[V]{V: g, Val: val})
+	o.mark[l] = true
+	o.ids = append(o.ids, l)
 	if st.onEnqueue != nil {
-		st.onEnqueue(peer, 4+st.prog.Size(val))
+		st.onEnqueue(peer, 4+st.prog.Size(st.psi[l]))
 	}
 }
 
-// enqueueNew enqueues ⟨g, val⟩ to every peer of reps that is not in sent:
-// the in-replicas of a vertex whose out-replicas already have the value.
-func (st *workerState[V]) enqueueNew(reps, sent []uint16, l uint32, g graph.VID, val V) {
+// markNew marks l for every peer of reps that is not in sent: the
+// in-replicas of a vertex whose out-replicas already have the value.
+func (st *workerState[V]) markNew(reps, sent []uint16, l uint32, old V) {
 	for _, r := range reps {
 		dup := false
 		for _, r2 := range sent {
@@ -225,7 +224,7 @@ func (st *workerState[V]) enqueueNew(reps, sent []uint16, l uint32, g graph.VID,
 			}
 		}
 		if !dup {
-			st.enqueue(int(r), l, g, val)
+			st.mark(int(r), l, old)
 		}
 	}
 }
@@ -291,28 +290,31 @@ func (st *workerState[V]) ctxSet(l uint32, v V) {
 		return
 	}
 	st.noteChange(l)
-	g := st.frag.Global(l)
 	switch st.deps {
 	case ace.DepOut:
 		for _, r := range st.frag.ReplicasIn(l) {
-			st.enqueue(int(r), l, g, v)
+			st.mark(int(r), l, old)
 		}
 	case ace.DepBoth:
 		for _, r := range st.frag.ReplicasOut(l) {
-			st.enqueue(int(r), l, g, v)
+			st.mark(int(r), l, old)
 		}
-		st.enqueueNew(st.frag.ReplicasIn(l), st.frag.ReplicasOut(l), l, g, v)
+		st.markNew(st.frag.ReplicasIn(l), st.frag.ReplicasOut(l), l, old)
 	default:
 		for _, r := range st.frag.ReplicasOut(l) {
-			st.enqueue(int(r), l, g, v)
+			st.mark(int(r), l, old)
 		}
 	}
 	st.activateDeps(l)
 }
 
+// ctxSend aggregates d into Ψ[l] for every local l. A changed owned l is
+// activated; a ghost l is marked for its owner, unless the ghost is a cache
+// (ghostInit nil) that d did not improve — its owner holds d or better.
 func (st *workerState[V]) ctxSend(l uint32, d V) {
+	old := st.psi[l]
+	nv, ch := st.prog.Aggregate(old, d)
 	if st.frag.IsOwned(l) {
-		nv, ch := st.prog.Aggregate(st.psi[l], d)
 		if ch {
 			st.psi[l] = nv
 			st.notePush(l)
@@ -320,8 +322,10 @@ func (st *workerState[V]) ctxSend(l uint32, d V) {
 		}
 		return
 	}
-	g := st.frag.Global(l)
-	st.enqueue(st.frag.OwnerOf(g), l, g, d)
+	if ch || st.ghostInit != nil {
+		st.psi[l] = nv
+		st.mark(int(st.owner[int(l)-st.frag.NumOwned()]), l, old)
+	}
 }
 
 func (st *workerState[V]) ctxActivate(l uint32) {
@@ -353,38 +357,26 @@ func (st *workerState[V]) ingest(msgs []ace.Message[V]) {
 	}
 }
 
-// takeOut removes and returns the accumulated batch for the peer, swapping
-// in a replacement backing slice from the pool and bumping the coalescing
-// generation. Ownership of the returned batch transfers to the caller.
+// takeOut builds the batch ⟨Global(l), Ψ[l]⟩ of every id pending for the
+// peer and clears B⁻_peer; a shipped ghost that is not a cache restarts from
+// its InitValue. The batch comes from the pool and ownership of it
+// transfers to the caller.
 func (st *workerState[V]) takeOut(peer int) []ace.Message[V] {
 	o := &st.out[peer]
-	if len(o.msgs) == 0 {
+	if len(o.ids) == 0 {
 		return nil
 	}
-	msgs := o.msgs
-	o.msgs = st.pool.get()
-	o.gen++
-	return msgs
-}
-
-// restoreOut overwrites the peer's accumulator with the snapshot batch and
-// rebuilds its coalescing index.
-func (st *workerState[V]) restoreOut(peer int, msgs []ace.Message[V]) {
-	o := &st.out[peer]
-	o.msgs = append(o.msgs[:0], msgs...)
-	o.gen++
-	if len(o.msgs) > 0 {
-		if o.slotGen == nil {
-			o.slotGen = make([]uint32, st.frag.NumLocal())
-			o.slotIdx = make([]uint32, st.frag.NumLocal())
-		}
-		for k, m := range o.msgs {
-			if l, ok := st.frag.Local(m.V); ok {
-				o.slotGen[l] = o.gen
-				o.slotIdx[l] = uint32(k)
-			}
+	msgs := slices.Grow(st.pool.get(), len(o.ids))
+	n := uint32(st.frag.NumOwned())
+	for _, l := range o.ids {
+		o.mark[l] = false
+		msgs = append(msgs, ace.Message[V]{V: st.frag.Global(l), Val: st.psi[l]})
+		if l >= n && st.ghostInit != nil {
+			st.psi[l] = st.ghostInit[l-n]
 		}
 	}
+	o.ids = o.ids[:0]
+	return msgs
 }
 
 // outputs extracts the owned results.
@@ -403,27 +395,27 @@ func (st *workerState[V]) finalPsi(into []V) {
 }
 
 // stateSnap is the checkpoint of a workerState: status variables,
-// program-private aux state, the active set and the un-flushed out-buffers.
-// Each runner keeps its own extras beside it (the sim's B⁺ and η, the live
-// driver's sequence cursors).
+// program-private aux state, the active set and the ids pending in each
+// out-buffer (their values are in psi). Each runner keeps its own extras
+// beside it (the sim's B⁺ and η, the live driver's sequence cursors).
 type stateSnap[V any] struct {
 	psi    []V
 	aux    any
 	active []uint32
-	out    [][]ace.Message[V]
+	out    [][]uint32
 }
 
 func (st *workerState[V]) capture() stateSnap[V] {
 	s := stateSnap[V]{
 		psi:    append([]V(nil), st.psi...),
 		active: st.active.Snapshot(),
-		out:    make([][]ace.Message[V], len(st.out)),
+		out:    make([][]uint32, len(st.out)),
 	}
 	if cp, ok := any(st.prog).(ace.Checkpointer); ok {
 		s.aux = cp.SnapshotAux()
 	}
 	for j := range st.out {
-		s.out[j] = append([]ace.Message[V](nil), st.out[j].msgs...)
+		s.out[j] = append([]uint32(nil), st.out[j].ids...)
 	}
 	return s
 }
@@ -438,7 +430,14 @@ func (st *workerState[V]) restore(s *stateSnap[V]) {
 	}
 	st.active.Reset(s.active)
 	for j := range st.out {
-		st.restoreOut(j, s.out[j])
+		o := &st.out[j]
+		for _, l := range o.ids {
+			o.mark[l] = false
+		}
+		o.ids = append(o.ids[:0], s.out[j]...)
+		for _, l := range o.ids {
+			o.mark[l] = true
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package gap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"argan/internal/ace"
@@ -9,10 +10,12 @@ import (
 	"argan/internal/graph"
 )
 
-// oracleOut is the sim's B⁻_j as it was before the shared workerState: a
-// map from target vertex to batch slot, an Aggregate fold on coalescing and
-// a running byte count. It is the reference the dense, generation-stamped
-// accumulator must agree with.
+// oracleOut is the sim's B⁻_j as it was before the out-buffer moved into
+// Ψ: a map from target vertex to batch slot, an Aggregate fold on
+// coalescing and a running byte count. It is the reference the ghost-as-
+// buffer state must agree with — exactly for a program whose ghosts restart
+// every flush window, minus the entries that could not improve the owner
+// for a replay-tolerant one.
 type oracleOut[V any] struct {
 	msgs  []ace.Message[V]
 	index map[graph.VID]int
@@ -48,10 +51,12 @@ func (o *oracleOut[V]) restore(msgs []ace.Message[V], bytes int) {
 	}
 }
 
-// TestOutAccMatchesOracle drives the shared out-accumulator and the map
-// oracle through the same random enqueue/take/snapshot/restore schedules,
-// with few distinct vertices so coalescing is frequent, and requires the
-// same batches — message order and values — and byte totals throughout.
+// TestOutAccMatchesOracle drives the worker state and the map oracle through
+// the same random send/set/take/snapshot/restore schedules, with few
+// distinct vertices so coalescing is frequent. PageRank, Color and the
+// variable-size program must produce the oracle's batches — message order
+// and values — and byte totals throughout; SSSP's must be the oracle's
+// minus the entries that do not improve what the owner was already sent.
 func TestOutAccMatchesOracle(t *testing.T) {
 	fs := frags(t, testGraph(true, 21), 3)
 	t.Run("sssp", func(t *testing.T) {
@@ -64,18 +69,37 @@ func TestOutAccMatchesOracle(t *testing.T) {
 		checkOutAcc(t, fs[0], algorithms.NewColor(), func(r *rand.Rand) int32 { return int32(r.Intn(6)) })
 	})
 	// Every built-in value has a fixed wire size; this one does not, so
-	// coalescing moves the byte count.
+	// folding moves the byte count.
 	t.Run("sized", func(t *testing.T) {
-		sized := func() ace.Program[float64] { return sizedSSSP{algorithms.NewSSSP()().(*algorithms.SSSP)} }
+		sized := func() ace.Program[float64] { return sizedSSSP{algorithms.NewSSSP()()} }
 		checkOutAcc(t, fs[0], sized, func(r *rand.Rand) float64 { return float64(r.Intn(50)) })
 	})
 }
 
-type sizedSSSP struct{ *algorithms.SSSP }
+// sizedSSSP is SSSP with a variable wire size and no declared algebra, so
+// its ghosts restart every flush window.
+type sizedSSSP struct{ ace.Program[float64] }
 
 func (sizedSSSP) Size(v float64) int { return 4 + 4*(int(v)%3) }
 
+// pending is B⁻_peer as the batch takeOut would build now.
+func pending[V any](st *workerState[V], peer int) []ace.Message[V] {
+	var msgs []ace.Message[V]
+	for _, l := range st.out[peer].ids {
+		msgs = append(msgs, ace.Message[V]{V: st.frag.Global(l), Val: st.psi[l]})
+	}
+	return msgs
+}
+
 func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Factory[V], val func(*rand.Rand) V) {
+	push := factory().Deps() == ace.DepSelf
+	cache := ace.AlgebraOf(factory()).ReplayTolerant()
+	var verts []uint32 // ghosts for a push program, replicated owned vertices otherwise
+	for l := uint32(0); int(l) < f.NumLocal(); l++ {
+		if push && !f.IsOwned(l) || !push && f.IsOwned(l) && len(f.ReplicasOut(l))+len(f.ReplicasIn(l)) > 0 {
+			verts = append(verts, l)
+		}
+	}
 	for seed := int64(1); seed <= 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := f.NumWorkers()
@@ -87,33 +111,75 @@ func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Fact
 		for j := range oracle {
 			oracle[j].index = map[graph.VID]int{}
 		}
-		// InitialSync may have enqueued already: start both sides empty.
+		// sent is what each cached ghost's owner has been shipped.
+		sent := map[graph.VID]V{}
+		if cache {
+			for _, l := range verts {
+				sent[f.Global(l)] = st.psi[l]
+			}
+		}
+		// want is the oracle's batch for peer, less what cannot improve sent.
+		want := func(peer int) ([]ace.Message[V], int) {
+			if !cache {
+				return oracle[peer].msgs, oracle[peer].bytes
+			}
+			var msgs []ace.Message[V]
+			b := 0
+			for _, m := range oracle[peer].msgs {
+				if _, ch := prog.Aggregate(sent[m.V], m.Val); ch {
+					msgs = append(msgs, m)
+					b += 4 + prog.Size(m.Val)
+				}
+			}
+			return msgs, b
+		}
+		// InitialSync may have marked already: start both sides empty.
 		for j := range st.out {
 			st.takeOut(j)
 			bytes[j] = 0
 		}
-		verts := make([]uint32, 1+r.Intn(12))
-		for i := range verts {
-			verts[i] = uint32(r.Intn(f.NumLocal()))
+		pick := make([]uint32, 1+r.Intn(12))
+		for i := range pick {
+			pick[i] = verts[r.Intn(len(verts))]
 		}
 		var snap stateSnap[V]
 		var snapBytes, oracleBytes []int
 		var oracleSnap [][]ace.Message[V]
+		var sentSnap map[graph.VID]V
 		for step := 0; step < 400; step++ {
 			peer := 1 + r.Intn(n-1)
 			switch op := r.Intn(20); {
 			case op < 15:
-				l := verts[r.Intn(len(verts))]
-				v := val(r)
-				st.enqueue(peer, l, f.Global(l), v)
-				oracle[peer].enqueue(prog, f.Global(l), v)
-			case op < 18:
-				got, want := st.takeOut(peer), oracle[peer].msgs
-				if !sameMsgs(got, want) {
-					t.Fatalf("seed %d step %d: take(%d) = %v, oracle %v", seed, step, peer, got, want)
+				l := pick[r.Intn(len(pick))]
+				g, v := f.Global(l), val(r)
+				if push {
+					st.ctxSend(l, v)
+					oracle[f.OwnerOf(g)].enqueue(prog, g, v)
+					break
 				}
-				if bytes[peer] != oracle[peer].bytes {
-					t.Fatalf("seed %d step %d: %d bytes, oracle %d", seed, step, bytes[peer], oracle[peer].bytes)
+				changed := !prog.Equal(st.psi[l], v)
+				st.ctxSet(l, v)
+				if changed {
+					for _, j := range f.ReplicasOut(l) {
+						oracle[j].enqueue(prog, g, v)
+					}
+					for _, j := range f.ReplicasIn(l) {
+						if !slices.Contains(f.ReplicasOut(l), j) {
+							oracle[j].enqueue(prog, g, v)
+						}
+					}
+				}
+			case op < 18:
+				wantMsgs, wantBytes := want(peer)
+				got := st.takeOut(peer)
+				if !sameBatch(got, wantMsgs, !cache) {
+					t.Fatalf("seed %d step %d: take(%d) = %v, oracle %v", seed, step, peer, got, wantMsgs)
+				}
+				if bytes[peer] != wantBytes {
+					t.Fatalf("seed %d step %d: %d bytes, oracle %d", seed, step, bytes[peer], wantBytes)
+				}
+				for _, m := range got {
+					sent[m.V] = m.Val
 				}
 				oracle[peer].reset()
 				bytes[peer] = 0
@@ -126,6 +192,10 @@ func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Fact
 					oracleSnap[j] = append([]ace.Message[V](nil), oracle[j].msgs...)
 					oracleBytes[j] = oracle[j].bytes
 				}
+				sentSnap = map[graph.VID]V{}
+				for k, v := range sent {
+					sentSnap[k] = v
+				}
 			default:
 				if snap.out == nil {
 					continue
@@ -135,25 +205,111 @@ func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Fact
 				for j := range oracle {
 					oracle[j].restore(oracleSnap[j], oracleBytes[j])
 				}
+				sent = map[graph.VID]V{}
+				for k, v := range sentSnap {
+					sent[k] = v
+				}
 			}
 			for j := range oracle {
-				if !sameMsgs(st.out[j].msgs, oracle[j].msgs) || bytes[j] != oracle[j].bytes {
+				wantMsgs, wantBytes := want(j)
+				if got := pending(st, j); !sameBatch(got, wantMsgs, !cache) || bytes[j] != wantBytes {
 					t.Fatalf("seed %d step %d peer %d: %v (%d B), oracle %v (%d B)",
-						seed, step, j, st.out[j].msgs, bytes[j], oracle[j].msgs, oracle[j].bytes)
+						seed, step, j, got, bytes[j], wantMsgs, wantBytes)
 				}
 			}
 		}
 	}
 }
 
-func sameMsgs[V comparable](a, b []ace.Message[V]) bool {
+// sameBatch compares two batches, in order or as sets: a cached ghost is
+// listed when a send first improves it, which need not be the window's
+// first send to it.
+func sameBatch[V comparable](a, b []ace.Message[V], ordered bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	if !ordered {
+		byV := func(x, y ace.Message[V]) int { return int(x.V) - int(y.V) }
+		a, b = slices.SortedFunc(slices.Values(a), byV), slices.SortedFunc(slices.Values(b), byV)
+	}
+	return slices.Equal(a, b)
+}
+
+// TestGhostIsOutBuffer pins the out-buffer rule on one worker of two: a
+// ghost's Ψ is what its owner will be sent, a cached ghost drops a send that
+// does not improve it, any other ghost restarts at its InitValue after every
+// flush, and a checkpoint carries the pending batch.
+func TestGhostIsOutBuffer(t *testing.T) {
+	fs := frags(t, testGraph(true, 5), 2)
+	f := fs[0]
+	var a, b uint32 // two ghosts of worker 0, owned by worker 1
+	for l := uint32(f.NumOwned()); int(l) < f.NumLocal(); l++ {
+		if a == 0 {
+			a = l
+		} else {
+			b = l
+			break
 		}
 	}
-	return true
+	if b == 0 {
+		t.Fatal("test graph has fewer than two ghosts")
+	}
+	batch := func(st *workerState[float64]) []ace.Message[float64] { return st.takeOut(1) }
+	msg := func(l uint32, v float64) []ace.Message[float64] {
+		return []ace.Message[float64]{{V: f.Global(l), Val: v}}
+	}
+	t.Run("sssp_drops_non_improving", func(t *testing.T) {
+		st := newWorkerState(0, f, algorithms.NewSSSP()(), ace.Query{Source: f.Global(0)}, nil)
+		st.ctxSend(a, 5)
+		st.ctxSend(a, 9)
+		if got := batch(st); !slices.Equal(got, msg(a, 5)) {
+			t.Fatalf("first window shipped %v, want %v", got, msg(a, 5))
+		}
+		st.ctxSend(a, 7)
+		st.ctxSend(a, 5)
+		if got := batch(st); got != nil {
+			t.Fatalf("sends that do not lower the ghost shipped %v", got)
+		}
+		st.ctxSend(a, 4)
+		if got := batch(st); !slices.Equal(got, msg(a, 4)) {
+			t.Fatalf("an improving send shipped %v, want %v", got, msg(a, 4))
+		}
+	})
+	t.Run("pagerank_ships_window_sum", func(t *testing.T) {
+		st := newWorkerState(0, f, algorithms.NewPageRank()(), ace.Query{Eps: 1e-3}, nil)
+		st.ctxSend(a, 0.25)
+		st.ctxSend(a, 0.5)
+		if got := batch(st); !slices.Equal(got, msg(a, 0.75)) {
+			t.Fatalf("shipped %v, want %v", got, msg(a, 0.75))
+		}
+		if st.psi[a] != 0 {
+			t.Fatalf("ghost reads %v after takeOut, want 0", st.psi[a])
+		}
+	})
+	t.Run("restore_reproduces_pending", func(t *testing.T) {
+		st := newWorkerState(0, f, algorithms.NewPageRank()(), ace.Query{Eps: 1e-3}, nil)
+		st.ctxSend(a, 0.25)
+		snap := st.capture()
+		st.ctxSend(a, 0.5)
+		st.ctxSend(b, 1)
+		st.restore(&snap)
+		if got := batch(st); !slices.Equal(got, msg(a, 0.25)) {
+			t.Fatalf("restored batch %v, want %v", got, msg(a, 0.25))
+		}
+		st.restore(&snap)
+		if got := batch(st); !slices.Equal(got, msg(a, 0.25)) {
+			t.Fatalf("second restore of one snapshot: %v, want %v", got, msg(a, 0.25))
+		}
+	})
+	t.Run("opaque_sssp_per_window", func(t *testing.T) {
+		st := newWorkerState(0, f, opaqueFactory(algorithms.NewSSSP())(), ace.Query{Source: f.Global(0)}, nil)
+		st.ctxSend(a, 5)
+		if got := batch(st); !slices.Equal(got, msg(a, 5)) {
+			t.Fatalf("first window shipped %v, want %v", got, msg(a, 5))
+		}
+		st.ctxSend(a, 7)
+		if got := batch(st); !slices.Equal(got, msg(a, 7)) {
+			t.Fatalf("a ghost without a declared algebra must restart each window: shipped %v, want %v", got, msg(a, 7))
+		}
+	})
 }
