@@ -140,20 +140,27 @@ func (q Query) Arg(k string, def float64) float64 {
 // Ctx is the engine-provided view an update function works through: the
 // fragment, the status variables Ψ_i, and the channels by which changes
 // leave the update function (publish, scatter, activate). All methods must
-// be called only from within Program callbacks.
+// be called only from within Program callbacks. It holds Ψ, g_aggr and H,
+// so only what leaves the worker — a ghost Send, a Set that must reach
+// replicas — calls into the engine, through one hook each.
 type Ctx[V any] struct {
-	frag *graph.Fragment
-	psi  []V
-
-	set      func(local uint32, v V)
-	send     func(local uint32, d V)
-	activate func(local uint32)
+	frag    *graph.Fragment
+	psi     []V
+	owned   uint32
+	prog    Program[V]
+	active  *ActiveSet
+	self    bool // prog.Deps() == DepSelf
+	publish func(local uint32, v V)
+	ghost   func(local uint32, d V)
+	onPush  func(local uint32)
 }
 
-// NewCtx wires a context; used by the engine (and by tests of programs).
-func NewCtx[V any](f *graph.Fragment, psi []V,
-	set func(uint32, V), send func(uint32, V), activate func(uint32)) *Ctx[V] {
-	return &Ctx[V]{frag: f, psi: psi, set: set, send: send, activate: activate}
+// NewCtx wires a context over Ψ and H: publish takes a non-DepSelf Set, ghost
+// a Send to a ghost, and onPush (nil-able) every owned vertex a Send changed.
+func NewCtx[V any](f *graph.Fragment, psi []V, prog Program[V], active *ActiveSet,
+	publish func(uint32, V), ghost func(uint32, V), onPush func(uint32)) *Ctx[V] {
+	return &Ctx[V]{frag: f, psi: psi, owned: uint32(f.NumOwned()), prog: prog, active: active,
+		self: prog.Deps() == DepSelf, publish: publish, ghost: ghost, onPush: onPush}
 }
 
 // Frag returns the fragment being computed over.
@@ -162,21 +169,41 @@ func (c *Ctx[V]) Frag() *graph.Fragment { return c.frag }
 // Get reads the status variable of a local vertex.
 func (c *Ctx[V]) Get(local uint32) V { return c.psi[local] }
 
-// Psi exposes the whole status slice (read-only use).
-func (c *Ctx[V]) Psi() []V { return c.psi }
-
 // Set publishes a new value for the *owned* vertex the update function is
-// responsible for. The engine stores it, forwards ⟨v, x_v⟩ to v's replicas,
+// responsible for. A DepSelf program propagates by Send, so its Set only
+// stores; otherwise the engine stores it, forwards ⟨v, x_v⟩ to v's replicas,
 // and re-activates dependents according to the program's DepKind.
-func (c *Ctx[V]) Set(local uint32, v V) { c.set(local, v) }
+func (c *Ctx[V]) Set(local uint32, v V) {
+	if c.self {
+		c.psi[local] = v
+		return
+	}
+	c.publish(local, v)
+}
 
 // Send scatters a delta toward a vertex (DepSelf programs), aggregating it
-// into the target's status variable at once: an owned target is activated,
-// a ghost's is the out-buffer toward its owner (see Algebra).
-func (c *Ctx[V]) Send(local uint32, d V) { c.send(local, d) }
+// into the target's status variable at once: an owned target that changes is
+// activated, a ghost's Ψ is the out-buffer toward its owner (see Algebra).
+func (c *Ctx[V]) Send(local uint32, d V) {
+	if local >= c.owned {
+		c.ghost(local, d)
+		return
+	}
+	if nv, ch := c.prog.Aggregate(c.psi[local], d); ch {
+		c.psi[local] = nv
+		if c.onPush != nil {
+			c.onPush(local)
+		}
+		c.active.Push(local)
+	}
+}
 
 // Activate re-inserts an owned vertex into the active set H.
-func (c *Ctx[V]) Activate(local uint32) { c.activate(local) }
+func (c *Ctx[V]) Activate(local uint32) {
+	if local < c.owned {
+		c.active.Push(local)
+	}
+}
 
 // Program is a parallel ACE program ρ. One instance is created per worker
 // (programs may hold per-fragment auxiliary state).

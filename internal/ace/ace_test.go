@@ -81,23 +81,47 @@ func TestUpdateCostOverride(t *testing.T) {
 	}
 }
 
+// TestCtxAccessors pins what the context does in place and what it hands to
+// the engine: an owned Send folds by Aggregate and activates on change, a
+// ghost Send and a publishing Set go to their hooks, a DepSelf Set only
+// stores, and Activate ignores ghosts.
 func TestCtxAccessors(t *testing.T) {
-	f := testFragment(t)
-	psi := []int32{10, 20, 30}
-	var setL uint32
-	var setV int32
-	var sent, activated []uint32
-	ctx := NewCtx(f, psi,
-		func(l uint32, v int32) { setL, setV = l, v },
-		func(l uint32, d int32) { sent = append(sent, l) },
-		func(l uint32) { activated = append(activated, l) })
-	if ctx.Frag() != f || ctx.Get(1) != 20 || len(ctx.Psi()) != 3 {
-		t.Fatal("ctx reads wrong")
+	// 0 -> 1 -> 2, 2 -> 0 with 2 on worker 1: worker 0 owns 0, 1 and has
+	// ghost 2.
+	g := graph.NewBuilder(3, true).AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 0).MustBuild()
+	frags, err := graph.BuildFragments(g, []uint16{0, 0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx.Set(2, 99)
-	ctx.Send(1, 5)
-	ctx.Activate(0)
-	if setL != 2 || setV != 99 || len(sent) != 1 || sent[0] != 1 || len(activated) != 1 {
-		t.Fatal("ctx dispatch wrong")
+	f := frags[0]
+	l0, _ := f.Local(0)
+	l1, _ := f.Local(1)
+	gh, _ := f.Local(2)
+	for _, deps := range []DepKind{DepIn, DepSelf} {
+		psi := []int32{10, 20, 30}
+		h := NewActiveSet(f.NumOwned(), nil)
+		var published, ghostSent, pushed []uint32
+		ctx := NewCtx[int32](f, psi, &fakeProg{deps: deps}, h,
+			func(l uint32, v int32) { published = append(published, l) },
+			func(l uint32, d int32) { ghostSent = append(ghostSent, l) },
+			func(l uint32) { pushed = append(pushed, l) })
+		if ctx.Frag() != f || ctx.Get(l1) != 20 {
+			t.Fatal("ctx reads wrong")
+		}
+		ctx.Send(l0, 5)
+		ctx.Send(l0, 5) // unchanged: neither activates nor reports
+		ctx.Send(gh, 7)
+		if psi[l0] != 5 || h.Len() != 1 || len(pushed) != 1 || len(ghostSent) != 1 || ghostSent[0] != gh || psi[gh] != 30 {
+			t.Fatalf("deps %v: send routed wrong: psi %v, |H| %d, pushed %v, ghost %v", deps, psi, h.Len(), pushed, ghostSent)
+		}
+		ctx.Activate(gh)
+		ctx.Activate(l1)
+		if h.Len() != 2 {
+			t.Fatalf("deps %v: activate routed wrong: |H| %d", deps, h.Len())
+		}
+		ctx.Set(l1, 99)
+		if self := deps == DepSelf; self != (psi[l1] == 99) || self == (len(published) == 1) {
+			t.Fatalf("deps %v: set routed wrong: psi %v, published %v", deps, psi, published)
+		}
 	}
 }

@@ -66,7 +66,7 @@ func (h *Heap) Pop() Item {
 // functions must run. It is a FIFO queue by default; when a priority
 // function is supplied (parallelized Dijkstra), it becomes a lazy-deletion
 // min-heap popping the smallest priority first. The sim and live engines and
-// the sequential runner (package fixpoint) all schedule through it.
+// the sequential runner (gap.RunSequential) all schedule through it.
 type ActiveSet struct {
 	inQ  []bool
 	size int
@@ -98,12 +98,17 @@ func ActiveSetOf[V any](prog Program[V], psi []V, numOwned int) *ActiveSet {
 
 // Push activates a vertex. Re-activating a queued vertex is a no-op for the
 // FIFO, and a lazy re-insert with the (possibly better) current priority for
-// the heap: the earlier entry is skipped if this one pops first.
+// the heap: the earlier entry is skipped if this one pops first. The FIFO's
+// duplicate check stays here so that Push inlines into every send site.
 func (a *ActiveSet) Push(local uint32) {
+	if a.prio == nil && a.inQ[local] {
+		return
+	}
+	a.push(local)
+}
+
+func (a *ActiveSet) push(local uint32) {
 	if a.prio == nil {
-		if a.inQ[local] {
-			return
-		}
 		a.fifo = append(a.fifo, local)
 	} else {
 		a.items.Push(Item{a.prio(local), local})

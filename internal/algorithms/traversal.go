@@ -138,35 +138,30 @@ func SeqWCC(g *graph.Graph) []graph.VID {
 	for i := range parent {
 		parent[i] = graph.VID(i)
 	}
-	var find func(graph.VID) graph.VID
-	find = func(v graph.VID) graph.VID {
-		for parent[v] != v {
-			parent[v] = parent[parent[v]]
-			v = parent[v]
-		}
-		return v
-	}
-	union := func(a, b graph.VID) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra < rb {
-			parent[rb] = ra
-		} else {
-			parent[ra] = rb
-		}
-	}
 	for v := 0; v < n; v++ {
 		for _, u := range g.OutNeighbors(graph.VID(v)) {
-			union(graph.VID(v), u)
+			ra, rb := findRoot(parent, graph.VID(v)), findRoot(parent, u)
+			if ra < rb {
+				parent[rb] = ra
+			} else if rb < ra {
+				parent[ra] = rb
+			}
 		}
 	}
 	out := make([]graph.VID, n)
 	for v := range out {
-		out[v] = find(graph.VID(v))
+		out[v] = findRoot(parent, graph.VID(v))
 	}
 	return out
+}
+
+// findRoot returns v's union-find root, halving the path on the way.
+func findRoot(parent []graph.VID, v graph.VID) graph.VID {
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
+	}
+	return v
 }
 
 // WCC is weakly-connected-components as an ACE program: label propagation of

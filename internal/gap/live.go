@@ -715,25 +715,21 @@ func (w *liveWorker[V]) run() {
 		if tr != nil {
 			tr.Sample(id, obs.GaugeActive, w.ts(), float64(st.active.Len()))
 		}
-		// Updates are counted in steps and published to the run-wide
-		// d.updates once per check and once at round end, not per update:
-		// every worker writes that cache line.
+		// Updates are counted in steps and published once per check and once
+		// at round end, not per update: every worker writes d.updates' cache
+		// line, and the crash trigger count is read only at those points.
 		steps := 0
 		for !st.active.Empty() {
-			v := st.active.Pop()
-			st.prog.Update(st.ctx, v)
-			if d.hasCrashes {
-				d.updCount[id].Add(1)
-			}
+			st.prog.Update(st.ctx, st.active.Pop())
 			steps++
 			if steps%ce == 0 {
-				d.updates.Add(int64(ce))
+				w.countUpdates(ce)
 				if w.checkStep() {
 					return
 				}
 			}
 		}
-		d.updates.Add(int64(steps % ce))
+		w.countUpdates(steps % ce)
 		w.flushAll(true)
 		if tr != nil {
 			t1 := w.ts()
@@ -754,6 +750,14 @@ func (w *liveWorker[V]) run() {
 		if w.idleWait() {
 			return
 		}
+	}
+}
+
+// countUpdates adds n to the run's update count and the crash trigger count.
+func (w *liveWorker[V]) countUpdates(n int) {
+	w.d.updates.Add(int64(n))
+	if w.d.hasCrashes {
+		w.d.updCount[w.id].Add(int64(n))
 	}
 }
 

@@ -53,7 +53,7 @@ func BenchmarkFlushIngest(b *testing.B) {
 		for l := uint32(0); int(l) < s0.frag.NumOwned(); l++ {
 			for _, u := range s0.frag.OutNeighbors(l) {
 				if !s0.frag.IsOwned(u) {
-					s0.ctxSend(u, 0.5)
+					s0.ctx.Send(u, 0.5)
 				}
 			}
 		}
@@ -63,6 +63,44 @@ func BenchmarkFlushIngest(b *testing.B) {
 		}
 		s1.ingest(msgs)
 		pool.put(msgs)
+	}
+}
+
+// BenchmarkCtxSend measures one PageRank Ctx.Send on LJ@0.5 split over two
+// workers: worker 0 scatters along every out-arc whose target is owned
+// (fold into Ψ and push into H) or a ghost (fold into the out-buffer and
+// mark it for the owner). H is drained and the batch taken between
+// iterations, outside the timer, so every iteration pays first pushes and
+// first marks as a run's window does.
+func BenchmarkCtxSend(b *testing.B) {
+	fs := benchFrags(b, graph.MustDataset("LJ", 0.5), 2)
+	st := newWorkerState(0, fs[0], algorithms.NewPageRank()(), ace.Query{Eps: 1e-3}, &batchPool[float64]{})
+	f := st.frag
+	for _, owned := range []bool{true, false} {
+		name := map[bool]string{true: "owned", false: "ghost"}[owned]
+		var arcs []uint32
+		for l := uint32(0); int(l) < f.NumOwned(); l++ {
+			for _, u := range f.OutNeighbors(l) {
+				if f.IsOwned(u) == owned {
+					arcs = append(arcs, u)
+				}
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for !st.active.Empty() {
+					st.active.Pop()
+				}
+				st.pool.put(st.takeOut(1))
+				b.StartTimer()
+				for _, u := range arcs {
+					st.ctx.Send(u, 0.5)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(arcs)), "ns/send")
+		})
 	}
 }
 

@@ -227,3 +227,30 @@ func TestLiveOneWorkerSSSPAllocs(t *testing.T) {
 		t.Fatalf("1-worker SSSP run makes %.0f allocations, want <= 200", allocs)
 	}
 }
+
+// TestLiveOneWorkerPageRankAllocs bounds the garbage of a 1-worker PageRank
+// run the same way: a send folds into Ψ and H in place, so the count is the
+// run's setup, not a function value or a boxed value per arc.
+func TestLiveOneWorkerPageRankAllocs(t *testing.T) {
+	fs := frags(t, testGraph(true, 16), 1)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, LiveConfig{Mode: ModeGAP}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("1-worker PageRank run makes %.0f allocations, want <= 100", allocs)
+	}
+}
+
+// TestCtxSendAllocFree pins that a send allocates nothing once its target is
+// queued (owned) or listed for its owner (ghost).
+func TestCtxSendAllocFree(t *testing.T) {
+	f := frags(t, testGraph(true, 16), 2)[0]
+	st := newWorkerState(0, f, algorithms.NewPageRank()(), ace.Query{Eps: 1e-4}, nil)
+	for name, l := range map[string]uint32{"owned": 0, "ghost": uint32(f.NumOwned())} {
+		if allocs := testing.AllocsPerRun(100, func() { st.ctx.Send(l, 0.5) }); allocs != 0 {
+			t.Errorf("%s send: %.0f allocations, want 0", name, allocs)
+		}
+	}
+}

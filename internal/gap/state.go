@@ -87,11 +87,12 @@ func (bp *batchPool[V]) trim() {
 }
 
 // workerState is one ACE worker (§II-A) as every runner drives it: status
-// variables Ψ, the active set H, the per-peer out-buffers B⁻ and the Ctx
-// wiring of Set/Send/Activate, dependent activation and the h_in fold. The
-// sim, the live driver and the sequential runner differ only in the schedule
-// around it. It contains no synchronization — each instance is owned by
-// exactly one goroutine at a time.
+// variables Ψ, the active set H, the per-peer out-buffers B⁻, the Ctx hooks
+// for what leaves the worker (a ghost send, a replica publish), dependent
+// activation and the h_in fold. The sim, the live driver and the sequential
+// runner differ only in the schedule around it. It contains no
+// synchronization — each instance is owned by exactly one goroutine at a
+// time.
 type workerState[V any] struct {
 	id   int
 	frag *graph.Fragment
@@ -105,8 +106,11 @@ type workerState[V any] struct {
 
 	// out[j] is B⁻_j; the pending values are Ψ itself (see takeOut).
 	out []outIDs
-	// owner[l-NumOwned] is the worker owning ghost l.
-	owner []uint16
+	// nOwned is NumOwned; owner[l-nOwned] is the worker owning ghost l, and
+	// pend[l-nOwned] its mark: a ghost is only ever pending for its owner.
+	nOwned uint32
+	owner  []uint16
+	pend   []bool
 	// ghostInit holds each ghost's InitValue, which a shipped ghost restarts
 	// from. It is nil under a replay-tolerant algebra: a ghost then keeps its
 	// value as a cache of what its owner has been sent, and a send that does
@@ -123,20 +127,20 @@ type workerState[V any] struct {
 	// overhead.
 	rs *recoverState[V]
 
-	// The sim's bookkeeping. vcost holds the Category II streak cost of each
-	// owned vertex and stale2 the streaks found stale (noteChange);
-	// onEnqueue sees every mark, and every change to a marked value, with
-	// the change it made to the peer's wire bytes. vcost and onEnqueue are
-	// nil under the live and sequential runners, which pay one nil check per
-	// site.
+	// The sim's bookkeeping, set before init. vcost holds the Category II
+	// streak cost of each owned vertex and stale2 the streaks found stale
+	// (noteChange); onEnqueue sees every mark, and every change to a marked
+	// value, with the change it made to the peer's wire bytes. vcost and
+	// onEnqueue are nil under the live and sequential runners, which pay one
+	// nil check per site.
 	vcost     []float64
 	stale2    float64
 	onEnqueue func(peer, dBytes int)
 }
 
 // outIDs is B⁻ for one peer: the local ids whose Ψ is pending for it, in
-// first-mark order, and a dense mark that lists each id once per flush
-// window.
+// first-mark order, and a dense mark over owned ids that lists each once
+// per flush window (a ghost's mark is pend).
 type outIDs struct {
 	ids  []uint32
 	mark []bool
@@ -162,12 +166,18 @@ func (st *workerState[V]) init(id int, f *graph.Fragment, prog ace.Program[V], q
 	st.out = make([]outIDs, f.NumWorkers())
 	for j := range st.out {
 		if j != id {
-			st.out[j].mark = make([]bool, f.NumLocal())
+			st.out[j].mark = make([]bool, f.NumOwned())
 		}
 	}
+	st.nOwned = uint32(f.NumOwned())
 	st.owner = make([]uint16, f.NumGhosts())
+	st.pend = make([]bool, f.NumGhosts())
 	cache := ace.AlgebraOf(prog).ReplayTolerant()
-	st.ctx = ace.NewCtx(f, st.psi, st.ctxSet, st.ctxSend, st.ctxActivate)
+	var onPush func(uint32)
+	if st.vcost != nil && st.cat == ace.CategoryII {
+		onPush = st.noteChange
+	}
+	st.ctx = ace.NewCtx(f, st.psi, prog, st.active, st.publish, st.sendGhost, onPush)
 	for l := uint32(0); int(l) < f.NumLocal(); l++ {
 		v, act := prog.InitValue(f, l, q)
 		st.psi[l] = v
@@ -194,19 +204,27 @@ func (st *workerState[V]) init(id int, f *graph.Fragment, prog ace.Program[V], q
 	}
 }
 
+// pendMark is the mark that lists l in B⁻_peer once per flush window.
+func (st *workerState[V]) pendMark(peer int, l uint32) *bool {
+	if l >= st.nOwned {
+		return &st.pend[l-st.nOwned]
+	}
+	return &st.out[peer].mark[l]
+}
+
 // mark lists l in B⁻_peer once per flush window; old is Ψ[l] before the
 // change that prompted the mark, so the byte hook sees the change in size of
 // a value already listed.
 func (st *workerState[V]) mark(peer int, l uint32, old V) {
-	o := &st.out[peer]
-	if o.mark[l] {
+	m := st.pendMark(peer, l)
+	if *m {
 		if st.onEnqueue != nil {
 			st.onEnqueue(peer, st.prog.Size(st.psi[l])-st.prog.Size(old))
 		}
 		return
 	}
-	o.mark[l] = true
-	o.ids = append(o.ids, l)
+	*m = true
+	st.out[peer].ids = append(st.out[peer].ids, l)
 	if st.onEnqueue != nil {
 		st.onEnqueue(peer, 4+st.prog.Size(st.psi[l]))
 	}
@@ -249,17 +267,14 @@ func (st *workerState[V]) activateDeps(lv uint32) {
 }
 
 // wake re-activates what a change to lv's value, folded in from outside the
-// update function, affects: lv itself under a push program (when owned), its
-// dependents otherwise.
+// update function by live recovery (which keeps no streaks), affects: lv
+// itself under a push program (when owned), its dependents otherwise.
 func (st *workerState[V]) wake(lv uint32) {
 	if st.deps != ace.DepSelf {
 		st.activateDeps(lv)
 		return
 	}
-	if st.frag.IsOwned(lv) {
-		st.notePush(lv)
-		st.active.Push(lv)
-	}
+	st.ctx.Activate(lv)
 }
 
 // noteChange records that the observable value of an owned vertex changed:
@@ -273,20 +288,12 @@ func (st *workerState[V]) noteChange(l uint32) {
 	}
 }
 
-// notePush is noteChange for a change that arrived by aggregation (Send or
-// h_in), which only a Category II program's streak counts.
-func (st *workerState[V]) notePush(l uint32) {
-	if st.vcost != nil && st.cat == ace.CategoryII {
-		st.noteChange(l)
-	}
-}
-
-func (st *workerState[V]) ctxSet(l uint32, v V) {
+// publish is Set for a program that is not DepSelf: a changed value is marked
+// for l's replicas and wakes its dependents; an unchanged one does neither.
+func (st *workerState[V]) publish(l uint32, v V) {
 	old := st.psi[l]
 	st.psi[l] = v
-	// Push programs propagate explicitly via Send; Set only stores the
-	// local state. An unchanged value neither ships nor wakes anyone.
-	if st.prog.Equal(old, v) || st.deps == ace.DepSelf {
+	if st.prog.Equal(old, v) {
 		return
 	}
 	st.noteChange(l)
@@ -308,35 +315,26 @@ func (st *workerState[V]) ctxSet(l uint32, v V) {
 	st.activateDeps(l)
 }
 
-// ctxSend aggregates d into Ψ[l] for every local l. A changed owned l is
-// activated; a ghost l is marked for its owner, unless the ghost is a cache
-// (ghostInit nil) that d did not improve — its owner holds d or better.
-func (st *workerState[V]) ctxSend(l uint32, d V) {
+// sendGhost is Send to ghost l: d folds into Ψ[l], the out-buffer toward l's
+// owner, which l is marked for — unless the ghost is a cache (ghostInit nil)
+// that d did not improve: its owner holds d or better.
+func (st *workerState[V]) sendGhost(l uint32, d V) {
 	old := st.psi[l]
 	nv, ch := st.prog.Aggregate(old, d)
-	if st.frag.IsOwned(l) {
-		if ch {
-			st.psi[l] = nv
-			st.notePush(l)
-			st.active.Push(l)
-		}
+	if !ch && st.ghostInit == nil {
 		return
 	}
-	if ch || st.ghostInit != nil {
-		st.psi[l] = nv
-		st.mark(int(st.owner[int(l)-st.frag.NumOwned()]), l, old)
-	}
-}
-
-func (st *workerState[V]) ctxActivate(l uint32) {
-	if st.frag.IsOwned(l) {
-		st.active.Push(l)
+	st.psi[l] = nv
+	// A pending ghost ships its new Ψ anyway; only the sim's byte hook cares.
+	if g := l - st.nOwned; !st.pend[g] || st.onEnqueue != nil {
+		st.mark(int(st.owner[g]), l, old)
 	}
 }
 
 // ingest is the h_in fold: aggregate each message into Ψ and wake what
-// every change affects. It spells wake out: this is the per-message hot path
-// of every runner, and wake is too large to inline.
+// every change affects, closing a pushed vertex's Category II streak as the
+// Ctx's onPush does. It spells wake out: this is the per-message hot path of
+// every runner.
 func (st *workerState[V]) ingest(msgs []ace.Message[V]) {
 	for _, m := range msgs {
 		lv, ok := st.frag.Local(m.V)
@@ -351,7 +349,9 @@ func (st *workerState[V]) ingest(msgs []ace.Message[V]) {
 		if st.deps != ace.DepSelf {
 			st.activateDeps(lv)
 		} else if st.frag.IsOwned(lv) {
-			st.notePush(lv)
+			if st.vcost != nil && st.cat == ace.CategoryII {
+				st.noteChange(lv)
+			}
 			st.active.Push(lv)
 		}
 	}
@@ -367,9 +367,9 @@ func (st *workerState[V]) takeOut(peer int) []ace.Message[V] {
 		return nil
 	}
 	msgs := slices.Grow(st.pool.get(), len(o.ids))
-	n := uint32(st.frag.NumOwned())
+	n := st.nOwned
 	for _, l := range o.ids {
-		o.mark[l] = false
+		*st.pendMark(peer, l) = false
 		msgs = append(msgs, ace.Message[V]{V: st.frag.Global(l), Val: st.psi[l]})
 		if l >= n && st.ghostInit != nil {
 			st.psi[l] = st.ghostInit[l-n]
@@ -432,11 +432,11 @@ func (st *workerState[V]) restore(s *stateSnap[V]) {
 	for j := range st.out {
 		o := &st.out[j]
 		for _, l := range o.ids {
-			o.mark[l] = false
+			*st.pendMark(j, l) = false
 		}
 		o.ids = append(o.ids[:0], s.out[j]...)
 		for _, l := range o.ids {
-			o.mark[l] = true
+			*st.pendMark(j, l) = true
 		}
 	}
 }

@@ -51,12 +51,16 @@ func (o *oracleOut[V]) restore(msgs []ace.Message[V], bytes int) {
 	}
 }
 
-// TestOutAccMatchesOracle drives the worker state and the map oracle through
-// the same random send/set/take/snapshot/restore schedules, with few
-// distinct vertices so coalescing is frequent. PageRank, Color and the
-// variable-size program must produce the oracle's batches — message order
-// and values — and byte totals throughout; SSSP's must be the oracle's
-// minus the entries that do not improve what the owner was already sent.
+// TestOutAccMatchesOracle drives the worker state, through its Ctx, and the
+// map oracle through the same random send/set/take/snapshot/restore
+// schedules, with few distinct vertices so coalescing is frequent. PageRank,
+// Color and the variable-size program must produce the oracle's batches —
+// message order and values — and byte totals throughout; SSSP's must be the
+// oracle's minus the entries that do not improve what the owner was already
+// sent. A push program also sends to owned vertices, which must fold into Ψ
+// and H in place and never reach a batch. A Category II program runs with
+// the sim's streak accounting on: every change to an owned value must close
+// its streak into stale2.
 func TestOutAccMatchesOracle(t *testing.T) {
 	fs := frags(t, testGraph(true, 21), 3)
 	t.Run("sssp", func(t *testing.T) {
@@ -94,9 +98,10 @@ func pending[V any](st *workerState[V], peer int) []ace.Message[V] {
 func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Factory[V], val func(*rand.Rand) V) {
 	push := factory().Deps() == ace.DepSelf
 	cache := ace.AlgebraOf(factory()).ReplayTolerant()
-	var verts []uint32 // ghosts for a push program, replicated owned vertices otherwise
+	streaks := factory().Category() == ace.CategoryII
+	var verts []uint32 // every local vertex for a push program, replicated owned vertices otherwise
 	for l := uint32(0); int(l) < f.NumLocal(); l++ {
-		if push && !f.IsOwned(l) || !push && f.IsOwned(l) && len(f.ReplicasOut(l))+len(f.ReplicasIn(l)) > 0 {
+		if push || f.IsOwned(l) && len(f.ReplicasOut(l))+len(f.ReplicasIn(l)) > 0 {
 			verts = append(verts, l)
 		}
 	}
@@ -105,7 +110,11 @@ func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Fact
 		n := f.NumWorkers()
 		bytes := make([]int, n)
 		st := &workerState[V]{onEnqueue: func(peer, d int) { bytes[peer] += d }}
+		if streaks {
+			st.vcost = make([]float64, f.NumOwned())
+		}
 		st.init(0, f, factory(), ace.Query{}, nil)
+		wantStale := 0.0
 		prog := st.prog
 		oracle := make([]oracleOut[V], n)
 		for j := range oracle {
@@ -115,7 +124,9 @@ func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Fact
 		sent := map[graph.VID]V{}
 		if cache {
 			for _, l := range verts {
-				sent[f.Global(l)] = st.psi[l]
+				if !f.IsOwned(l) {
+					sent[f.Global(l)] = st.psi[l]
+				}
 			}
 		}
 		// want is the oracle's batch for peer, less what cannot improve sent.
@@ -148,18 +159,38 @@ func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Fact
 		var sentSnap map[graph.VID]V
 		for step := 0; step < 400; step++ {
 			peer := 1 + r.Intn(n-1)
+			if streaks {
+				st.vcost[r.Intn(f.NumOwned())] += float64(1 + r.Intn(5))
+			}
 			switch op := r.Intn(20); {
 			case op < 15:
 				l := pick[r.Intn(len(pick))]
 				g, v := f.Global(l), val(r)
-				if push {
-					st.ctxSend(l, v)
+				var streak float64
+				if streaks && f.IsOwned(l) {
+					streak = st.vcost[l]
+				}
+				if push && !f.IsOwned(l) {
+					st.ctx.Send(l, v)
 					oracle[f.OwnerOf(g)].enqueue(prog, g, v)
 					break
 				}
+				if push {
+					nv, ch := prog.Aggregate(st.psi[l], v)
+					st.ctx.Send(l, v)
+					if st.psi[l] != nv || ch && !slices.Contains(st.active.Snapshot(), l) {
+						t.Fatalf("seed %d step %d: owned send left Ψ %v (want %v), changed %v, H %v",
+							seed, step, st.psi[l], nv, ch, st.active.Snapshot())
+					}
+					if ch {
+						wantStale += streak
+					}
+					break
+				}
 				changed := !prog.Equal(st.psi[l], v)
-				st.ctxSet(l, v)
+				st.ctx.Set(l, v)
 				if changed {
+					wantStale += streak
 					for _, j := range f.ReplicasOut(l) {
 						oracle[j].enqueue(prog, g, v)
 					}
@@ -217,6 +248,9 @@ func checkOutAcc[V comparable](t *testing.T, f *graph.Fragment, factory ace.Fact
 						seed, step, j, got, bytes[j], wantMsgs, wantBytes)
 				}
 			}
+			if st.stale2 != wantStale {
+				t.Fatalf("seed %d step %d: stale2 %v, want %v", seed, step, st.stale2, wantStale)
+			}
 		}
 	}
 }
@@ -260,25 +294,25 @@ func TestGhostIsOutBuffer(t *testing.T) {
 	}
 	t.Run("sssp_drops_non_improving", func(t *testing.T) {
 		st := newWorkerState(0, f, algorithms.NewSSSP()(), ace.Query{Source: f.Global(0)}, nil)
-		st.ctxSend(a, 5)
-		st.ctxSend(a, 9)
+		st.ctx.Send(a, 5)
+		st.ctx.Send(a, 9)
 		if got := batch(st); !slices.Equal(got, msg(a, 5)) {
 			t.Fatalf("first window shipped %v, want %v", got, msg(a, 5))
 		}
-		st.ctxSend(a, 7)
-		st.ctxSend(a, 5)
+		st.ctx.Send(a, 7)
+		st.ctx.Send(a, 5)
 		if got := batch(st); got != nil {
 			t.Fatalf("sends that do not lower the ghost shipped %v", got)
 		}
-		st.ctxSend(a, 4)
+		st.ctx.Send(a, 4)
 		if got := batch(st); !slices.Equal(got, msg(a, 4)) {
 			t.Fatalf("an improving send shipped %v, want %v", got, msg(a, 4))
 		}
 	})
 	t.Run("pagerank_ships_window_sum", func(t *testing.T) {
 		st := newWorkerState(0, f, algorithms.NewPageRank()(), ace.Query{Eps: 1e-3}, nil)
-		st.ctxSend(a, 0.25)
-		st.ctxSend(a, 0.5)
+		st.ctx.Send(a, 0.25)
+		st.ctx.Send(a, 0.5)
 		if got := batch(st); !slices.Equal(got, msg(a, 0.75)) {
 			t.Fatalf("shipped %v, want %v", got, msg(a, 0.75))
 		}
@@ -288,10 +322,10 @@ func TestGhostIsOutBuffer(t *testing.T) {
 	})
 	t.Run("restore_reproduces_pending", func(t *testing.T) {
 		st := newWorkerState(0, f, algorithms.NewPageRank()(), ace.Query{Eps: 1e-3}, nil)
-		st.ctxSend(a, 0.25)
+		st.ctx.Send(a, 0.25)
 		snap := st.capture()
-		st.ctxSend(a, 0.5)
-		st.ctxSend(b, 1)
+		st.ctx.Send(a, 0.5)
+		st.ctx.Send(b, 1)
 		st.restore(&snap)
 		if got := batch(st); !slices.Equal(got, msg(a, 0.25)) {
 			t.Fatalf("restored batch %v, want %v", got, msg(a, 0.25))
@@ -303,11 +337,11 @@ func TestGhostIsOutBuffer(t *testing.T) {
 	})
 	t.Run("opaque_sssp_per_window", func(t *testing.T) {
 		st := newWorkerState(0, f, opaqueFactory(algorithms.NewSSSP())(), ace.Query{Source: f.Global(0)}, nil)
-		st.ctxSend(a, 5)
+		st.ctx.Send(a, 5)
 		if got := batch(st); !slices.Equal(got, msg(a, 5)) {
 			t.Fatalf("first window shipped %v, want %v", got, msg(a, 5))
 		}
-		st.ctxSend(a, 7)
+		st.ctx.Send(a, 7)
 		if got := batch(st); !slices.Equal(got, msg(a, 7)) {
 			t.Fatalf("a ghost without a declared algebra must restart each window: shipped %v, want %v", got, msg(a, 7))
 		}
