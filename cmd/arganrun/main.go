@@ -31,9 +31,9 @@
 //	                   64m). Recovery logs, checkpoints and reorder buffers
 //	                   are accounted against the budget; under pressure the
 //	                   driver pages logs and checkpoints to the spill dir,
-//	                   forces early checkpoints, backpressures senders and
-//	                   finally streams edge partitions from disk — instead
-//	                   of OOMing. Each soak iteration gets a fresh governor.
+//	                   forces early checkpoints and backpressures senders
+//	                   instead of OOMing. The graph itself is never paged.
+//	                   Each soak iteration gets a fresh governor.
 //	-spill-dir DIR     where spilled state lives (default: the OS temp dir).
 //
 // Observability (applies to the ACE applications, not -stats/-app mst):
@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ckptEvery := fs.Float64("ckpt-every", 0, "checkpoint interval in virtual cost units (0 = default)")
 	soak := fs.Int("soak", 0, "run under the live driver `N` times, verifying each run against the sequential reference (0 = sim driver)")
 	memBudget := fs.String("mem-budget", "", "live-driver memory budget in `BYTES` (k/m/g suffixes; empty = unbounded)")
-	spillDir := fs.String("spill-dir", "", "directory for spilled logs, checkpoints and edges (default: the OS temp dir)")
+	spillDir := fs.String("spill-dir", "", "directory for spilled logs and checkpoints (default: the OS temp dir)")
 	traceFile := fs.String("trace", "", "write Chrome trace-event JSON (Perfetto) to `FILE`")
 	metricsOut := fs.String("metrics-out", "", "write per-worker time-series CSV to `FILE`")
 	progress := fs.Duration("progress", 0, "print live progress every `DUR` (0 disables)")
@@ -452,16 +452,7 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 			c.Mem = gov
 		}
 		lm, wrong, err := once(c)
-		if gov != nil {
-			gov.Close()
-			// Fragments are shared across iterations; a StageStream run may
-			// have left their edge payloads on disk.
-			for _, f := range frags {
-				if _, uerr := f.UnspillEdges(); uerr != nil && err == nil {
-					err = uerr
-				}
-			}
-		}
+		gov.Close()
 		if err != nil {
 			return fmt.Errorf("soak run %d/%d: %w", it+1, iters, err)
 		}
@@ -483,8 +474,8 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 			it+1, iters, status, lm.WallTime.Round(time.Millisecond),
 			lm.Crashes, lm.Recoveries, lm.Replayed)
 		if gov != nil {
-			fmt.Fprintf(stdout, "  mem: peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d throttles=%d edge-spills=%d\n",
-				lm.MemPeakBytes, lm.SpilledBytes, lm.ReplayedFromDisk, lm.ForcedCkpts, lm.Throttles, lm.EdgeSpills)
+			fmt.Fprintf(stdout, "  mem: peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d throttles=%d\n",
+				lm.MemPeakBytes, lm.SpilledBytes, lm.ReplayedFromDisk, lm.ForcedCkpts, lm.Throttles)
 		}
 		atomic.AddInt64(&iterDone, 1)
 	}

@@ -38,7 +38,6 @@ type MemoryCapResult struct {
 	ReplayedFromDisk int64 `json:"replayed_from_disk"`
 	ForcedCkpts      int64 `json:"forced_ckpts"`
 	Throttles        int64 `json:"throttles"`
-	EdgeSpills       int64 `json:"edge_spills"`
 	LogPeakBytes     int64 `json:"log_peak_bytes"`
 	CrashesTotal     int64 `json:"crashes_total"`
 	RecoveriesTotal  int64 `json:"recoveries_total"`
@@ -104,24 +103,13 @@ func medianF64(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// memUnspill returns the fragments' edge payloads to RAM after a governed
-// run. Fragments are shared across runs, so a StageStream run must not leak
-// its spilled state into the next one.
-func memUnspill(frags []*graph.Fragment) error {
-	for _, f := range frags {
-		if _, err := f.UnspillEdges(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Memory measures graceful degradation under a shrinking memory budget:
 // async live PageRank with one mid-run crash and localized recovery, first
 // ungoverned (budget 0: accounting only) to find the true peak, then at
 // 1/2, 1/4 and 1/8 of that peak with the full ladder armed — spillable
-// logs and checkpoints, forced early checkpoints, sender backpressure and
-// streamed edge partitions. Every capped run must still converge to the
+// logs and checkpoints, forced early checkpoints and sender backpressure.
+// The governor accounts only per-run state; the shared fragments are never
+// paged. Every capped run must still converge to the
 // reference answer; the report is the wall-clock-versus-cap curve plus a
 // per-application verification at a quarter of each app's own peak.
 func Memory(o Options) error {
@@ -219,8 +207,8 @@ func Memory(o Options) error {
 	rep.UnboundedWallMS = medianF64(wallU)
 	fmt.Fprintf(o.Out, "unbounded peak %d bytes, wall %.1fms (median); crash: worker 1 after %d updates, restart 10ms\n",
 		rep.UnboundedPeakBytes, rep.UnboundedWallMS, rep.CrashAfterUpdates)
-	fmt.Fprintf(o.Out, "%-8s %12s %10s %9s %10s %8s %9s %9s %7s\n",
-		"cap", "bytes", "wall(med)", "slowdown", "spilled", "forced", "throttle", "edgespill", "wrong")
+	fmt.Fprintf(o.Out, "%-8s %12s %10s %9s %10s %8s %9s %7s\n",
+		"cap", "bytes", "wall(med)", "slowdown", "spilled", "forced", "throttle", "wrong")
 
 	for _, frac := range []float64{0.5, 0.25, 0.125} {
 		cap := int64(float64(rep.UnboundedPeakBytes) * frac)
@@ -240,9 +228,6 @@ func Memory(o Options) error {
 			if err != nil {
 				return fmt.Errorf("memory cap %.3f rep %d: %v", frac, k, err)
 			}
-			if err := memUnspill(frags); err != nil {
-				return err
-			}
 			r.WallMS = append(r.WallMS, float64(lm.WallTime)/1e6)
 			if lm.MemPeakBytes > r.PeakBytes {
 				r.PeakBytes = lm.MemPeakBytes
@@ -251,7 +236,6 @@ func Memory(o Options) error {
 			r.ReplayedFromDisk += lm.ReplayedFromDisk
 			r.ForcedCkpts += lm.ForcedCkpts
 			r.Throttles += lm.Throttles
-			r.EdgeSpills += lm.EdgeSpills
 			if lm.LogPeakBytes > r.LogPeakBytes {
 				r.LogPeakBytes = lm.LogPeakBytes
 			}
@@ -267,9 +251,9 @@ func Memory(o Options) error {
 			rep.SpilledReplayObserved = true
 		}
 		rep.Caps = append(rep.Caps, r)
-		fmt.Fprintf(o.Out, "%-8.3f %12d %9.1fms %8.2fx %10d %8d %9d %9d %7d\n",
+		fmt.Fprintf(o.Out, "%-8.3f %12d %9.1fms %8.2fx %10d %8d %9d %7d\n",
 			frac, cap, r.WallMSMedian, r.Slowdown, r.SpilledBytes,
-			r.ForcedCkpts, r.Throttles, r.EdgeSpills, r.WrongVertices)
+			r.ForcedCkpts, r.Throttles, r.WrongVertices)
 	}
 
 	// Per-application verification: each live app at a quarter of its own
@@ -309,9 +293,6 @@ func Memory(o Options) error {
 		gov.Close()
 		if err != nil {
 			return fmt.Errorf("memory app %s capped: %v", name, err)
-		}
-		if err := memUnspill(frags); err != nil {
-			return err
 		}
 		ar.WallMS = float64(lm.WallTime) / 1e6
 		ar.SpilledBytes = lm.SpilledBytes

@@ -33,8 +33,6 @@ type LiveConfig struct {
 	// checks (ξ⁺/ξ⁻ evaluation); it is the live analogue of the
 	// granularity bound η. Default 256; ModeAPVC forces 1.
 	CheckEvery int
-	// ChannelCap is the per-worker mailbox capacity (default 1024).
-	ChannelCap int
 	// Tracer receives the run's event stream stamped with wall-clock
 	// microseconds since the run start. nil disables tracing (one nil
 	// check per event site). When set, worker goroutines also carry
@@ -76,12 +74,13 @@ type LiveConfig struct {
 	// unacknowledged messages). Default 30s; < 0 disables.
 	Watchdog time.Duration
 	// Mem attaches a memory governor to the run: the recovery logs, local
-	// checkpoints, batch pool, reorder buffers and fragment edge payloads
-	// register with it, and the driver degrades through the governor's
-	// ladder (spill, forced checkpoints, sender backpressure, edge
-	// streaming) instead of growing without bound. nil (the default) leaves
-	// the run ungoverned; a governor with budget <= 0 measures only. One
-	// governor serves one run — do not reuse across runs.
+	// checkpoints, batch pool and reorder buffers register with it, and the
+	// driver degrades through the governor's ladder (spill, forced
+	// checkpoints, sender backpressure) instead of growing without bound.
+	// Fragments are never governed: they are immutable and may be shared
+	// with concurrent runs. nil (the default) leaves the run ungoverned; a
+	// governor with budget <= 0 measures only. One governor serves one run —
+	// do not reuse across runs.
 	Mem *mem.Governor
 	// LogBytesSoftCap bounds the bytes of sender-side log entries retained
 	// toward any single receiver: past it the monitor forces the slowest
@@ -100,12 +99,11 @@ type LiveConfig struct {
 	// service propagates client cancellations and deadlines into the
 	// driver's control plane.
 	Cancel <-chan struct{}
-	// NoEdgeSpill keeps fragment edge partitions out of the governed set:
-	// they are neither charged to the budget nor paged to disk at
-	// StageStream. Required when the fragments are shared with concurrent
-	// runs (a multi-tenant service over one frozen dataset): SpillEdges
-	// mutates the fragment, which would race with — and corrupt — every
-	// other run reading it.
+	// NoEdgeSpill selects nothing: fragments are immutable and never paged,
+	// so there is nothing left to keep out of the governed set. It is kept
+	// solely because benchmark/replay.go sets it and benchmark/ is closed to
+	// the change that removed edge spilling; delete it when benchmark/ next
+	// opens.
 	NoEdgeSpill bool
 }
 
@@ -139,9 +137,6 @@ func (c LiveConfig) withDefaults() (LiveConfig, error) {
 	}
 	if c.Mode == ModeAPVC {
 		c.CheckEvery = 1
-	}
-	if c.ChannelCap <= 0 {
-		c.ChannelCap = 1024
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 50 * time.Millisecond
@@ -199,7 +194,6 @@ type LiveMetrics struct {
 	ReplayedFromDisk int64 // replayed messages read back from spilled log entries
 	ForcedCkpts      int64 // checkpoints forced by the retention cap / pressure ladder
 	Throttles        int64 // sender flushes delayed by backpressure
-	EdgeSpills       int64 // fragments whose edge partitions were paged to disk
 	EtaReseeds       int64 // per-worker granularity reseeds after recovery
 	LogPeakBytes     int64 // high-water retained bytes across the message log
 }
@@ -371,22 +365,19 @@ type liveDriver[V any] struct {
 	replayed   atomic.Int64
 	recoveryNS atomic.Int64
 
-	// Memory governance (see livespill.go). gov is nil on ungoverned runs;
-	// every accounting site is nil-safe.
+	// Memory governance (LiveConfig.Mem; memTick climbs the ladder). gov is
+	// nil on ungoverned runs; every accounting site is nil-safe.
 	gov          *mem.Governor
 	logCap       int64
 	logPressure  atomic.Bool  // some receiver's retained log exceeds logCap
 	vSize        int64        // encoded bytes of one V (estimate when non-fixed)
 	wireEst      int64        // accounted bytes per logged/buffered message
 	snapSp       *mem.Spiller // checkpoint pages (nil = ckpt spilling off)
-	fragAcct     *mem.Account
 	ckptAcct     *mem.Account
-	ckptBytes    []int64 // resident cost of each worker's current snapshot
-	edgeSpillReq []atomic.Bool
+	ckptBytes    []int64        // resident cost of each worker's current snapshot
 	ckEvery      []atomic.Int32 // per-worker effective CheckEvery (η reseed)
 	forcedCkpts  atomic.Int64
 	throttles    atomic.Int64
-	edgeSpills   atomic.Int64
 	etaReseeds   atomic.Int64
 	replayedDisk atomic.Int64
 
@@ -397,6 +388,10 @@ type liveDriver[V any] struct {
 }
 
 const (
+	// liveMailboxCap is the per-worker mailbox capacity, in batches: deep
+	// enough that a sender rarely meets a full mailbox, which makes it drain
+	// its own and back off (see send).
+	liveMailboxCap  = 1024
 	liveSendBackoff = 50 * time.Microsecond
 	liveSendBackMax = 2 * time.Millisecond
 	// liveThrottleSleep is the per-flush backpressure pause applied to
@@ -457,7 +452,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 
 	d.chans = make([]chan liveEnvelope[V], n)
 	for i := range d.chans {
-		d.chans[i] = make(chan liveEnvelope[V], cfg.ChannelCap)
+		d.chans[i] = make(chan liveEnvelope[V], liveMailboxCap)
 	}
 	d.coord = newLiveCoord(n)
 	d.ctrl = newLiveCtrl(n)
@@ -534,15 +529,6 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	if d.gov != nil {
 		d.pool.acct = d.gov.Account("pool")
 		d.pool.wire = d.wireEst
-		if !cfg.NoEdgeSpill {
-			d.fragAcct = d.gov.Account("edges")
-			var resident int64
-			for _, f := range frags {
-				resident += f.EdgesResidentBytes()
-			}
-			d.fragAcct.Add(resident)
-			d.edgeSpillReq = make([]atomic.Bool, n)
-		}
 		if d.seqOn {
 			for i := range d.states {
 				d.states[i].rs.acct = d.gov.Account("robuf")
@@ -621,7 +607,6 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		ReplayedFromDisk: d.replayedDisk.Load(),
 		ForcedCkpts:      d.forcedCkpts.Load(),
 		Throttles:        d.throttles.Load(),
-		EdgeSpills:       d.edgeSpills.Load(),
 		EtaReseeds:       d.etaReseeds.Load(),
 	}
 	if d.mlog != nil {
@@ -693,7 +678,6 @@ func (w *liveWorker[V]) run() {
 			return
 		}
 		w.serviceLocal()
-		w.serviceMem()
 		w.beat()
 		// Effective check granularity: recovery may have reseeded this
 		// worker's η toward finer checks (see runLocalRecovery).
@@ -1011,36 +995,6 @@ func (w *liveWorker[V]) flushAll(final bool) {
 	}
 }
 
-// serviceMem honors a pending edge-streaming request (degradation rung 3) at
-// the worker's safe points: the fragment's edge payloads page to disk and
-// every adjacency read goes through the spilled accessors until the caller
-// unspills after the run. Index arrays stay resident.
-func (w *liveWorker[V]) serviceMem() {
-	d, id, tr := w.d, w.id, w.tr
-	if d.edgeSpillReq == nil || !d.edgeSpillReq[id].Load() {
-		return
-	}
-	d.edgeSpillReq[id].Store(false)
-	if w.st.frag.EdgesSpilled() {
-		return
-	}
-	if tr != nil {
-		tr.SpanBegin(id, obs.PhaseSpill, w.ts())
-	}
-	freed, err := w.st.frag.SpillEdges(d.gov.SpillDir())
-	if tr != nil {
-		tr.SpanEnd(id, obs.PhaseSpill, w.ts())
-	}
-	if err == nil && freed > 0 {
-		d.fragAcct.Add(-freed)
-		d.gov.NoteSpill(freed)
-		d.edgeSpills.Add(1)
-		if tr != nil {
-			tr.Mark(id, obs.MarkSpill, w.ts())
-		}
-	}
-}
-
 // serviceLocal is the localized-recovery safe point: process any rollback
 // notices from the monitor, then honor a pending checkpoint request.
 // Checkpoints are taken inline — no barrier, no park — after flushing held
@@ -1077,7 +1031,6 @@ func (w *liveWorker[V]) checkStep() bool {
 		return true
 	}
 	w.serviceLocal()
-	w.serviceMem()
 	if d.hasSlow {
 		if f := d.inj.SlowFactor(w.id, w.nowMS()); f > 1 {
 			time.Sleep(time.Duration((f - 1) * float64(100*time.Microsecond)))
@@ -1115,7 +1068,6 @@ func (w *liveWorker[V]) idleWait() bool {
 				return true
 			}
 			w.serviceLocal()
-			w.serviceMem()
 			if !w.st.active.Empty() {
 				// A rollback notice un-applied contributions and
 				// re-activated their vertices: go process them.

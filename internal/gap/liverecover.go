@@ -373,7 +373,7 @@ func (l *msgLog[V]) spillToTargetLocked() {
 	switch l.gov.Stage() {
 	case mem.StageCkpt:
 		target = l.ramBytes / 2
-	case mem.StageThrottle, mem.StageStream:
+	case mem.StageThrottle:
 		target = 0
 	}
 	if l.capBytes > 0 && l.ramBytes > l.capBytes && (target < 0 || target > l.capBytes/2) {
@@ -616,12 +616,21 @@ func (d *liveDriver[V]) takeLocalCkpt(st *workerState[V]) {
 	// stays resident. The superseded snapshot's page is released.
 	cost := snapResidentBytes(&snap.base, d.vSize)
 	if d.snapSp != nil && d.gov.Stage() >= mem.StageCkpt {
-		if pg, err := spillSnap(d.snapSp, &snap.base); err == nil {
+		tr := d.cfg.Tracer
+		if tr != nil {
+			tr.SpanBegin(id, obs.PhaseSpill, float64(sinceFn(d.start))/1e3)
+		}
+		pg, err := spillSnap(d.snapSp, &snap.base)
+		if tr != nil {
+			t := float64(sinceFn(d.start)) / 1e3
+			tr.SpanEnd(id, obs.PhaseSpill, t)
+			if err == nil {
+				tr.Mark(id, obs.MarkSpill, t)
+			}
+		}
+		if err == nil {
 			snap.page = pg
 			cost = 0
-			if tr := d.cfg.Tracer; tr != nil {
-				tr.Mark(id, obs.MarkSpill, float64(sinceFn(d.start))/1e3)
-			}
 		}
 	}
 	d.localMu.Lock()

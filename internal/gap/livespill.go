@@ -3,10 +3,10 @@ package gap
 // Memory-bounded execution of the live driver (LiveConfig.Mem).
 //
 // A mem.Governor attached to a run turns the driver's unbounded in-RAM
-// structures — the sender-side message log, local checkpoints, the batch
-// free list, reorder buffers and the fragments' edge payloads — into
-// governed accounts, and degrades gracefully instead of OOMing as the
-// budget tightens:
+// per-run structures — the sender-side message log, local checkpoints, the
+// batch free list and reorder buffers — into governed accounts, and degrades
+// gracefully instead of OOMing as the budget tightens. Fragments are never
+// governed: they are immutable and shared with concurrent runs.
 //
 //	rung 1 (StageCkpt)     page log entries and checkpoint pages to the
 //	                       spill tier; force an early checkpoint on the
@@ -14,8 +14,8 @@ package gap
 //	                       (also triggered, governor or not, by the
 //	                       LogBytesSoftCap retention cap)
 //	rung 2 (StageThrottle) backpressure senders through the pooled-batch
-//	                       pipeline and trim the batch free list
-//	rung 3 (StageStream)   stream fragment edge partitions from disk
+//	                       pipeline and trim the batch free list; usage
+//	                       past the whole budget stays on this rung
 //
 // Spilled state is read back transparently: replay resolves log entries
 // through msgLog.fetch whether they live in RAM or on disk, and a restore
@@ -200,13 +200,6 @@ func (d *liveDriver[V]) memTick(now time.Duration) {
 	}
 	if stage >= mem.StageThrottle {
 		d.pool.trim()
-	}
-	if stage >= mem.StageStream && d.edgeSpillReq != nil {
-		// Rung 3: ask every worker to stream its edge partitions from disk
-		// at its next safe point.
-		for i := range d.edgeSpillReq {
-			d.edgeSpillReq[i].Store(true)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package gap
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"argan/internal/ace"
@@ -20,13 +21,14 @@ func spillGov(t *testing.T, budget int64) *mem.Governor {
 	return gov
 }
 
-// unspillAll returns shared fragments' edge payloads to RAM so a StageStream
-// run cannot leak spilled state into the next test.
-func unspillAll(t *testing.T, fs []*graph.Fragment) {
+// assertUntouched fails unless every fragment still equals its snapshot: a
+// governed run pages only per-run state and leaves the fragments, which a
+// service shares between concurrent jobs, exactly as built.
+func assertUntouched(t *testing.T, fs, snap []*graph.Fragment) {
 	t.Helper()
-	for _, f := range fs {
-		if _, err := f.UnspillEdges(); err != nil {
-			t.Fatalf("UnspillEdges: %v", err)
+	for i := range fs {
+		if !reflect.DeepEqual(fs[i], snap[i]) {
+			t.Fatalf("the run changed fragment %d", i)
 		}
 	}
 }
@@ -214,6 +216,7 @@ func TestLiveMemCappedChaosSoak(t *testing.T) {
 		g := testGraph(true, seed)
 		want := algorithms.SeqPageRank(g, 1e-3)
 		fs := frags(t, g, 4)
+		snap := frags(t, g, 4) // an independent build: the fragments' snapshot
 		storm := fault.Storm(seed, 4, fault.StormOpts{
 			Crashes: 2, Span: 300, Restart: 5,
 			Drop: 0.02, Dup: 0.02, Reorder: 0.03,
@@ -224,7 +227,7 @@ func TestLiveMemCappedChaosSoak(t *testing.T) {
 			cfg.Faults = storm
 			cfg.Mem = gov
 			res, lm, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
-			unspillAll(t, fs)
+			assertUntouched(t, fs, snap)
 			if err != nil {
 				t.Fatalf("RunLive(%s): %v", storm, err)
 			}
@@ -278,22 +281,23 @@ func TestEtaReseedAfterRestart(t *testing.T) {
 }
 
 // TestSqueezeDrivesLadder: injected synthetic pressure (fault plan "squeeze")
-// alone must climb every rung — forced checkpoints, sender throttling and
-// streamed edge partitions — while the answers stay correct.
+// alone must climb every rung — forced checkpoints and sender throttling —
+// while the answers stay correct and the fragments stay untouched.
 func TestSqueezeDrivesLadder(t *testing.T) {
 	g := testGraph(true, 23)
 	want := algorithms.SeqPageRank(g, 1e-3)
 	fs := frags(t, g, 4)
+	snap := frags(t, g, 4)    // an independent build: the fragments' snapshot
 	gov := spillGov(t, 8<<20) // ample budget: only the squeeze creates pressure
 	cfg := localFTConfig()
 	cfg.Mem = gov
-	// 64 MiB of phantom usage for the first 10 s pins the stage at
-	// StageStream from the first monitor tick. The crash arms local
+	// 64 MiB of phantom usage for the first 10 s pins the stage at the top
+	// of the ladder (StageThrottle) from the first monitor tick. The crash arms local
 	// recovery (rung 1 needs a sender log to bound) and the slowdown
 	// stretches the run across enough monitor ticks for every rung.
 	cfg.Faults = faultPlan(t, "squeeze=0:10000:67108864; crash=1@u200+10; slow=2@0:200:10")
 	res, lm, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
-	unspillAll(t, fs)
+	assertUntouched(t, fs, snap)
 	if err != nil {
 		t.Fatalf("RunLive: %v", err)
 	}
@@ -306,16 +310,13 @@ func TestSqueezeDrivesLadder(t *testing.T) {
 		t.Fatalf("peak %d does not include the injected 64MiB squeeze", lm.MemPeakBytes)
 	}
 	if lm.ForcedCkpts == 0 {
-		t.Fatal("rung 1 never fired: no forced checkpoints under StageStream pressure")
+		t.Fatal("rung 1 never fired: no forced checkpoints under StageThrottle pressure")
 	}
 	if lm.Throttles == 0 {
-		t.Fatal("rung 2 never fired: no sender throttling under StageStream pressure")
-	}
-	if lm.EdgeSpills == 0 {
-		t.Fatal("rung 3 never fired: no edge partitions streamed under StageStream pressure")
+		t.Fatal("rung 2 never fired: no sender throttling under StageThrottle pressure")
 	}
 	if lm.SpilledBytes == 0 {
-		t.Fatal("StageStream pressure paged nothing to the spill tier")
+		t.Fatal("StageThrottle pressure paged nothing to the spill tier")
 	}
 }
 

@@ -29,6 +29,10 @@ import (
 // workers that hold v as a ghost because v has an out-edge into their owned
 // set (they need v's value when update functions read in-neighbors), and
 // ReplicasIn(v) the workers reached through v's in-edges.
+//
+// A Fragment is immutable once built or patched: no method changes it, so
+// any number of concurrent jobs may run over one, and the versions derived
+// by UpdateFragments share its arrays by pointer.
 type Fragment struct {
 	worker     int
 	numWorkers int
@@ -53,8 +57,6 @@ type Fragment struct {
 	repInIdx  []int32
 	repIn     []uint16
 
-	espill *edgeSpill // non-nil while the edge payload is paged to disk
-
 	globalN int
 }
 
@@ -77,12 +79,7 @@ func (f *Fragment) NumLocal() int { return len(f.locals) }
 func (f *Fragment) NumGhosts() int { return len(f.locals) - f.numOwned }
 
 // NumArcs returns the number of arcs stored in the fragment's out-CSR.
-func (f *Fragment) NumArcs() int {
-	if f.espill != nil {
-		return f.espill.outArcs
-	}
-	return len(f.outTo)
-}
+func (f *Fragment) NumArcs() int { return len(f.outTo) }
 
 // GlobalVertices returns |V| of the whole graph.
 func (f *Fragment) GlobalVertices() int { return f.globalN }
@@ -128,36 +125,23 @@ func (f *Fragment) InDegree(local uint32) int {
 }
 
 // OutNeighbors returns the out-adjacency (local indices) of the local vertex.
-// The slice aliases internal storage while resident; when the edge payload
-// is spilled (StageStream) it is a fresh slice streamed from disk.
+// The slice aliases internal storage and must not be modified.
 func (f *Fragment) OutNeighbors(local uint32) []uint32 {
-	if es := f.espill; es != nil {
-		return es.readU32(es.outToOff, f.outIndex[local], f.outIndex[local+1])
-	}
 	return f.outTo[f.outIndex[local]:f.outIndex[local+1]]
 }
 
 // OutWeights returns weights parallel to OutNeighbors.
 func (f *Fragment) OutWeights(local uint32) []float64 {
-	if es := f.espill; es != nil {
-		return es.readF64(es.outWOff, f.outIndex[local], f.outIndex[local+1])
-	}
 	return f.outW[f.outIndex[local]:f.outIndex[local+1]]
 }
 
 // InNeighbors returns the in-adjacency (local indices) of the local vertex.
 func (f *Fragment) InNeighbors(local uint32) []uint32 {
-	if es := f.espill; es != nil {
-		return es.readU32(es.inToOff, f.inIndex[local], f.inIndex[local+1])
-	}
 	return f.inTo[f.inIndex[local]:f.inIndex[local+1]]
 }
 
 // InWeights returns weights parallel to InNeighbors.
 func (f *Fragment) InWeights(local uint32) []float64 {
-	if es := f.espill; es != nil {
-		return es.readF64(es.inWOff, f.inIndex[local], f.inIndex[local+1])
-	}
 	return f.inW[f.inIndex[local]:f.inIndex[local+1]]
 }
 

@@ -136,9 +136,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 const binMagic = uint32(0x41524732) // "ARG2"
 
 // WriteLE writes data in the repo's canonical little-endian binary form. It
-// is the serialization seam shared by the graph codec, the fragment edge
-// spill files, and the live driver's spilled recovery logs/checkpoints: one
-// encoding, one place to change it.
+// is the serialization seam shared by the graph codec, durable snapshots and
+// the live driver's spilled recovery logs/checkpoints: one encoding, one
+// place to change it.
 func WriteLE(w io.Writer, data any) error {
 	return binary.Write(w, binary.LittleEndian, data)
 }

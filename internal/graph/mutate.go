@@ -266,21 +266,13 @@ func UpdateFragments(oldFrags []*Fragment, newG *Graph, touched []VID) ([]*Fragm
 	out := make([]*Fragment, numWorkers)
 	var derived []int
 	for i, f := range oldFrags {
-		if dirty[i] || f.espill != nil {
+		if dirty[i] {
 			derived = append(derived, i)
 			continue
 		}
 		cp := *f
 		out[i] = &cp
 	}
-	fillMissing(out, func(i int) *Fragment {
-		// A fragment with spilled edges cannot share its spill file with a
-		// sibling version (close/ownership would double up) and has no
-		// resident rows to patch from, so rebuild it.
-		if f := oldFrags[i]; f.espill == nil {
-			return f.patch(newG, touched)
-		}
-		return buildFragment(newG, owner, numWorkers, i)
-	})
+	fillMissing(out, func(i int) *Fragment { return oldFrags[i].patch(newG, touched) })
 	return out, derived, nil
 }

@@ -1,8 +1,9 @@
 // Package mem is the memory governor of the GAP runtime: a budget-tracked
-// accounting layer that the live driver's recovery logs, local checkpoints,
-// batch pool, reorder buffers and fragment edge payloads register with, plus
+// accounting layer that the live driver's per-run state — recovery logs,
+// local checkpoints, batch pool and reorder buffers — registers with, plus
 // an append-only spill tier that pages cold state to disk when the in-RAM
-// budget is exceeded.
+// budget is exceeded. Graph data is never governed: fragments are immutable
+// and shared between runs, so the governor pages only what one run owns.
 //
 // The governor never allocates or frees memory itself — components report
 // what they hold via Account.Add and consult Stage() to decide how hard to
@@ -14,8 +15,9 @@
 //	              receiver (bounding log retention in bytes)
 //	StageThrottle usage >= 85%: apply backpressure to senders through the
 //	              pooled-batch pipeline and trim the batch free list
-//	StageStream   usage >= 100%: stream fragment edge partitions from disk
-//	              rather than aborting — slower, never dead
+//
+// Usage at or above the whole budget stays at StageThrottle: a run over
+// budget slows down rather than aborting.
 //
 // A zero (or negative) budget disables the ladder: Stage is always StageOK
 // and the governor only measures, which is how the unbounded-run peak for
@@ -40,7 +42,6 @@ const (
 	StageOK Stage = iota
 	StageCkpt
 	StageThrottle
-	StageStream
 )
 
 func (s Stage) String() string {
@@ -51,8 +52,6 @@ func (s Stage) String() string {
 		return "ckpt"
 	case StageThrottle:
 		return "throttle"
-	case StageStream:
-		return "stream"
 	}
 	return "stage?"
 }
@@ -61,7 +60,6 @@ func (s Stage) String() string {
 const (
 	ckptFrac     = 0.70
 	throttleFrac = 0.85
-	streamFrac   = 1.00
 )
 
 // Governor tracks a byte budget shared by named accounts. Attach one fresh
@@ -98,14 +96,6 @@ func (g *Governor) Budget() int64 {
 		return 0
 	}
 	return g.budget
-}
-
-// SpillDir returns the directory spill files live in.
-func (g *Governor) SpillDir() string {
-	if g == nil {
-		return ""
-	}
-	return g.dir
 }
 
 // Account returns the named account, creating it on first use.
@@ -149,8 +139,6 @@ func (g *Governor) Stage() Stage {
 	u := float64(g.Used())
 	b := float64(g.budget)
 	switch {
-	case u >= streamFrac*b:
-		return StageStream
 	case u >= throttleFrac*b:
 		return StageThrottle
 	case u >= ckptFrac*b:
@@ -169,11 +157,9 @@ func (g *Governor) SetExternal(n int64) {
 	g.bumpPeak()
 }
 
-// NoteSpill adjusts the governor's count of bytes resident on disk (positive
-// when state pages out, negative when it is released or read back). Spillers
-// call it automatically; components paging through their own files (fragment
-// edge partitions) call it directly.
-func (g *Governor) NoteSpill(delta int64) {
+// noteSpill adjusts the governor's count of bytes resident on disk (positive
+// when a Spiller pages state out, negative when it is released or read back).
+func (g *Governor) noteSpill(delta int64) {
 	if g == nil {
 		return
 	}

@@ -21,7 +21,7 @@ func TestNilGovernorIsSafe(t *testing.T) {
 		t.Fatal("nil account should report zero")
 	}
 	g.SetExternal(1 << 30)
-	g.NoteSpill(42)
+	g.noteSpill(42)
 	if g.SpilledBytes() != 0 || g.SpillWritten() != 0 {
 		t.Fatal("nil governor spill counters should be zero")
 	}
@@ -64,8 +64,8 @@ func TestStageLadder(t *testing.T) {
 		{849, StageCkpt},
 		{850, StageThrottle},
 		{999, StageThrottle},
-		{1000, StageStream},
-		{5000, StageStream},
+		{1000, StageThrottle},
+		{5000, StageThrottle},
 	}
 	prev := int64(0)
 	for _, c := range cases {

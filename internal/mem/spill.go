@@ -64,7 +64,7 @@ func (sp *Spiller) Append(p []byte) (int64, error) {
 		return 0, fmt.Errorf("mem: spill append: %w", err)
 	}
 	sp.size += int64(len(p))
-	sp.g.NoteSpill(int64(len(p)))
+	sp.g.noteSpill(int64(len(p)))
 	return off, nil
 }
 
@@ -92,7 +92,7 @@ func (sp *Spiller) Release(n int64) {
 	if sp == nil || n == 0 {
 		return
 	}
-	sp.g.NoteSpill(-n)
+	sp.g.noteSpill(-n)
 }
 
 // Size returns the bytes written so far.

@@ -35,8 +35,8 @@ const (
 	// first survivor replaying its logged batches to the restored worker
 	// until the last replayer drains (coordinator track).
 	PhaseReplay
-	// PhaseSpill spans a synchronous page-out to the spill tier (fragment
-	// edge partitions under StageStream).
+	// PhaseSpill spans a synchronous page-out to the spill tier (a local
+	// checkpoint's bulky parts under memory pressure).
 	PhaseSpill
 	// PhaseThrottle spans one sender backpressure pause (degradation
 	// rung 2, or log-retention pressure).
@@ -224,8 +224,8 @@ const (
 	// MarkReplay fires when a survivor finishes replaying its logged
 	// batches to a restored worker (localized recovery).
 	MarkReplay
-	// MarkSpill fires on a worker's track when governed state pages out to
-	// the spill tier (log entries, a checkpoint, or the fragment's edges).
+	// MarkSpill fires on a worker's track when a checkpoint's bulky parts
+	// page out to the spill tier.
 	MarkSpill
 
 	numMarks = int(MarkSpill) + 1

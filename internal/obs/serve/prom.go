@@ -80,7 +80,7 @@ var gaugeHelp = map[obs.Gauge]string{
 	obs.GaugeAcksOut:    "Outstanding survivor undo acknowledgements.",
 	obs.GaugeMemUsed:    "Governor-accounted RAM bytes.",
 	obs.GaugeMemSpilled: "Governed bytes resident on the spill tier.",
-	obs.GaugeMemStage:   "Memory degradation stage (0 ok, 1 ckpt, 2 throttle, 3 stream).",
+	obs.GaugeMemStage:   "Memory degradation stage (0 ok, 1 ckpt, 2 throttle).",
 	obs.GaugeMemPeak:    "High-water mark of governor-accounted bytes.",
 }
 

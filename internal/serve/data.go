@@ -27,10 +27,11 @@ import (
 // warm-start re-convergence on later versions (see job.go).
 //
 // Sharing frozen fragments is what makes a resident service cheaper than
-// per-request processes — but it also means no job may mutate them: every
-// job runs with LiveConfig.NoEdgeSpill, and graph.CheckFrozen trips loudly
-// (typed ErrFrozenMutated / ErrVersionMismatch) if a writer slips through
-// anyway. Mutations never touch a shared graph in place; they copy.
+// per-request processes — but it also means no job may mutate them. A
+// graph.Fragment has no mutating method, so no job can, and
+// graph.CheckFrozen trips loudly (typed ErrFrozenMutated /
+// ErrVersionMismatch) if a writer slips through to the graph anyway.
+// Mutations never touch a shared graph in place; they copy.
 
 type dsKey struct {
 	dataset string

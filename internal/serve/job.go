@@ -74,14 +74,13 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 	}
 
 	cfg := gap.LiveConfig{
-		Mode:        gap.ModeGAP,
-		CheckEvery:  sp.CheckEvery,
-		Faults:      plan,
-		Mem:         gov,
-		Health:      j.health,
-		Cancel:      j.cancel,
-		Watchdog:    s.cfg.Watchdog,
-		NoEdgeSpill: true, // fragments are shared: never page their edges
+		Mode:       gap.ModeGAP,
+		CheckEvery: sp.CheckEvery,
+		Faults:     plan,
+		Mem:        gov,
+		Health:     j.health,
+		Cancel:     j.cancel,
+		Watchdog:   s.cfg.Watchdog,
 	}
 
 	res, err := algorithms.DispatchLive(sp.App, runApp[float64](pin, sp, cfg), runApp[int32](pin, sp, cfg), runApp[uint32](pin, sp, cfg))

@@ -10,9 +10,10 @@
 //     what the cores cannot run yet, and past the queue the service sheds
 //     load (ErrSaturated → HTTP 429) instead of queueing forever or OOMing.
 //   - Fault isolation: every job runs its own live driver with localized
-//     recovery, a private mem.Governor slice carved from one shared
-//     mem.Pool, and NoEdgeSpill so the shared fragments are never mutated.
-//     A job that crashes, panics or blows its deadline is quarantined —
+//     recovery and a private mem.Governor slice carved from one shared
+//     mem.Pool; the governor pages only the job's own state, never the
+//     shared (immutable) fragments. A job that crashes, panics or blows its
+//     deadline is quarantined —
 //     marked failed/canceled with the error — while its neighbors keep
 //     running.
 //   - Deadlines and cancellation: per-job deadlines (ticking from
