@@ -1,18 +1,24 @@
 package ace
 
-// Item is one priority-queue entry: an id and the priority it was queued at.
+// Item is one priority-queue entry: an id and its priority.
 type Item struct {
 	P  float64
 	ID uint32
 }
 
 // Heap is the one priority queue under every Dijkstra-ordered loop (the
-// engines' and the sequential runner's active set, SeqSSSP): a binary
-// min-heap ordered by (P, ID). Push and Pop sift with exactly the
-// comparisons of container/heap's up/down, so the array — and every pop —
-// equals that of a container/heap over the same Less, without boxing items
-// into interfaces: a pop never allocates, a push only when the array grows.
-type Heap []Item
+// active set, SeqSSSP, the BFS/SSSP warm planner): an addressable binary
+// min-heap of ids ordered by (P, ID). A queued id has exactly one entry, so
+// a push of a queued id re-keys it in place and the array never holds more
+// than the id range. A pop never allocates, a push only when the array grows.
+type Heap struct {
+	items []Item
+	pos   []int32 // pos[id] is id's index in items plus one; 0 when not queued
+}
+
+// NewHeap returns an empty heap over ids [0, n) whose array holds size
+// entries before it grows (at most n are ever queued).
+func NewHeap(n, size int) Heap { return Heap{items: make([]Item, 0, size), pos: make([]int32, n)} }
 
 func (it Item) less(o Item) bool {
 	if it.P != o.P {
@@ -21,28 +27,56 @@ func (it Item) less(o Item) bool {
 	return it.ID < o.ID
 }
 
-// Push adds it to the heap.
-func (h *Heap) Push(it Item) {
-	s := append(*h, it)
-	j := len(s) - 1
+// Len returns the number of queued ids.
+func (h *Heap) Len() int { return len(h.items) }
+
+// Push queues id at priority p, or re-keys it to p if it is queued already:
+// the latest key wins.
+func (h *Heap) Push(id uint32, p float64) {
+	it := Item{p, id}
+	switch i := int(h.pos[id]) - 1; {
+	case i < 0:
+		h.items = append(h.items, it)
+		h.up(len(h.items)-1, it)
+	case it.less(h.items[i]):
+		h.up(i, it)
+	default:
+		h.down(i, it)
+	}
+}
+
+// Pop removes and returns the smallest item; the heap must be non-empty.
+func (h *Heap) Pop() Item {
+	n := len(h.items) - 1
+	top, x := h.items[0], h.items[n]
+	h.items = h.items[:n]
+	h.pos[top.ID] = 0
+	if n > 0 {
+		h.down(0, x)
+	}
+	return top
+}
+
+// up places it at slot j or above, shifting larger parents down.
+func (h *Heap) up(j int, it Item) {
+	s := h.items
 	for j > 0 {
 		i := (j - 1) / 2
 		if !it.less(s[i]) {
 			break
 		}
 		s[j] = s[i]
+		h.pos[s[j].ID] = int32(j + 1)
 		j = i
 	}
 	s[j] = it
-	*h = s
+	h.pos[it.ID] = int32(j + 1)
 }
 
-// Pop removes and returns the smallest item; the heap must be non-empty.
-func (h *Heap) Pop() Item {
-	s := *h
-	n := len(s) - 1
-	top, x := s[0], s[n]
-	i := 0
+// down places x at slot i or below, shifting smaller children up.
+func (h *Heap) down(i int, x Item) {
+	s := h.items
+	n := len(s)
 	for {
 		j := 2*i + 1
 		if j >= n {
@@ -55,50 +89,47 @@ func (h *Heap) Pop() Item {
 			break
 		}
 		s[i] = s[j]
+		h.pos[s[i].ID] = int32(i + 1)
 		i = j
 	}
 	s[i] = x
-	*h = s[:n]
-	return top
+	h.pos[x.ID] = int32(i + 1)
 }
 
 // ActiveSet is the local active set H_{A,i}: the owned vertices whose update
 // functions must run. It is a FIFO queue by default; when a priority
-// function is supplied (parallelized Dijkstra), it becomes a lazy-deletion
-// min-heap popping the smallest priority first. The sim and live engines and
-// the sequential runner (gap.RunSequential) all schedule through it.
+// function is supplied (parallelized Dijkstra), it is a Heap popping the
+// smallest priority first. The sim and live engines and the sequential
+// runner (gap.RunSequential) all schedule through it.
 type ActiveSet struct {
-	inQ  []bool
-	size int
-
-	// FIFO representation.
-	fifo []uint32
-	head int
-
-	// Heap representation (prio != nil).
-	prio  func(local uint32) float64
-	items Heap
+	inQ  []bool                     // FIFO mode: the queued marks,
+	fifo []uint32                   // the queue
+	head int                        // and its popped prefix
+	prio func(local uint32) float64 // non-nil selects heap mode
+	heap Heap
 }
 
 // NewActiveSet returns an empty set over numOwned vertices, FIFO when prio is
 // nil.
 func NewActiveSet(numOwned int, prio func(uint32) float64) *ActiveSet {
-	return &ActiveSet{inQ: make([]bool, numOwned), prio: prio}
+	if prio != nil {
+		return &ActiveSet{prio: prio, heap: NewHeap(numOwned, 0)}
+	}
+	return &ActiveSet{inQ: make([]bool, numOwned)}
 }
 
 // ActiveSetOf returns the active set prog schedules through: keyed by
 // Priority(psi[l]) at push time when prog is a Prioritizer, FIFO otherwise.
 func ActiveSetOf[V any](prog Program[V], psi []V, numOwned int) *ActiveSet {
-	a := NewActiveSet(numOwned, nil)
+	var prio func(uint32) float64
 	if p, ok := prog.(Prioritizer[V]); ok {
-		a.prio = func(l uint32) float64 { return p.Priority(psi[l]) }
+		prio = func(l uint32) float64 { return p.Priority(psi[l]) }
 	}
-	return a
+	return NewActiveSet(numOwned, prio)
 }
 
 // Push activates a vertex. Re-activating a queued vertex is a no-op for the
-// FIFO, and a lazy re-insert with the (possibly better) current priority for
-// the heap: the earlier entry is skipped if this one pops first. The FIFO's
+// FIFO, and re-keys its one heap entry to the current priority. The FIFO's
 // duplicate check stays here so that Push inlines into every send site.
 func (a *ActiveSet) Push(local uint32) {
 	if a.prio == nil && a.inQ[local] {
@@ -108,73 +139,44 @@ func (a *ActiveSet) Push(local uint32) {
 }
 
 func (a *ActiveSet) push(local uint32) {
-	if a.prio == nil {
-		a.fifo = append(a.fifo, local)
-	} else {
-		a.items.Push(Item{a.prio(local), local})
-		if a.inQ[local] {
-			return
-		}
+	if a.prio != nil {
+		a.heap.Push(local, a.prio(local))
+		return
 	}
+	a.fifo = append(a.fifo, local)
 	a.inQ[local] = true
-	a.size++
 }
 
 // Empty reports whether H is empty.
-func (a *ActiveSet) Empty() bool { return a.size == 0 }
+func (a *ActiveSet) Empty() bool { return a.Len() == 0 }
 
 // Len returns |H|.
-func (a *ActiveSet) Len() int { return a.size }
+func (a *ActiveSet) Len() int { return len(a.fifo) - a.head + a.heap.Len() }
 
 // Pop removes and returns the next vertex; H must be non-empty.
 func (a *ActiveSet) Pop() uint32 {
-	var v uint32
-	if a.prio == nil {
-		for !a.inQ[a.fifo[a.head]] {
-			a.head++
-		}
-		v = a.fifo[a.head]
-		a.head++
-		if a.head > 1024 && a.head*2 > len(a.fifo) {
-			a.fifo = append(a.fifo[:0], a.fifo[a.head:]...)
-			a.head = 0
-		}
-	} else {
-		// Drop stale lazy duplicates from the top.
-		for !a.inQ[a.items[0].ID] {
-			a.items.Pop()
-		}
-		v = a.items.Pop().ID
+	if a.prio != nil {
+		return a.heap.Pop().ID
+	}
+	v := a.fifo[a.head]
+	a.head++
+	if a.head > 1024 && a.head*2 > len(a.fifo) {
+		a.fifo = append(a.fifo[:0], a.fifo[a.head:]...)
+		a.head = 0
 	}
 	a.inQ[v] = false
-	a.size--
 	return v
 }
 
 // Snapshot returns the queued vertices without disturbing the set; used by
 // the fault-tolerance layer to checkpoint H. The result is the FIFO order,
-// or for the heap the array order of each vertex's first entry (Reset
-// re-inserts with fresh priorities, so heap order is not part of it).
+// or for the heap its array order (Reset re-keys with fresh priorities, so
+// heap order is not part of it).
 func (a *ActiveSet) Snapshot() []uint32 {
-	out := make([]uint32, 0, a.size)
-	// inQ doubles as the "not yet emitted" mark and is restored below.
-	emit := func(v uint32) {
-		if a.inQ[v] {
-			a.inQ[v] = false
-			out = append(out, v)
-		}
-	}
-	if a.prio == nil {
-		for _, v := range a.fifo[a.head:] {
-			emit(v)
-		}
-	} else {
-		for _, it := range a.items {
-			emit(it.ID)
-		}
-	}
-	for _, v := range out {
-		a.inQ[v] = true
+	out := make([]uint32, 0, a.Len())
+	out = append(out, a.fifo[a.head:]...)
+	for _, it := range a.heap.items {
+		out = append(out, it.ID)
 	}
 	return out
 }
@@ -183,10 +185,8 @@ func (a *ActiveSet) Snapshot() []uint32 {
 // everything queued since.
 func (a *ActiveSet) Reset(vs []uint32) {
 	clear(a.inQ)
-	a.size = 0
-	a.fifo = a.fifo[:0]
-	a.head = 0
-	a.items = a.items[:0]
+	clear(a.heap.pos)
+	a.fifo, a.head, a.heap.items = a.fifo[:0], 0, a.heap.items[:0]
 	for _, v := range vs {
 		a.Push(v)
 	}

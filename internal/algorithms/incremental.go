@@ -152,11 +152,11 @@ func warmTight[V int32 | float64](oldG, newG *graph.Graph, touched []graph.VID, 
 		dirty                  // judged unsupported
 	)
 	state := make([]uint8, len(dist))
-	var cand ace.Heap
+	cand := ace.NewHeap(len(dist), 0)
 	push := func(v graph.VID) {
 		if state[v] == 0 && v != src && dist[v] != inf {
 			state[v] = seen
-			cand.Push(ace.Item{P: float64(dist[v]), ID: v})
+			cand.Push(v, float64(dist[v]))
 		}
 	}
 	// Candidates are finite, so a strictly closer p is finite too.
@@ -175,7 +175,7 @@ func warmTight[V int32 | float64](oldG, newG *graph.Graph, touched []graph.VID, 
 		}
 	}
 	var dirtied []graph.VID
-	for len(cand) > 0 {
+	for cand.Len() > 0 {
 		v := cand.Pop().ID
 		if supported(v) {
 			continue

@@ -2,15 +2,18 @@ package algorithms
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"argan/internal/graph"
 )
 
-// oracleSSSP is SeqSSSP as it ran over container/heap, kept as the reference
-// the typed heap must reproduce bit for bit: verification compares engine
+// oracleSSSP is the lazy-duplicate Dijkstra over container/heap — one entry
+// per relaxation, stale entries skipped at pop — kept as the reference the
+// addressable heap must reproduce bit for bit: verification compares engine
 // answers against SeqSSSP with ==.
 func oracleSSSP(g *graph.Graph, src graph.VID) []float64 {
 	dist := make([]float64, g.NumVertices())
@@ -149,12 +152,17 @@ func churned(t *testing.T, g *graph.Graph) *graph.Graph {
 	return ng
 }
 
-// TestSeqSSSPMatchesOracle: SeqSSSP equals the container/heap Dijkstra bit
-// for bit (+Inf included) on HW/DP/LJ, before and after a zero-weight
-// churn batch, from several top-degree sources, and on a graph with
-// parallel arcs and zero weights.
+// TestSeqSSSPMatchesOracle: SeqSSSP, which re-keys a queued vertex, equals
+// the lazy-duplicate container/heap Dijkstra bit for bit (+Inf included):
+// on HW/DP/LJ before and after a zero-weight churn batch, from several
+// top-degree sources; on a graph with parallel arcs and zero weights; on
+// the service's LJ@0.5 and DP@0.5 from their top 8 sources; and on 240
+// seeded power-law graphs where a third of the arcs weigh 0 (equal-distance
+// ties and zero-weight cycles) and some vertices are unreachable: isolated
+// ones appended after the generated ones, and whatever directed arcs miss.
 func TestSeqSSSPMatchesOracle(t *testing.T) {
 	check := func(name string, g *graph.Graph, srcs []graph.VID) {
+		t.Helper()
 		for _, s := range srcs {
 			if v := firstBitDiff(SeqSSSP(g, s), oracleSSSP(g, s)); v >= 0 {
 				t.Fatalf("%s from %d: SeqSSSP differs from the oracle at vertex %d", name, s, v)
@@ -172,6 +180,85 @@ func TestSeqSSSPMatchesOracle(t *testing.T) {
 		AddWeighted(1, 2, 0).AddWeighted(0, 2, 0).AddWeighted(2, 3, 1).
 		AddWeighted(1, 3, 1).AddWeighted(3, 4, 0).AddWeighted(3, 4, 0).MustBuild()
 	check("parallel", par, []graph.VID{0, 1, 5})
+	for _, ds := range []string{"LJ", "DP"} {
+		g := graph.MustDataset(ds, 0.5)
+		check(ds+"@0.5", g, topSources(g, 8))
+	}
+	unreached := 0
+	for seed := int64(1); seed <= 240; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 20 + r.Intn(200)
+		pl := graph.PowerLaw(graph.GenConfig{N: n, M: (2 + r.Intn(4)) * n, Directed: r.Intn(2) == 0,
+			Seed: seed, MaxW: float64(1 + r.Intn(10))})
+		isolated := 1 + r.Intn(4)
+		b := graph.NewBuilder(n+isolated, true)
+		for v := range graph.VID(n) {
+			ws := pl.OutWeights(v)
+			for i, u := range pl.OutNeighbors(v) {
+				w := ws[i]
+				if r.Intn(3) == 0 {
+					w = 0
+				}
+				b.AddWeighted(v, u, w)
+			}
+		}
+		g := b.MustBuild()
+		srcs := append(topSources(g, 2), graph.VID(r.Intn(n)), graph.VID(n+isolated-1))
+		check(fmt.Sprintf("powerlaw seed %d", seed), g, srcs)
+		for _, d := range SeqSSSP(g, srcs[0]) {
+			if math.IsInf(d, 1) {
+				unreached++
+			}
+		}
+	}
+	if unreached == 0 {
+		t.Fatal("no power-law graph left a vertex unreachable")
+	}
+}
+
+// oracleBFS is SeqBFS as it ran with a fresh frontier slice per level.
+func oracleBFS(g *graph.Graph, src graph.VID) []int32 {
+	dist := make([]int32, g.NumVertices())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	frontier := []graph.VID{src}
+	for len(frontier) > 0 {
+		var next []graph.VID
+		for _, v := range frontier {
+			for _, u := range g.OutNeighbors(v) {
+				if dist[u] < 0 {
+					dist[u] = dist[v] + 1
+					next = append(next, u)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
+}
+
+// TestSeqBFSMatchesOracle: swapping two reused frontier slices leaves every
+// hop count as it was, unreachable -1 included, on HW/DP/LJ before and
+// after a churn batch, and on LJ@0.5 from its top sources.
+func TestSeqBFSMatchesOracle(t *testing.T) {
+	check := func(name string, g *graph.Graph, srcs []graph.VID) {
+		t.Helper()
+		for _, s := range srcs {
+			if got, want := SeqBFS(g, s), oracleBFS(g, s); !slices.Equal(got, want) {
+				t.Fatalf("%s from %d: SeqBFS differs from the oracle", name, s)
+			}
+		}
+	}
+	for _, ds := range []string{"HW", "DP", "LJ"} {
+		g := graph.MustDataset(ds, 0.05)
+		srcs := append(topSources(g, 3), 0, graph.VID(g.NumVertices()-1))
+		check(ds, g, srcs)
+		check(ds+"+churn", churned(t, g), srcs)
+	}
+	g := graph.MustDataset("LJ", 0.5)
+	check("LJ@0.5", g, topSources(g, 4))
 }
 
 // TestSeqPageRankMatchesOracle: the compacting FIFO pops in the order of

@@ -16,25 +16,24 @@ import (
 // Inf is the distance of unreachable vertices.
 var Inf = math.Inf(1)
 
-// SeqSSSP is Dijkstra's algorithm with a binary heap: the sequential
-// reference for SSSP.
+// SeqSSSP is Dijkstra's algorithm with an addressable binary heap: the
+// sequential reference for SSSP. A relaxation re-keys a queued vertex, so
+// each reachable vertex pops exactly once, at its final distance.
 func SeqSSSP(g *graph.Graph, src graph.VID) []float64 {
 	dist := make([]float64, g.NumVertices())
 	for i := range dist {
 		dist[i] = Inf
 	}
 	dist[src] = 0
-	pq := ace.Heap{{P: 0, ID: src}}
-	for len(pq) > 0 {
+	pq := ace.NewHeap(len(dist), len(dist))
+	pq.Push(src, 0)
+	for pq.Len() > 0 {
 		it := pq.Pop()
-		if it.P > dist[it.ID] {
-			continue // stale: a shorter path to it.ID popped first
-		}
 		adj, ws := g.OutNeighbors(it.ID), g.OutWeights(it.ID)
 		for i, u := range adj {
 			if nd := it.P + ws[i]; nd < dist[u] {
 				dist[u] = nd
-				pq.Push(ace.Item{P: nd, ID: u})
+				pq.Push(u, nd)
 			}
 		}
 	}

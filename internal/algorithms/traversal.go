@@ -14,18 +14,18 @@ func SeqBFS(g *graph.Graph, src graph.VID) []int32 {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	frontier := []graph.VID{src}
-	for len(frontier) > 0 {
-		var next []graph.VID
-		for _, v := range frontier {
-			for _, u := range g.OutNeighbors(v) {
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					next = append(next, u)
-				}
+	// One FIFO holds the levels back to back, in the order a per-level
+	// frontier would list them; each vertex enters once, so it never grows.
+	queue := make([]graph.VID, 1, len(dist))
+	queue[0] = src
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, u := range g.OutNeighbors(v) {
+			if dist[u] < 0 {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
 			}
 		}
-		frontier = next
 	}
 	return dist
 }

@@ -32,7 +32,7 @@ func TestActiveSetPriority(t *testing.T) {
 	for i := 3; i >= 0; i-- {
 		a.Push(uint32(i))
 	}
-	// Re-push with an improved priority: lazy duplicate, best pops first.
+	// Re-push with an improved priority: its one entry is re-keyed.
 	prio[0] = 0
 	a.Push(0)
 	want := []uint32{0, 3, 1, 2}
