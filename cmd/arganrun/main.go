@@ -470,9 +470,9 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 			status = fmt.Sprintf("%d wrong vertices", wrong)
 			bad++
 		}
-		fmt.Fprintf(stdout, "soak %d/%d: %s (wall=%v crashes=%d recoveries=%d replayed=%d)\n",
+		fmt.Fprintf(stdout, "soak %d/%d: %s (wall=%v crashes=%d recoveries=%d replayed=%d updates=%d rounds=%d batches=%d)\n",
 			it+1, iters, status, lm.WallTime.Round(time.Millisecond),
-			lm.Crashes, lm.Recoveries, lm.Replayed)
+			lm.Crashes, lm.Recoveries, lm.Replayed, lm.Updates, lm.Rounds, lm.Batches)
 		if gov != nil {
 			fmt.Fprintf(stdout, "  mem: peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d throttles=%d\n",
 				lm.MemPeakBytes, lm.SpilledBytes, lm.ReplayedFromDisk, lm.ForcedCkpts, lm.Throttles)

@@ -209,7 +209,8 @@ func TestActiveSetPopAllocFree(t *testing.T) {
 	prio := make([]float64, 64)
 	a := NewActiveSet(64, func(l uint32) float64 { return prio[l] })
 	cycle := func() {
-		a.Reset(nil) // drop the stale duplicates the last cycle left
+		a.Reset(nil) // start each cycle from an empty set
+		// Each id is pushed twice: the second push re-keys its one entry.
 		for v := uint32(0); v < 64; v++ {
 			prio[v] = float64(63 - v)
 			a.Push(v)

@@ -75,17 +75,17 @@ type Config struct {
 	Mode Mode
 	// Adapt selects the granularity-adjustment policy (ModeGAP only).
 	Adapt adapt.Policy
-	// K is the GAwD discretization parameter (paper default 4).
+	// K is the GAwD discretization parameter (paper default 4); Fig. 4a
+	// sweeps it.
 	K int
 	// Eta0 is the initial granularity bound η_i in cost units. +Inf gives
-	// FG⁺ (fully coarse), 0 gives FG⁻ (fully fine). Default 64.
+	// FG⁺ (fully coarse), 0 gives FG⁻ (fully fine). Under GA/GAwD a zero
+	// Eta0 starts the tuner at 1024. Under PolicyFixed, the zero value of
+	// Adapt, it stays 0: Config{Mode: ModeGAP} is FG⁻ and flushes after
+	// every update.
 	Eta0 float64
 	// Net is the simulated interconnect; nil uses the default cost model.
 	Net *netsim.Network
-	// StatusDelay is the virtual latency before a worker-status change
-	// becomes visible to peers (Σ synchronization). Default: the network's
-	// per-batch latency α.
-	StatusDelay float64
 	// SlowFactor optionally slows individual workers' computation
 	// (straggler injection); nil means 1.0 everywhere.
 	SlowFactor []float64
@@ -104,21 +104,9 @@ type Config struct {
 	// SwitchThreshold is the barrier-wait fraction above which
 	// ModePowerSwitch flips to asynchronous execution. Default 0.35.
 	SwitchThreshold float64
-	// VCOverhead multiplies update costs under the vertex-centric
-	// disciplines (BSP-VC, AP-VC, PowerSwitch), modeling the per-vertex
-	// program-invocation overhead those systems pay compared to a
-	// graph-centric batch loop. Default 1.5.
-	VCOverhead float64
-	// CollectTruth, when set, provides the true fixpoint values (indexed by
-	// global vertex id) so the tuner can record real-staleness samples T_w*
-	// next to its estimates (Fig. 4b).
-	CollectTruth bool
 	// DisableR1/R2/R3 switch off individual indicator rules (ModeGAP only);
 	// used by the rule-ablation study.
 	DisableR1, DisableR2, DisableR3 bool
-	// TunerOverrides tweaks the adaptation overhead model; zero fields keep
-	// defaults.
-	TunerClockCost, TunerRecordCost, TunerCandidateCost float64
 	// Tracer receives the run's event stream (LocalEval/h_in/h_out/Adjust
 	// spans, update/message counters, η/φ/active-set/mailbox gauges and
 	// indicator-flip marks) stamped with virtual time. nil disables tracing;
@@ -141,11 +129,9 @@ type Config struct {
 // FTConfig parameterizes the sim driver's checkpoint/recovery layer.
 type FTConfig struct {
 	// CheckpointEvery is the virtual-time interval between consistent
-	// cluster snapshots. Default 4096 cost units.
+	// cluster snapshots. Default 4096 cost units. A crash is detected 4α
+	// after it happens.
 	CheckpointEvery float64
-	// DetectDelay is the virtual delay between a crash and the coordinator
-	// detecting the failure. Default 4α of the network model.
-	DetectDelay float64
 }
 
 func (c Config) withDefaults() Config {
@@ -158,17 +144,11 @@ func (c Config) withDefaults() Config {
 	if c.Net == nil {
 		c.Net = netsim.NewNetwork(netsim.DefaultCostModel(), 1)
 	}
-	if c.StatusDelay == 0 {
-		c.StatusDelay = c.Net.Model.Alpha
-	}
 	if c.MaxUpdatesPerVertex <= 0 {
 		c.MaxUpdatesPerVertex = 400
 	}
 	if c.SwitchThreshold == 0 {
 		c.SwitchThreshold = 0.35
-	}
-	if c.VCOverhead == 0 {
-		c.VCOverhead = 1.5
 	}
 	if c.HeteroWindow <= 0 {
 		// Longer than a typical superstep: a slow worker stays slow across
@@ -176,16 +156,8 @@ func (c Config) withDefaults() Config {
 		// synchronous models (every barrier waits for the current max).
 		c.HeteroWindow = 16384
 	}
-	switch c.Mode {
-	case ModeBSPVC, ModeAPVC, ModePowerSwitch:
-	default:
-		c.VCOverhead = 1
-	}
 	if c.FT.CheckpointEvery <= 0 {
 		c.FT.CheckpointEvery = 4096
-	}
-	if c.FT.DetectDelay <= 0 {
-		c.FT.DetectDelay = 4 * c.Net.Model.Alpha
 	}
 	return c
 }
@@ -233,7 +205,7 @@ type Metrics struct {
 	Phi float64
 
 	// TwSamples are the (estimated, real) staleness pairs from the tuner
-	// when Config.CollectTruth was set.
+	// when RunSimTruth was given the truth vector.
 	TwSamples []adapt.TwSample
 	// EtaHistory concatenates the per-worker granularity trajectories.
 	EtaHistory [][]float64

@@ -254,3 +254,30 @@ func TestCtxSendAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveXiPolicies pins the three fixed ξ rules of the live driver, which
+// answers alone cannot tell apart: AP-GC forwards only at round end, so each
+// round ships at most one batch per peer; GAP forwards at every check that
+// drained nothing, so it ships far more; AP-VC checks after every update, so
+// it ships about one batch per update.
+func TestLiveXiPolicies(t *testing.T) {
+	fs := frags(t, testGraph(true, 21), 4)
+	run := func(mode Mode) *LiveMetrics {
+		t.Helper()
+		_, lm, err := RunLive(fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, LiveConfig{Mode: mode, CheckEvery: 16})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		return lm
+	}
+	peers := int64(len(fs) - 1)
+	if lm := run(ModeAPGC); lm.Batches > peers*lm.Rounds {
+		t.Errorf("AP-GC: %d batches over %d rounds, want <= %d per round", lm.Batches, lm.Rounds, peers)
+	}
+	if lm := run(ModeGAP); lm.Batches <= peers*lm.Rounds {
+		t.Errorf("GAP: %d batches over %d rounds, want > %d per round", lm.Batches, lm.Rounds, peers)
+	}
+	if lm := run(ModeAPVC); 2*lm.Batches < lm.Updates {
+		t.Errorf("AP-VC: %d batches for %d updates, want >= one per two updates", lm.Batches, lm.Updates)
+	}
+}

@@ -41,14 +41,17 @@ func RunSimTruth[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Q
 		cfg:         cfg,
 		mode:        cfg.Mode,
 		sched:       &vtime.Scheduler{},
+		vc:          1,
 		idleV:       make([]bool, len(frags)),
 		maxUpd:      int64(cfg.MaxUpdatesPerVertex) * int64(frags[0].GlobalVertices()),
 		lastArrival: map[[2]int]float64{},
 	}
-	if s.mode == ModePowerSwitch {
-		s.barrier = true
-	}
-	if s.mode == ModeBSP || s.mode == ModeBSPVC {
+	switch s.mode {
+	case ModeBSPVC, ModePowerSwitch:
+		s.barrier, s.vc = true, 1.5
+	case ModeAPVC:
+		s.vc = 1.5
+	case ModeBSP:
 		s.barrier = true
 	}
 	if cfg.Faults.HasCrashes() && (s.barrier || s.mode == ModePowerSwitch) {
@@ -76,7 +79,7 @@ func RunSimTruth[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Q
 			}
 		} else {
 			if s.effMode() == ModeBSPVC {
-				w.needFreeze = true
+				w.loop.freeze()
 			}
 			w.scheduleResumeAt(0)
 		}
@@ -119,11 +122,16 @@ type sim[V any] struct {
 	workers []*simWorker[V]
 	coord   *coordinator[V]
 
-	// Worker-status view (Σ): what rules R1/R2 read. Updated with
-	// StatusDelay virtual latency.
+	// Worker-status view (Σ): what rules R1/R2 read. Updated with α virtual
+	// latency.
 	idleV     []bool
 	idleCount int
 	statusVer int
+
+	// vc multiplies update costs under the vertex-centric disciplines
+	// (BSP-VC, AP-VC, PowerSwitch): the per-vertex program-invocation
+	// overhead those systems pay against a graph-centric batch loop.
+	vc float64
 
 	totalUpd int64
 	maxUpd   int64
@@ -159,7 +167,8 @@ func (s *sim[V]) ship(from, to int, batch []ace.Message[V], bytes int, sentAt fl
 	return at
 }
 
-// setStatus publishes a worker's status change after the configured delay.
+// setStatus publishes a worker's status change after the network's
+// per-batch latency α.
 func (s *sim[V]) setStatus(id int, idle bool, at float64) {
 	apply := func() {
 		if s.idleV[id] == idle {
@@ -173,11 +182,11 @@ func (s *sim[V]) setStatus(id int, idle bool, at float64) {
 		}
 		s.statusVer++
 	}
-	if s.cfg.StatusDelay <= 0 {
-		apply()
+	if d := s.cfg.Net.Model.Alpha; d > 0 {
+		s.sched.At(at+d, 0, apply)
 		return
 	}
-	s.sched.At(at+s.cfg.StatusDelay, 0, apply)
+	apply()
 }
 
 // allOthersIdle implements the premise of rule R2 for worker i.
@@ -194,11 +203,12 @@ const (
 	prioResume  = 1
 )
 
-// simWorker is one worker of the virtual-time run: the shared ACE state plus
-// the sim's clock, B⁺ and granularity control.
+// simWorker is one worker of the virtual-time run: the shared ACE state and
+// round loop, plus the sim's clock, B⁺ and granularity control.
 type simWorker[V any] struct {
 	workerState[V]
-	s *sim[V]
+	loop aceLoop[V]
+	s    *sim[V]
 
 	// B⁺: accumulated incoming messages.
 	inBuf     []ace.Message[V]
@@ -223,12 +233,6 @@ type simWorker[V any] struct {
 	arrived         bool    // barrier: arrived this superstep
 	penalty         float64 // pending fault-tolerance cost (checkpoint/restore)
 
-	// Superstep work list for the VC disciplines.
-	roundList  []uint32
-	roundPos   int
-	inStep     bool // processing a frozen superstep list
-	needFreeze bool // freeze the initial active set on first run
-
 	// AAP delay sketch.
 	aapDelay      float64
 	aapStallUntil float64
@@ -242,13 +246,7 @@ type simWorker[V any] struct {
 
 	lastStatusVer int
 
-	// Tracing (nil when disabled). roundOpen tracks the LocalEval span so
-	// resumes and aborts keep begin/end balanced; updEmitted is the update
-	// count already reported, so counters ship as per-round deltas instead
-	// of per-update events.
-	tr         obs.Tracer
-	roundOpen  bool
-	updEmitted int64
+	tr obs.Tracer // nil when disabled
 
 	// Staleness bookkeeping beside the state's Category II streaks.
 	sumC   []float64 // Category III accumulators
@@ -270,6 +268,7 @@ func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[
 		truth:    truth,
 		tr:       s.cfg.Tracer,
 	}
+	w.loop = aceLoop[V]{st: &w.workerState, tr: w.tr, charge: w.update}
 	if s.cfg.SlowFactor != nil && id < len(s.cfg.SlowFactor) && s.cfg.SlowFactor[id] > 0 {
 		w.slow = s.cfg.SlowFactor[id]
 	}
@@ -304,15 +303,6 @@ func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[
 		tcfg := adapt.DefaultConfig(w.cat, func(b int) float64 { return s.cfg.Net.Model.TB(b) })
 		tcfg.Policy = s.cfg.Adapt
 		tcfg.K = s.cfg.K
-		if s.cfg.TunerClockCost > 0 {
-			tcfg.ClockCost = s.cfg.TunerClockCost
-		}
-		if s.cfg.TunerRecordCost > 0 {
-			tcfg.RecordCost = s.cfg.TunerRecordCost
-		}
-		if s.cfg.TunerCandidateCost > 0 {
-			tcfg.CandidateCost = s.cfg.TunerCandidateCost
-		}
 		w.tuner = adapt.NewTuner[V](tcfg, prog.Equal, prog.Delta, f.NumWorkers()-1)
 		if w.tr != nil {
 			// Surface every tuner decision as gauge samples on the worker's
@@ -365,8 +355,23 @@ func (w *simWorker[V]) scheduleResumeAt(t float64) {
 			return
 		}
 		w.resumeScheduled = false
-		w.run(w.s.sched.Now())
+		w.resume(w.s.sched.Now())
 	})
+}
+
+// resume runs the round loop from virtual time start, first paying any
+// pending checkpoint/restore cost.
+func (w *simWorker[V]) resume(start float64) {
+	if w.s.aborted || w.s.dead(w.id) {
+		return
+	}
+	w.now = start
+	if w.penalty > 0 {
+		w.now += w.penalty
+		w.metrics.Tf += w.penalty
+		w.penalty = 0
+	}
+	w.loop.run(w)
 }
 
 // deliver is the arrival of a batch M_{j,i} into B⁺_i.
@@ -394,26 +399,12 @@ func (w *simWorker[V]) deliver(batch []ace.Message[V], at float64) {
 	}
 }
 
-func (w *simWorker[V]) goIdle(t float64) {
-	w.idle = true
-	w.s.setStatus(w.id, true, t)
-	if w.tr != nil {
-		w.tr.Mark(w.id, obs.MarkIdle, t)
-	}
-	if t > w.s.end {
-		w.s.end = t
-	}
-	if w.s.barrier && !w.arrived {
-		w.arrived = true
-		w.s.coord.arrive(w, t)
-	}
-}
-
 // --- h_in / h_out --------------------------------------------------------
 
-// hin ingests B⁺ (g_aggr into Ψ, dependents re-activated) charging the
-// receiver-side handler cost. newRound marks the start of a LocalEval.
-func (w *simWorker[V]) hin(newRound bool) {
+// recv ingests B⁺ (g_aggr into Ψ, dependents re-activated) charging the
+// receiver-side handler cost. round marks the start of a LocalEval, which
+// under BSP-VC freezes its superstep.
+func (w *simWorker[V]) recv(round bool) {
 	if w.tr != nil {
 		w.tr.SpanBegin(w.id, obs.PhaseHin, w.now)
 	}
@@ -426,7 +417,7 @@ func (w *simWorker[V]) hin(newRound bool) {
 	w.inBatches = 0
 	w.inFirst = -1
 	w.metrics.Rounds++
-	if newRound {
+	if round {
 		w.roundBase = w.stale2
 		w.roundBusy0 = w.metrics.Busy
 	}
@@ -434,6 +425,9 @@ func (w *simWorker[V]) hin(newRound bool) {
 		w.tr.Count(w.id, obs.CounterMsgsRecv, w.now, int64(nmsgs))
 		w.tr.Sample(w.id, obs.GaugeMailbox, w.now, 0)
 		w.tr.SpanEnd(w.id, obs.PhaseHin, w.now)
+	}
+	if round && w.s.effMode() == ModeBSPVC {
+		w.loop.freeze()
 	}
 }
 
@@ -456,9 +450,7 @@ func (w *simWorker[V]) flush(peer int) {
 	w.metrics.MsgsSent += int64(len(batch))
 	w.metrics.BytesSent += int64(bytes)
 	if w.tr != nil {
-		w.tr.Count(w.id, obs.CounterMsgsSent, w.now, int64(len(batch)))
-		w.tr.Count(w.id, obs.CounterBytesSent, w.now, int64(bytes))
-		w.tr.Count(w.id, obs.CounterFlushes, w.now, 1)
+		traceSent(w.tr, w.id, w.now, int64(len(batch)), int64(bytes))
 		w.tr.SpanEnd(w.id, obs.PhaseHout, w.now)
 	}
 
@@ -478,119 +470,145 @@ func (w *simWorker[V]) hasPendingOut() bool {
 	return false
 }
 
-func (w *simWorker[V]) flushAll() {
+// --- the seam: Algorithm 1 under the selected mode ------------------------
+
+func (w *simWorker[V]) clock() float64 { return w.now }
+
+// gate yields to any event scheduled before the worker's cursor, so
+// causality holds, then runs a due η adjustment.
+func (w *simWorker[V]) gate() bool {
+	if t, ok := w.s.sched.PeekTime(); ok && t < w.now {
+		w.scheduleResumeAt(w.now)
+		return false
+	}
+	if w.s.aborted {
+		return false
+	}
+	if w.tuner != nil && w.tuner.Due(w.now) {
+		w.adjustEta()
+	}
+	return true
+}
+
+// xi applies rules R1–R3, before every update.
+func (w *simWorker[V]) xi() xi {
+	mode := w.s.effMode()
+	// Rule R3: mid-round forward + ingest.
+	if w.r3Due(mode) {
+		return xiForward
+	}
+	// Rule R2: last busy worker ingests pending messages immediately.
+	if mode == ModeGAP && !w.s.cfg.DisableR2 && len(w.inBuf) > 0 && w.s.allOthersIdle(w.id) {
+		if w.tr != nil {
+			w.tr.Mark(w.id, obs.MarkR2, w.now)
+		}
+		w.recv(false)
+		return xiAgain
+	}
+	// Rule R1: forward to idle peers (GAP only).
+	if mode == ModeGAP && !w.s.cfg.DisableR1 {
+		w.applyR1()
+	}
+	return xiKeep
+}
+
+func (w *simWorker[V]) hin() { w.recv(true) }
+
+func (w *simWorker[V]) hout(final bool) {
 	for j := range w.out {
 		if j != w.id {
 			w.flush(j)
 		}
 	}
+	if !final && len(w.inBuf) > 0 {
+		w.recv(false)
+	}
 }
 
-// --- the main loop (Algorithm 1 under the selected mode) -----------------
-
-func (w *simWorker[V]) run(start float64) {
-	if w.s.aborted || w.s.dead(w.id) {
-		return
+// next starts the next round at once when B⁺ holds messages — except
+// under a barrier, where only the coordinator's signal restarts a worker,
+// and under AAP's delay sketch: when recent rounds were stale, stall before
+// ingesting so in-flight corrections land first (bounded staleness). No
+// stall when every peer is already idle: no further messages can arrive.
+func (w *simWorker[V]) next() bool {
+	mode := w.s.effMode()
+	if mode == ModeAAP {
+		w.adjustAAPDelay()
 	}
-	w.now = start
-	if w.penalty > 0 {
-		// Consume the pending checkpoint/restore cost before computing.
-		w.now += w.penalty
-		w.metrics.Tf += w.penalty
-		w.penalty = 0
+	if len(w.inBuf) > 0 && !w.s.barrier {
+		if mode == ModeAAP && w.aapDelay > 0.5 && !w.s.allOthersIdle(w.id) {
+			if w.aapStallUntil < w.now {
+				// Start (or extend) one stall window per round gap.
+				w.aapStallUntil = math.Max(w.now, w.inLast) + w.aapDelay
+			}
+			if w.now < w.aapStallUntil {
+				w.scheduleResumeAt(w.aapStallUntil)
+				return false
+			}
+		}
+		return true
 	}
-	for {
-		// Yield to any event scheduled before our cursor so causality holds.
-		if t, ok := w.s.sched.PeekTime(); ok && t < w.now {
-			w.scheduleResumeAt(w.now)
-			return
-		}
-		if w.s.aborted {
-			return
-		}
-		if w.tuner != nil && w.tuner.Due(w.now) {
-			w.adjustEta()
-		}
-		if w.needFreeze {
-			w.needFreeze = false
-			w.freezeRound()
-		}
-		w.traceRoundBegin()
+	w.loop.mark(w, obs.MarkIdle)
+	w.idle = true
+	w.s.setStatus(w.id, true, w.now)
+	w.s.end = math.Max(w.s.end, w.now)
+	if w.s.barrier && !w.arrived {
+		w.arrived = true
+		w.s.coord.arrive(w, w.now)
+	}
+	return false
+}
 
-		mode := w.s.effMode()
-		// Rule R3 / ξ-always-true: mid-round forward + ingest.
-		if w.r3Due(mode) {
-			if w.tr != nil {
-				w.tr.Mark(w.id, obs.MarkR3, w.now)
-			}
-			w.flushAll()
-			if len(w.inBuf) > 0 {
-				w.hin(false)
-			}
-			continue
-		}
-		// Rule R2: last busy worker ingests pending messages immediately.
-		if mode == ModeGAP && !w.s.cfg.DisableR2 && len(w.inBuf) > 0 && w.s.allOthersIdle(w.id) {
-			if w.tr != nil {
-				w.tr.Mark(w.id, obs.MarkR2, w.now)
-			}
-			w.hin(false)
-			continue
-		}
-		// Rule R1: forward to idle peers (GAP only).
-		if mode == ModeGAP && !w.s.cfg.DisableR1 {
-			w.applyR1()
-		}
+// update runs f_xv on v under the virtual clock: its cost, the staleness
+// and tuner records, the crash poll, and AP-VC's (and FG⁻'s) exchange after
+// every update.
+func (w *simWorker[V]) update(v uint32) bool {
+	c := ace.UpdateCost(w.prog, w.frag, v) * w.slow * w.s.vc * w.jitter() * w.s.slowAt(w.id, w.now)
+	// Start a tuner cycle lazily with the first update after the previous
+	// cycle closed.
+	if w.tuner != nil && !w.tuner.CycleOpen() {
+		w.tuner.Begin(w.now, w.eta)
+	}
+	before := w.prog.Output(w.ctx, v)
+	w.prog.Update(w.ctx, v)
+	after := w.prog.Output(w.ctx, v)
+	d := w.prog.Delta(before, after)
 
-		if w.nextWorkEmpty() {
-			// f_term(D_i) holds: end of LocalEval.
-			w.endRound(mode)
-			if len(w.inBuf) > 0 {
-				// A new round can start right away — except under AAP's
-				// delay sketch: when recent rounds were stale, stall before
-				// ingesting so in-flight corrections land first (bounded
-				// staleness). No stall when every peer is already idle: no
-				// further messages can arrive.
-				if mode == ModeAAP && w.aapDelay > 0.5 && !w.s.allOthersIdle(w.id) {
-					ready := math.Max(w.now, w.inLast) + w.aapDelay
-					if w.aapStallUntil < w.now {
-						// Start (or extend) one stall window per round gap.
-						w.aapStallUntil = ready
-					}
-					if w.now < w.aapStallUntil {
-						w.scheduleResumeAt(w.aapStallUntil)
-						return
-					}
-				}
-				if w.s.barrier {
-					// Superstep modes only restart on the coordinator's
-					// signal; buffered messages wait for it.
-					w.goIdle(w.now)
-					return
-				}
-				w.startRound(mode)
-				continue
-			}
-			w.goIdle(w.now)
-			return
-		}
-
-		v := w.nextWork()
-		c := ace.UpdateCost(w.prog, w.frag, v) * w.slow * w.s.cfg.VCOverhead * w.jitter() * w.s.slowAt(w.id, w.now)
-		w.runUpdate(v, c)
-		if w.s.ft != nil && w.s.ft.checkDue(w) {
-			return // the injected crash killed this worker mid-round
-		}
-
-		if mode == ModeAPVC || (mode == ModeGAP && w.eta == 0) {
-			// ξ⁺ and ξ⁻ constantly true (AP-VC, and FG⁻'s η = 0): flush and
-			// ingest between every pair of update functions.
-			w.flushAll()
-			if len(w.inBuf) > 0 {
-				w.hin(false)
-			}
+	if w.vcost != nil {
+		if !w.prog.Equal(before, after) {
+			w.stale2 += w.vcost[v]
+			w.vcost[v] = c
+		} else {
+			w.vcost[v] += c
 		}
 	}
+	if w.sumC != nil {
+		w.sumC[v] += c
+		w.cumD[v] += d
+		w.sumCxD[v] += c * w.cumD[v]
+	}
+	if w.tuner != nil {
+		oh := w.tuner.Record(v, w.now, c, after, d)
+		if oh > 0 {
+			w.now += oh
+			w.metrics.Ta += oh
+		}
+	}
+	w.metrics.Busy += c
+	w.now += c
+	w.s.totalUpd++
+	if w.s.totalUpd > w.s.maxUpd {
+		w.s.aborted = true
+	}
+	if w.s.ft != nil && w.s.ft.checkDue(w) {
+		return false // the injected crash killed this worker mid-round
+	}
+	if mode := w.s.effMode(); mode == ModeAPVC || (mode == ModeGAP && w.eta == 0) {
+		// ξ⁺ and ξ⁻ constantly true (AP-VC, and FG⁻'s η = 0): flush and
+		// ingest between every pair of update functions.
+		w.hout(false)
+	}
+	return true
 }
 
 // effMode resolves ModePowerSwitch to the discipline it is currently
@@ -666,80 +684,6 @@ func (w *simWorker[V]) applyR1() {
 	w.touched = w.touched[:0]
 }
 
-// nextWorkEmpty reports whether the current LocalEval has no more work: the
-// frozen superstep list for VC-synchronous modes, H otherwise.
-func (w *simWorker[V]) nextWorkEmpty() bool {
-	if w.inStep {
-		return w.roundPos >= len(w.roundList)
-	}
-	return w.active.Empty()
-}
-
-func (w *simWorker[V]) nextWork() uint32 {
-	if w.inStep {
-		v := w.roundList[w.roundPos]
-		w.roundPos++
-		return v
-	}
-	return w.active.Pop()
-}
-
-// startRound begins a LocalEval: h_in, and for vertex-centric synchronous
-// disciplines a frozen copy of H.
-func (w *simWorker[V]) startRound(mode Mode) {
-	w.traceRoundBegin()
-	w.hin(true)
-	if mode == ModeBSPVC {
-		w.freezeRound()
-	}
-}
-
-func (w *simWorker[V]) freezeRound() {
-	w.roundList = w.roundList[:0]
-	for !w.active.Empty() {
-		w.roundList = append(w.roundList, w.active.Pop())
-	}
-	w.roundPos = 0
-	w.inStep = true
-}
-
-// endRound finishes a LocalEval: h_out flushes every non-empty buffer.
-func (w *simWorker[V]) endRound(mode Mode) {
-	w.inStep = false
-	w.flushAll()
-	if mode == ModeAAP {
-		w.adjustAAPDelay()
-	}
-	w.traceRoundEnd()
-}
-
-// traceRoundBegin opens the LocalEval span lazily: the first loop iteration
-// after a round boundary (or a resume into a fresh round) begins it, so the
-// span also covers rounds entered without startRound (initial activation).
-func (w *simWorker[V]) traceRoundBegin() {
-	if w.tr == nil || w.roundOpen {
-		return
-	}
-	w.roundOpen = true
-	w.tr.SpanBegin(w.id, obs.PhaseLocalEval, w.now)
-	w.tr.Sample(w.id, obs.GaugeActive, w.now, float64(w.active.Len()))
-}
-
-// traceRoundEnd closes the LocalEval span and ships the round's update
-// count as one counter delta (per-update events would flood the ring).
-func (w *simWorker[V]) traceRoundEnd() {
-	if w.tr == nil || !w.roundOpen {
-		return
-	}
-	w.roundOpen = false
-	if d := w.metrics.Updates - w.updEmitted; d > 0 {
-		w.tr.Count(w.id, obs.CounterUpdates, w.now, d)
-		w.updEmitted = w.metrics.Updates
-	}
-	w.tr.Sample(w.id, obs.GaugeActive, w.now, float64(w.active.Len()))
-	w.tr.SpanEnd(w.id, obs.PhaseLocalEval, w.now)
-}
-
 func (w *simWorker[V]) adjustAAPDelay() {
 	roundBusy := w.metrics.Busy - w.roundBusy0
 	if roundBusy <= 0 {
@@ -752,47 +696,6 @@ func (w *simWorker[V]) adjustAAPDelay() {
 		w.aapDelay = math.Min(w.aapDelay*2+1, maxDelay)
 	case frac < 0.05:
 		w.aapDelay *= 0.6
-	}
-}
-
-func (w *simWorker[V]) runUpdate(v uint32, c float64) {
-	// Start a tuner cycle lazily with the first update after the previous
-	// cycle closed.
-	if w.tuner != nil && !w.tuner.CycleOpen() {
-		w.tuner.Begin(w.now, w.eta)
-	}
-	before := w.prog.Output(w.ctx, v)
-	w.prog.Update(w.ctx, v)
-	after := w.prog.Output(w.ctx, v)
-	d := w.prog.Delta(before, after)
-	changed := !w.prog.Equal(before, after)
-
-	if w.vcost != nil {
-		if changed {
-			w.stale2 += w.vcost[v]
-			w.vcost[v] = c
-		} else {
-			w.vcost[v] += c
-		}
-	}
-	if w.sumC != nil {
-		w.sumC[v] += c
-		w.cumD[v] += d
-		w.sumCxD[v] += c * w.cumD[v]
-	}
-	if w.tuner != nil {
-		oh := w.tuner.Record(v, w.now, c, after, d)
-		if oh > 0 {
-			w.now += oh
-			w.metrics.Ta += oh
-		}
-	}
-	w.metrics.Busy += c
-	w.metrics.Updates++
-	w.now += c
-	w.s.totalUpd++
-	if w.s.totalUpd > w.s.maxUpd {
-		w.s.aborted = true
 	}
 }
 
@@ -818,7 +721,8 @@ func (w *simWorker[V]) adjustEta() {
 
 // finish closes the books after the run.
 func (w *simWorker[V]) finish() {
-	w.traceRoundEnd() // close the span an aborted run left open
+	w.loop.close(w) // close the span an aborted run left open
+	w.metrics.Updates = w.updates
 	w.metrics.FinalEta = w.eta
 	switch w.cat {
 	case ace.CategoryII:
@@ -924,8 +828,8 @@ func (c *coordinator[V]) arrive(w *simWorker[V], t float64) {
 				c.s.setStatus(wkr.id, false, c.s.sched.Now())
 			}
 			wkr.arrived = false
-			wkr.startRound(c.s.effMode())
-			wkr.run(c.s.sched.Now())
+			wkr.loop.start(wkr)
+			wkr.resume(c.s.sched.Now())
 		})
 	}
 	c.stepStart = t

@@ -85,7 +85,7 @@ func newSimFT[V any](s *sim[V], plan *fault.Plan) *simFT[V] {
 		s:       s,
 		inj:     fault.NewInjector(plan),
 		every:   s.cfg.FT.CheckpointEvery,
-		detect:  s.cfg.FT.DetectDelay,
+		detect:  4 * s.cfg.Net.Model.Alpha,
 		inc:     make([]int, len(s.workers)),
 		crashed: make([]bool, len(s.workers)),
 	}
@@ -145,7 +145,7 @@ func (ft *simFT[V]) scheduleTimeCrashes(from float64) {
 	e := ft.epoch
 	for i, c := range plan.Crashes {
 		if c.AfterUpdates > 0 {
-			continue // polled in runUpdate
+			continue // polled in update
 		}
 		i, c := i, c
 		at := c.At
@@ -175,7 +175,7 @@ func (ft *simFT[V]) crash(c fault.Crash, t float64) {
 	ft.nCrashed++
 	ft.inc[c.Worker]++
 	ft.s.crashes++
-	w.traceRoundEnd()
+	w.loop.close(w)
 	if w.tr != nil {
 		w.tr.Mark(w.id, obs.MarkCrash, t)
 	}
@@ -209,12 +209,12 @@ func (ft *simFT[V]) crash(c fault.Crash, t float64) {
 }
 
 // checkDue polls the injector for an update-count (or overdue time) crash
-// on worker w; called from runUpdate. Reports whether the worker died.
+// on worker w; called from update. Reports whether the worker died.
 func (ft *simFT[V]) checkDue(w *simWorker[V]) bool {
 	if ft.crashed[w.id] {
 		return true
 	}
-	c, ok := ft.inj.TakeDue(w.id, w.metrics.Updates, w.now)
+	c, ok := w.crashDue(ft.inj, w.now)
 	if !ok {
 		return false
 	}
@@ -351,7 +351,7 @@ func (ft *simFT[V]) rollback(t float64) {
 		w.eta = ws.eta
 		w.idle = ws.idle
 		w.resumeScheduled = false
-		w.roundOpen = false
+		w.loop.open = false
 		// Restore cost: reloading the persisted state.
 		bytes := 0
 		for l := range w.psi {

@@ -103,6 +103,8 @@ type workerState[V any] struct {
 	psi    []V
 	active *ace.ActiveSet
 	ctx    *ace.Ctx[V]
+	// updates counts update-function invocations; the round loop keeps it.
+	updates int64
 
 	// out[j] is B⁻_j; the pending values are Ψ itself (see takeOut).
 	out []outIDs
