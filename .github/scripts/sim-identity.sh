@@ -25,6 +25,7 @@ for app in sssp bfs wcc pr color core sim; do
 done
 cells+=("sssp|crash=1@300+50|-app sssp -faults crash=1@300+50 -ckpt-every 150")
 cells+=("pr|crash=1@300+50|-app pr -faults crash=1@300+50 -ckpt-every 150")
+cells+=("pr|seed=7; dup=0.05; reorder=0.05|-app pr -faults seed=7;dup=0.05;reorder=0.05")
 cells+=("sssp|report-json|-app sssp -report-json REPORT")
 for app in sssp bfs wcc pr; do
   cells+=("$app|live, 1 worker|-app $app -soak 1 -n 1 LIVE")

@@ -16,7 +16,7 @@
 //	                   the crash schedules a restart ("+R").
 //	-no-recover        strip the restarts from the plan: crashed workers
 //	                   stay dead and the run reports non-convergence.
-//	-ckpt-every N      checkpoint interval in virtual cost units.
+//	-ckpt-every N      each worker's checkpoint interval in virtual cost units.
 //
 // Live driver (real goroutines; apps sssp, bfs, wcc, pr):
 //
@@ -134,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print structural graph statistics and exit")
 	faults := fs.String("faults", "", "fault plan `SPEC` (inline or a file of spec lines)")
 	noRecover := fs.Bool("no-recover", false, "strip restarts from the fault plan (crashed workers stay dead)")
-	ckptEvery := fs.Float64("ckpt-every", 0, "checkpoint interval in virtual cost units (0 = default)")
+	ckptEvery := fs.Float64("ckpt-every", 0, "each worker's checkpoint interval in virtual cost units; one worker checkpoints per N/workers (0 = default)")
 	soak := fs.Int("soak", 0, "run under the live driver `N` times, verifying each run against the sequential reference (0 = sim driver)")
 	memBudget := fs.String("mem-budget", "", "live-driver memory budget in `BYTES` (k/m/g suffixes; empty = unbounded)")
 	spillDir := fs.String("spill-dir", "", "directory for spilled logs and checkpoints (default: the OS temp dir)")

@@ -14,11 +14,13 @@ import (
 // FaultSweep measures what failures cost the GAP runtime: SSSP over the LJ
 // stand-in, fault-free first (the baseline and the reference answers),
 // then under crash-and-recover plans of increasing severity and under
-// lossy/duplicating/reordering links. Every faulty run must still reach
-// the fault-free fixpoint — the sweep reports the response-time overhead,
-// the fault-handling cost T_f (checkpoints + restores), and the recovery
-// accounting. All runs use the deterministic sim driver, so the table is
-// byte-reproducible.
+// lossy/duplicating/reordering links. Crashed workers come back by
+// localized recovery (each worker checkpoints once per CheckpointEvery; the
+// victim alone restores and replays its peers' logs). Every faulty run must
+// still reach the fault-free fixpoint — the sweep reports the
+// response-time overhead, the fault-handling cost T_f (checkpoints,
+// restores and replayed h_in), and the recovery accounting. All runs use
+// the deterministic sim driver, so the table is byte-reproducible.
 func FaultSweep(o Options) error {
 	o = o.withDefaults()
 	g, err := graph.LoadDataset("LJ", o.Scale)

@@ -75,7 +75,7 @@ type Plan struct {
 	// batch on link (i→j) is a pure function of (Seed, i, j, k), so a plan
 	// injects identically into repeated runs regardless of scheduling.
 	Drop    float64 // batch is lost and retransmitted after Retry
-	Dup     float64 // batch is delivered twice (idempotent programs only)
+	Dup     float64 // batch is delivered twice; the drivers' exactly-once layer drops the copy
 	Reorder float64 // batch is held back / delayed past FIFO order
 
 	// LinkDrop overrides Drop on individual links: the key is {from, to}

@@ -40,7 +40,7 @@ const (
 	// fixed true, one update per LocalEval.
 	ModeAPVC
 	// ModeAAP: adaptive asynchronous (Grape⁺): graph-centric rounds whose
-	// start is postponed by an adaptive delay sketch to absorb in-flight
+	// start is postponed by an adaptive delay sketch to absorb in-transit
 	// messages and cut staleness.
 	ModeAAP
 	// ModePowerSwitch: starts bulk-synchronous vertex-centric and switches
@@ -117,9 +117,15 @@ type Config struct {
 	// Faults is the injected fault plan (nil = fault-free). Under the sim
 	// driver all times in the plan are virtual cost units and every fault
 	// is charged a deterministic cost, so faulty runs remain
-	// byte-reproducible for a fixed seed. Crash injection requires an
-	// asynchronous mode (GAP, AP-GC, AP-VC, AAP): the barrier disciplines
-	// have no meaningful single-worker failure semantics.
+	// byte-reproducible for a fixed seed. A crash with a restart is
+	// repaired by localized recovery, as under the live driver: the crashed
+	// worker is restored from its own last checkpoint and replayed from its
+	// peers' message logs while the survivors keep computing; that needs a
+	// program whose declared ace.Algebra is Recoverable (else RunSim
+	// returns ErrNoRecoveryAlgebra). Link faults switch on the exactly-once
+	// layer, so dup and reorder fates never double-count. Crash injection
+	// requires an asynchronous mode (GAP, AP-GC, AP-VC, AAP): the barrier
+	// disciplines have no meaningful single-worker failure semantics.
 	Faults *fault.Plan
 	// FT tunes checkpointing and recovery; only consulted when Faults
 	// schedules a crash with a restart.
@@ -128,9 +134,10 @@ type Config struct {
 
 // FTConfig parameterizes the sim driver's checkpoint/recovery layer.
 type FTConfig struct {
-	// CheckpointEvery is the virtual-time interval between consistent
-	// cluster snapshots. Default 4096 cost units. A crash is detected 4α
-	// after it happens.
+	// CheckpointEvery is each worker's local checkpoint interval in virtual
+	// cost units, as LiveConfig.CheckpointEvery is live: one worker,
+	// round-robin, checkpoints per CheckpointEvery/n slice. Default 4096.
+	// A crash is detected 4α after it happens.
 	CheckpointEvery float64
 }
 

@@ -112,12 +112,12 @@ type LiveConfig struct {
 // wrappers preserve it.
 var ErrCanceled = errors.New("gap: run canceled")
 
-// ErrNoRecoveryAlgebra is the failure RunLive returns, before any goroutine
-// starts, when the fault plan schedules a crash with a restart over a program
-// whose declared ace.Algebra is not Recoverable: a survivor that folded in a
-// rolled-back sender's messages could neither un-apply them nor tolerate
-// their replay. Fault-free runs, link-fault-only runs and NoRecover runs of
-// such a program are unaffected.
+// ErrNoRecoveryAlgebra is the failure RunLive and RunSim return, before the
+// run starts, when the fault plan schedules a crash with a restart over a
+// program whose declared ace.Algebra is not Recoverable: a survivor that
+// folded in a rolled-back sender's messages could neither un-apply them nor
+// tolerate their replay. Fault-free runs, link-fault-only runs and NoRecover
+// runs of such a program are unaffected.
 var ErrNoRecoveryAlgebra = errors.New("gap: crash recovery needs a program whose aggregate is a semilattice join or has an inverse (ace.Algebra)")
 
 // ErrWorkerPanic is the failure RunLive returns when an Update function (or
@@ -198,17 +198,6 @@ type LiveMetrics struct {
 	LogPeakBytes     int64 // high-water retained bytes across the message log
 }
 
-// liveEnvelope is one batch in flight. Under the exactly-once layer (link
-// faults or crash recovery) it carries, beside the sender id, the sender's
-// incarnation and a per-link sequence number for dedup, reordering and
-// replay.
-type liveEnvelope[V any] struct {
-	from int32
-	inc  int32
-	seq  uint64
-	msgs []ace.Message[V]
-}
-
 // liveCoord detects global quiescence: every worker idle and every sent
 // message received. It also carries the run's failure slot (watchdog or
 // internal errors) and a progress counter the watchdog samples.
@@ -227,7 +216,7 @@ type liveCoord struct {
 	// atomics bumped at ship/drain time instead of worker-local deltas: a
 	// crashed goroutine's unreported deltas would unbalance the ledger
 	// forever. Ships are counted before the envelope becomes
-	// visible, so asent >= arecv whenever a message is in flight and
+	// visible, so asent >= arecv whenever a message is in transit and
 	// quiescence cannot close early.
 	atomicCnt    bool
 	asent, arecv atomic.Int64
@@ -318,7 +307,7 @@ func (c *liveCoord) status() (idle, total int, sent, recv, progress int64) {
 type liveDriver[V any] struct {
 	cfg    LiveConfig
 	n      int
-	chans  []chan liveEnvelope[V]
+	chans  []chan envelope[V]
 	coord  *liveCoord
 	ctrl   *liveCtrl
 	states []*workerState[V]
@@ -335,22 +324,12 @@ type liveDriver[V any] struct {
 
 	pool *batchPool[V]
 
-	// Exactly-once / localized-recovery plumbing (see liverecover.go).
-	// seqOn stamps envelopes with (inc, seq) and routes drains through the
-	// dedup layer; recover (above) additionally logs sends, takes
-	// uncoordinated checkpoints and restores crashed workers. diag maintains
-	// the per-worker transport counters the watchdog prints.
-	seqOn      bool
+	// Localized-recovery plumbing (recover.go, liverecover.go): when
+	// recover (above) is set, rec logs sends, takes uncoordinated
+	// checkpoints and restores crashed workers. diag maintains the
+	// per-worker transport counters the watchdog prints.
 	diag       bool
-	mlog       *msgLog[V]
-	localMu    sync.Mutex
-	localSnaps []localSnap[V]
-	stableSent []atomic.Uint64 // [from*n+to] sender's checkpointed send seq
-	stableRecv []atomic.Uint64 // [recv*n+from] receiver's checkpointed cursor
-	snapExpInc []atomic.Int32  // [recv*n+from] expInc inside the published snapshot
-	incOf      []atomic.Int32
-	rollMu     sync.Mutex
-	rollHist   [][]rollEntry
+	rec        *localRecovery[V]
 	noticeMu   sync.Mutex
 	noticeQ    [][]rollNotice
 	noticeFlag []atomic.Bool
@@ -421,25 +400,14 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.inj = fault.NewInjector(cfg.Faults)
 		d.retrySleep = time.Duration(d.inj.RetryDelay(1) * float64(time.Millisecond))
 	}
-	if d.hasCrashes && !cfg.NoRecover {
-		for _, c := range cfg.Faults.Crashes {
-			if c.Restart >= 0 {
-				d.recover = true
-				break
-			}
-		}
-	}
-	// The exactly-once layer and crash recovery. Recovery needs a program
-	// whose survivors the protocol can repair (see ErrNoRecoveryAlgebra). The
-	// dedup layer alone is also required under link faults — dup/reorder
-	// fates double- and cross-deliver batches, which only replay-tolerant
-	// programs take bare.
+	seqOn, recovers := exactlyOnce(cfg.Faults, cfg.NoRecover)
+	d.recover = recovers
+	// Recovery needs a program whose survivors the protocol can repair.
 	alg := ace.AlgebraOf(factory())
 	if d.recover && !alg.Recoverable() {
 		return nil, nil, ErrNoRecoveryAlgebra
 	}
-	d.seqOn = d.hasLink || d.recover
-	d.diag = d.hasCrashes || d.seqOn
+	d.diag = d.hasCrashes || seqOn
 
 	d.beatEvery = 10 * time.Millisecond
 	if d.hasCrashes && cfg.HeartbeatTimeout/5 < d.beatEvery {
@@ -449,9 +417,9 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.beatEvery = 200 * time.Microsecond
 	}
 
-	d.chans = make([]chan liveEnvelope[V], n)
+	d.chans = make([]chan envelope[V], n)
 	for i := range d.chans {
-		d.chans[i] = make(chan liveEnvelope[V], liveMailboxCap)
+		d.chans[i] = make(chan envelope[V], liveMailboxCap)
 	}
 	d.coord = newLiveCoord(n)
 	d.ctrl = newLiveCtrl(n)
@@ -461,16 +429,8 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.states[i] = newWorkerState(i, frags[i], factory(), q, d.pool)
 	}
 
-	if d.seqOn {
-		// Undo logs serve rollback notices only, and only for programs that
-		// are not replay-tolerant (those repair by re-ingestion alone).
-		var invert func(cur, contrib V) V
-		if d.recover && !alg.ReplayTolerant() {
-			invert = alg.Invert
-		}
-		for i := range d.states {
-			d.states[i].rs = newRecoverState[V](n, invert)
-		}
+	if seqOn {
+		d.rec = attachRecovery(d.states, alg, d.recover)
 	}
 	if d.diag {
 		d.wsent = make([]atomic.Int64, n)
@@ -479,35 +439,11 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	}
 	if d.recover {
 		d.coord.atomicCnt = true
-		d.mlog = newMsgLog[V](n)
-		d.stableSent = make([]atomic.Uint64, n*n)
-		d.stableRecv = make([]atomic.Uint64, n*n)
-		d.snapExpInc = make([]atomic.Int32, n*n)
-		d.incOf = make([]atomic.Int32, n)
-		d.rollHist = make([][]rollEntry, n)
 		d.noticeQ = make([][]rollNotice, n)
 		d.noticeFlag = make([]atomic.Bool, n)
 		d.ckptReq = make([]atomic.Bool, n)
 		d.recState = make([]uint8, n)
 		d.detectAt = make([]time.Duration, n)
-		// Checkpoint 0: every worker's freshly initialized state, so a
-		// crash before its first periodic checkpoint restores to the start.
-		d.localSnaps = make([]localSnap[V], n)
-		for i := range d.states {
-			st := d.states[i]
-			snap := localSnap[V]{
-				valid:   true,
-				base:    st.capture(),
-				sendSeq: make([]uint64, n),
-				cursor:  make([]uint64, n),
-				expInc:  make([]int32, n),
-				bounds:  make([][]incBound, n),
-			}
-			if st.rs.undo != nil {
-				snap.undo = make([][]undoRec[V], n)
-			}
-			d.localSnaps[i] = snap
-		}
 	}
 
 	// Memory governance: size the wire estimates and register the governed
@@ -527,7 +463,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	if d.gov != nil {
 		d.pool.acct = d.gov.Account("pool")
 		d.pool.wire = d.wireEst
-		if d.seqOn {
+		if seqOn {
 			for i := range d.states {
 				d.states[i].rs.acct = d.gov.Account("robuf")
 				d.states[i].rs.wire = d.wireEst
@@ -540,13 +476,13 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 			d.ckEvery[i].Store(int32(cfg.CheckEvery))
 		}
 		if d.gov != nil || d.logCap > 0 {
-			d.mlog.configure(d.gov, wire, d.logCap)
+			d.rec.log.configure(d.gov, wire, d.logCap)
 		}
 		if d.gov != nil {
 			d.ckptAcct = d.gov.Account("ckpt")
 			d.ckptBytes = make([]int64, n)
-			for i := range d.localSnaps {
-				c := snapResidentBytes(&d.localSnaps[i].base, d.vSize)
+			for i := range d.rec.snaps {
+				c := snapResidentBytes(&d.rec.snaps[i].base, d.vSize)
 				d.ckptAcct.Add(c)
 				d.ckptBytes[i] = c
 			}
@@ -607,8 +543,8 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		Throttles:        d.throttles.Load(),
 		EtaReseeds:       d.etaReseeds.Load(),
 	}
-	if d.mlog != nil {
-		_, _, peak := d.mlog.bytes()
+	if d.rec != nil {
+		_, _, peak := d.rec.log.bytes()
 		m.LogPeakBytes = peak
 	}
 	return res, m, nil
@@ -802,7 +738,7 @@ func (w *liveWorker[V]) crashed() bool {
 // zero-allocation loop. Every drained envelope is counted as received —
 // even ones the exactly-once layer then drops or buffers — because the
 // termination ledger balances transport deliveries, not applications.
-func (w *liveWorker[V]) ingest(env liveEnvelope[V]) {
+func (w *liveWorker[V]) ingest(env envelope[V]) {
 	d := w.d
 	k := int64(len(env.msgs))
 	if d.coord.atomicCnt {
@@ -838,26 +774,9 @@ func (w *liveWorker[V]) drain() int {
 	}
 }
 
-// stamp wraps a batch for the wire; under the exactly-once layer it draws
-// the next per-link sequence number and (when the run can recover a crash)
-// retains a copy in the sender-side log before the batch ever becomes
-// visible.
-func (w *liveWorker[V]) stamp(j int, msgs []ace.Message[V]) liveEnvelope[V] {
-	env := liveEnvelope[V]{from: int32(w.id), msgs: msgs}
-	if rs := w.st.rs; rs != nil {
-		rs.sendSeq[j]++
-		env.seq = rs.sendSeq[j]
-		env.inc = rs.myInc
-		if w.d.mlog != nil {
-			w.d.mlog.append(w.id, j, env.seq, msgs)
-		}
-	}
-	return env
-}
-
 // countSent books a shipped envelope. On a recovering run the count lands in
 // the coordinator's crash-safe atomics before the envelope is inserted, so
-// quiescence can never close over an uncounted in-flight message.
+// quiescence can never close over an uncounted in-transit message.
 func (w *liveWorker[V]) countSent(k int64) {
 	d := w.d
 	if d.coord.atomicCnt {
@@ -880,7 +799,7 @@ func (w *liveWorker[V]) countSent(k int64) {
 // mailbox so mutual sends cannot deadlock. While blocked, the worker keeps
 // servicing rollback notices — a survivor wedged on a dead peer's full
 // mailbox must still ack, or recovery would deadlock.
-func (w *liveWorker[V]) send(j int, env liveEnvelope[V]) {
+func (w *liveWorker[V]) send(j int, env envelope[V]) {
 	if len(env.msgs) == 0 {
 		return
 	}
@@ -912,7 +831,7 @@ func (w *liveWorker[V]) send(j int, env liveEnvelope[V]) {
 func (w *liveWorker[V]) sendHeld(j int) {
 	if hb := w.hold[j]; len(hb) > 0 {
 		w.hold[j] = nil
-		w.send(j, w.stamp(j, hb))
+		w.send(j, w.st.stamp(j, hb))
 	}
 }
 
@@ -955,11 +874,11 @@ func (w *liveWorker[V]) hout(final bool) {
 				switch f := d.inj.BatchFate(id, j); {
 				case f.Drop:
 					// Count the batch as sent now — termination cannot be
-					// declared while it is in flight — and hand it to an
+					// declared while it is in transit — and hand it to an
 					// asynchronous retransmitter. Sleeping inline here would
 					// stall heartbeats and every other peer's flush for the
 					// whole retry delay.
-					env := w.stamp(j, msgs)
+					env := w.st.stamp(j, msgs)
 					w.countSent(int64(len(msgs)))
 					d.retransmit(j, env)
 					sentFresh = true
@@ -968,7 +887,7 @@ func (w *liveWorker[V]) hout(final bool) {
 					// the original while we still read it. Both copies carry
 					// the same sequence number, so the dedup layer (when on)
 					// drops the second.
-					env := w.stamp(j, msgs)
+					env := w.st.stamp(j, msgs)
 					cp := env
 					cp.msgs = append(d.pool.get(), msgs...)
 					w.send(j, env)
@@ -982,11 +901,11 @@ func (w *liveWorker[V]) hout(final bool) {
 					w.hold[j] = append(w.hold[j], msgs...)
 					d.pool.put(msgs)
 				default:
-					w.send(j, w.stamp(j, msgs))
+					w.send(j, w.st.stamp(j, msgs))
 					sentFresh = true
 				}
 			} else {
-				w.send(j, w.stamp(j, msgs))
+				w.send(j, w.st.stamp(j, msgs))
 				sentFresh = true
 			}
 		}
@@ -1022,7 +941,7 @@ func (w *liveWorker[V]) serviceLocal() {
 	if tr := w.tr; tr != nil {
 		t := w.clock()
 		tr.Mark(id, obs.MarkCkpt, t)
-		tr.Sample(id, obs.GaugeLogSize, t, float64(d.mlog.retainedFrom(id)))
+		tr.Sample(id, obs.GaugeLogSize, t, float64(d.rec.log.retainedFrom(id)))
 	}
 }
 
@@ -1062,10 +981,10 @@ func (w *liveWorker[V]) idleWait() bool {
 // retransmit delivers a "dropped" batch after the plan's retry delay
 // without blocking the worker that flushed it. The caller already counted
 // the batch as sent, so termination cannot be declared while it is in
-// flight. Delivery always completes; if the receiver crashed and its restore
+// transit. Delivery always completes; if the receiver crashed and its restore
 // already replayed the batch from the sender's log, the dedup layer discards
 // the late copy.
-func (d *liveDriver[V]) retransmit(to int, env liveEnvelope[V]) {
+func (d *liveDriver[V]) retransmit(to int, env envelope[V]) {
 	d.retransmits.Add(1)
 	if tr := d.cfg.Tracer; tr != nil {
 		tr.Count(int(env.from), obs.CounterRetransmits, float64(sinceFn(d.start))/1e3, 1)

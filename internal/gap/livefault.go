@@ -63,7 +63,7 @@ func (c *liveCtrl) isUnrecoverable() bool {
 // monitor is the coordinator-side control loop: heartbeat failure
 // detection, round-robin checkpoint requests, crash recovery, and the
 // progress watchdog. It holds a WaitGroup slot so RunLive cannot return
-// while a recovery is mid-flight.
+// while a recovery is under way.
 func (d *liveDriver[V]) monitor() {
 	defer d.wg.Done()
 	// The monitor rewrites worker state during recovery; a panic here (a

@@ -235,10 +235,10 @@ func TestLiveCoordEdgeCases(t *testing.T) {
 		c.report(0, true, 1, 0) // idle, but one sent message unaccounted
 		select {
 		case <-c.done:
-			t.Fatal("closed with a message in flight")
+			t.Fatal("closed with a message in transit")
 		default:
 		}
-		c.report(1, false, 0, 0) // woke up on the in-flight message
+		c.report(1, false, 0, 0) // woke up on the in-transit message
 		c.report(1, true, 0, 1)  // consumed it and went idle again
 		select {
 		case <-c.done:

@@ -20,7 +20,7 @@ type Health struct {
 	// Err is the most recent run failure ("" when every run succeeded).
 	Err string
 	// Draining reports that the process hosting the tracker is shutting
-	// down gracefully: no new runs will be admitted, in-flight ones are
+	// down gracefully: no new runs will be admitted, running ones are
 	// finishing. Set by SetDraining; never reset by runStarted, so a
 	// readiness probe stays red for the rest of the process's life.
 	Draining bool

@@ -36,8 +36,8 @@ func recTestState(t *testing.T) (*workerState[float64], uint32) {
 func TestSeqIngestExactlyOnce(t *testing.T) {
 	st, lv := recTestState(t)
 	vid := st.frag.Global(lv)
-	env := func(inc int32, seq uint64, val float64) liveEnvelope[float64] {
-		return liveEnvelope[float64]{from: 1, inc: inc, seq: seq,
+	env := func(inc int32, seq uint64, val float64) envelope[float64] {
+		return envelope[float64]{from: 1, inc: inc, seq: seq,
 			msgs: []ace.Message[float64]{{V: vid, Val: val}}}
 	}
 	// Out-of-order arrival: seq 2 buffers, seq 1 applies and drains it.
@@ -69,8 +69,8 @@ func TestSeqIngestExactlyOnce(t *testing.T) {
 func TestRollbackSenderInvertsUncommitted(t *testing.T) {
 	st, lv := recTestState(t)
 	vid := st.frag.Global(lv)
-	env := func(inc int32, seq uint64, val float64) liveEnvelope[float64] {
-		return liveEnvelope[float64]{from: 1, inc: inc, seq: seq,
+	env := func(inc int32, seq uint64, val float64) envelope[float64] {
+		return envelope[float64]{from: 1, inc: inc, seq: seq,
 			msgs: []ace.Message[float64]{{V: vid, Val: val}}}
 	}
 	st.seqIngest(env(0, 1, 0.5))
@@ -235,7 +235,7 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 		want := algorithms.SeqPageRank(g, 1e-3)
 		cfg := localFTConfig()
 		// The slowdown stretches the run so the crash lands with real
-		// uncommitted rank in flight (survivor undo logs must invert it).
+		// uncommitted rank in transit (survivor undo logs must invert it).
 		cfg.Faults = faultPlan(t, "crash=2@u60+10; slow=1@0:200:30")
 		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
 		if err != nil {

@@ -24,7 +24,7 @@ func TestLiveCancelMidRun(t *testing.T) {
 	health := &HealthTracker{}
 	cfg := LiveConfig{
 		Mode: ModeGAP, CheckEvery: 1, Cancel: cancel, Health: health,
-		// Slow every worker so the run is reliably still in flight when
+		// Slow every worker so the run is reliably still running when
 		// the cancellation lands.
 		Faults: faultPlan(t, "slow=0@0:30000:40; slow=1@0:30000:40"),
 	}

@@ -173,7 +173,7 @@ func (d *liveDriver[V]) memTick(now time.Duration) {
 		}
 	}
 	stage := d.gov.Stage()
-	if d.mlog != nil {
+	if d.rec != nil {
 		// Rung 1: bound log retention in bytes. A slow-to-checkpoint
 		// receiver keeps every peer's rows toward it unprunable; forcing it
 		// to snapshot out of turn advances its published cursors so the
@@ -182,7 +182,7 @@ func (d *liveDriver[V]) memTick(now time.Duration) {
 		if d.logCap > 0 {
 			over := false
 			for j := 0; j < d.n; j++ {
-				if d.mlog.retainedToward(j) > d.logCap {
+				if d.rec.log.retainedToward(j) > d.logCap {
 					over = true
 					break
 				}
@@ -208,7 +208,7 @@ func (d *liveDriver[V]) memTick(now time.Duration) {
 func (d *liveDriver[V]) forceCkptSlowest() {
 	worst, worstBytes := -1, int64(0)
 	for j := 0; j < d.n; j++ {
-		if b := d.mlog.retainedToward(j); b > worstBytes {
+		if b := d.rec.log.retainedToward(j); b > worstBytes {
 			worst, worstBytes = j, b
 		}
 	}

@@ -41,6 +41,7 @@ func RunSimTruth[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Q
 		cfg:         cfg,
 		mode:        cfg.Mode,
 		sched:       &vtime.Scheduler{},
+		pool:        &batchPool[V]{},
 		vc:          1,
 		idleV:       make([]bool, len(frags)),
 		maxUpd:      int64(cfg.MaxUpdatesPerVertex) * int64(frags[0].GlobalVertices()),
@@ -57,14 +58,25 @@ func RunSimTruth[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Q
 	if cfg.Faults.HasCrashes() && (s.barrier || s.mode == ModePowerSwitch) {
 		return nil, fmt.Errorf("gap: crash injection requires an asynchronous mode, not %v", s.mode)
 	}
+	seqOn, recovers := exactlyOnce(cfg.Faults, false)
+	alg := ace.AlgebraOf(factory())
+	if recovers && !alg.Recoverable() {
+		return nil, ErrNoRecoveryAlgebra
+	}
 	s.coord = &coordinator[V]{s: s, expected: len(frags)}
 
+	states := make([]*workerState[V], len(frags))
 	for i, f := range frags {
 		w := newSimWorker(s, i, f, factory(), q, truth)
 		s.workers = append(s.workers, w)
+		states[i] = &w.workerState
 	}
 	if !cfg.Faults.Empty() {
-		s.ft = newSimFT(s, cfg.Faults)
+		var rec *localRecovery[V]
+		if seqOn {
+			rec = attachRecovery(states, alg, recovers)
+		}
+		s.ft = newSimFT(s, cfg.Faults, rec)
 	}
 	// Initial activation: workers with non-empty H start computing at t=0;
 	// the rest begin idle (and, under a barrier, arrive immediately).
@@ -95,7 +107,7 @@ func RunSimTruth[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Q
 	res := &Result[V]{Values: make([]V, frags[0].GlobalVertices())}
 	m := &res.Metrics
 	m.Mode = cfg.Mode
-	m.Converged = !s.aborted && (s.ft == nil || s.ft.nCrashed == 0)
+	m.Converged = !s.aborted && (s.ft == nil || s.ft.nDead == 0)
 	m.Switched = s.switched
 	m.Crashes, m.Recoveries, m.Checkpoints = s.crashes, s.recoveries, s.checkpoints
 	m.RespTime = s.end
@@ -121,6 +133,7 @@ type sim[V any] struct {
 	sched   *vtime.Scheduler
 	workers []*simWorker[V]
 	coord   *coordinator[V]
+	pool    *batchPool[V]
 
 	// Worker-status view (Σ): what rules R1/R2 read. Updated with α virtual
 	// latency.
@@ -149,22 +162,32 @@ type sim[V any] struct {
 	lastArrival map[[2]int]float64
 }
 
-// ship schedules the delivery of a batch over the link from→to, respecting
-// per-link FIFO ordering, and returns the arrival time. With a fault layer
-// active the batch is subject to injected link faults and registered for
-// in-flight replay.
+// ship stamps a batch for the link from→to and schedules its delivery,
+// respecting per-link FIFO ordering, and returns the arrival time. With a
+// fault layer active the batch is subject to injected link faults.
 func (s *sim[V]) ship(from, to int, batch []ace.Message[V], bytes int, sentAt float64) float64 {
+	env := s.workers[from].stamp(to, batch)
 	if s.ft != nil {
-		return s.ft.shipFaulty(from, to, batch, bytes, sentAt)
+		return s.ft.ship(env, to, bytes, sentAt)
 	}
-	at := sentAt + s.cfg.Net.Latency(from, to, bytes)
+	at := s.fifo(from, to, sentAt+s.cfg.Net.Latency(from, to, bytes))
+	s.deliverAt(to, env, at)
+	return at
+}
+
+// fifo clamps an arrival on link from→to to no earlier than the link's last
+// one and records it.
+func (s *sim[V]) fifo(from, to int, at float64) float64 {
 	if prev, ok := s.lastArrival[[2]int{from, to}]; ok && at < prev {
 		at = prev
 	}
 	s.lastArrival[[2]int{from, to}] = at
-	target := s.workers[to]
-	s.sched.At(at, prioDeliver, func() { target.deliver(batch, at) })
 	return at
+}
+
+func (s *sim[V]) deliverAt(to int, env envelope[V], at float64) {
+	target := s.workers[to]
+	s.sched.At(at, prioDeliver, func() { target.deliver(env, at) })
 }
 
 // setStatus publishes a worker's status change after the network's
@@ -210,11 +233,11 @@ type simWorker[V any] struct {
 	loop aceLoop[V]
 	s    *sim[V]
 
-	// B⁺: accumulated incoming messages.
-	inBuf     []ace.Message[V]
-	inFirst   float64 // arrival time of the oldest pending message; -1 if none
-	inLast    float64 // arrival time of the newest pending message
-	inBatches int
+	// B⁺: accumulated incoming batches.
+	inBuf   []envelope[V]
+	inMsgs  int
+	inFirst float64 // arrival time of the oldest pending message; -1 if none
+	inLast  float64 // arrival time of the newest pending message
 
 	// Wire bytes buffered in B⁻_j per peer, and the peers that received
 	// messages during the current update (R1 rechecks only those).
@@ -227,11 +250,11 @@ type simWorker[V any] struct {
 	truth []V // global truth outputs, optional
 	slow  float64
 
-	now             float64
-	idle            bool
-	resumeScheduled bool
-	arrived         bool    // barrier: arrived this superstep
-	penalty         float64 // pending fault-tolerance cost (checkpoint/restore)
+	now      float64
+	idle     bool
+	resumeEv *vtime.Event // the pending resume, if any
+	arrived  bool         // barrier: arrived this superstep
+	penalty  float64      // pending fault-tolerance cost (checkpoint/restore)
 
 	// AAP delay sketch.
 	aapDelay      float64
@@ -289,10 +312,8 @@ func newSimWorker[V any](s *sim[V], id int, f *graph.Fragment, prog ace.Program[
 		w.aapDelay = 2 * s.cfg.Net.Model.Alpha
 	}
 
-	// A nil pool: delivered batches are never recycled, so the flight
-	// registry can re-ship them on rollback.
 	w.onEnqueue = w.countOut
-	w.init(id, f, prog, q, nil)
+	w.init(id, f, prog, q, s.pool)
 	// InitialSync traffic is not an update's: R1 starts with no touched peer.
 	for j := range w.touchfl {
 		w.touchfl[j] = false
@@ -343,47 +364,58 @@ func (w *simWorker[V]) countOut(peer, dBytes int) {
 // --- driver events -------------------------------------------------------
 
 func (w *simWorker[V]) scheduleResumeAt(t float64) {
-	if w.resumeScheduled {
+	if w.resumeEv != nil {
 		return
 	}
-	w.resumeScheduled = true
-	e, inc := w.s.epochNow(), w.s.incOf(w.id)
-	w.s.sched.At(t, prioResume, func() {
-		if w.s.epochNow() != e || w.s.incOf(w.id) != inc {
-			// A rollback or this worker's crash invalidated the resume; the
-			// recovery path reset resumeScheduled itself.
-			return
-		}
-		w.resumeScheduled = false
+	w.resumeEv = w.s.sched.At(t, prioResume, func() {
+		w.resumeEv = nil
 		w.resume(w.s.sched.Now())
 	})
+}
+
+// rouse resumes the worker at t, marking it busy if it was idle: recovery
+// restored it, or re-activated vertices of an idle survivor.
+func (w *simWorker[V]) rouse(t float64) {
+	if w.idle {
+		w.idle = false
+		w.s.setStatus(w.id, false, t)
+	}
+	w.scheduleResumeAt(t)
 }
 
 // resume runs the round loop from virtual time start, first paying any
 // pending checkpoint/restore cost.
 func (w *simWorker[V]) resume(start float64) {
-	if w.s.aborted || w.s.dead(w.id) {
+	if w.s.aborted {
 		return
 	}
 	w.now = start
 	if w.penalty > 0 {
+		// The cost delays an AAP stall window too: resuming past the window
+		// only because a checkpoint was paid must not open a new one.
 		w.now += w.penalty
+		w.aapStallUntil += w.penalty
 		w.metrics.Tf += w.penalty
 		w.penalty = 0
 	}
 	w.loop.run(w)
 }
 
-// deliver is the arrival of a batch M_{j,i} into B⁺_i.
-func (w *simWorker[V]) deliver(batch []ace.Message[V], at float64) {
-	w.inBuf = append(w.inBuf, batch...)
-	w.inBatches++
+// deliver is the arrival of a batch M_{j,i} into B⁺_i. A dead worker loses
+// it; the sender's log replays it on restart.
+func (w *simWorker[V]) deliver(env envelope[V], at float64) {
+	if w.s.dead(w.id) {
+		w.s.pool.put(env.msgs)
+		return
+	}
+	w.inBuf = append(w.inBuf, env)
+	w.inMsgs += len(env.msgs)
 	if w.inFirst < 0 {
 		w.inFirst = at
 	}
 	w.inLast = at
 	if w.tr != nil {
-		w.tr.Sample(w.id, obs.GaugeMailbox, at, float64(len(w.inBuf)))
+		w.tr.Sample(w.id, obs.GaugeMailbox, at, float64(w.inMsgs))
 	}
 	if w.idle {
 		w.idle = false
@@ -408,13 +440,21 @@ func (w *simWorker[V]) recv(round bool) {
 	if w.tr != nil {
 		w.tr.SpanBegin(w.id, obs.PhaseHin, w.now)
 	}
-	nmsgs := len(w.inBuf)
-	c := w.s.cfg.Net.Model.RecvCost(w.inBatches, len(w.inBuf)) * w.slow
+	nmsgs := w.inMsgs
+	c := w.s.cfg.Net.Model.RecvCost(len(w.inBuf), nmsgs) * w.slow
 	w.now += c
 	w.metrics.Tc += c
-	w.ingest(w.inBuf)
+	for _, env := range w.inBuf {
+		if w.rs != nil {
+			w.seqIngest(env)
+			continue
+		}
+		w.ingest(env.msgs)
+		w.s.pool.put(env.msgs)
+	}
+	clear(w.inBuf)
 	w.inBuf = w.inBuf[:0]
-	w.inBatches = 0
+	w.inMsgs = 0
 	w.inFirst = -1
 	w.metrics.Rounds++
 	if round {
@@ -498,7 +538,7 @@ func (w *simWorker[V]) xi() xi {
 		return xiForward
 	}
 	// Rule R2: last busy worker ingests pending messages immediately.
-	if mode == ModeGAP && !w.s.cfg.DisableR2 && len(w.inBuf) > 0 && w.s.allOthersIdle(w.id) {
+	if mode == ModeGAP && !w.s.cfg.DisableR2 && w.inMsgs > 0 && w.s.allOthersIdle(w.id) {
 		if w.tr != nil {
 			w.tr.Mark(w.id, obs.MarkR2, w.now)
 		}
@@ -520,7 +560,7 @@ func (w *simWorker[V]) hout(final bool) {
 			w.flush(j)
 		}
 	}
-	if !final && len(w.inBuf) > 0 {
+	if !final && w.inMsgs > 0 {
 		w.recv(false)
 	}
 }
@@ -528,14 +568,14 @@ func (w *simWorker[V]) hout(final bool) {
 // next starts the next round at once when B⁺ holds messages — except
 // under a barrier, where only the coordinator's signal restarts a worker,
 // and under AAP's delay sketch: when recent rounds were stale, stall before
-// ingesting so in-flight corrections land first (bounded staleness). No
+// ingesting so in-transit corrections land first (bounded staleness). No
 // stall when every peer is already idle: no further messages can arrive.
 func (w *simWorker[V]) next() bool {
 	mode := w.s.effMode()
 	if mode == ModeAAP {
 		w.adjustAAPDelay()
 	}
-	if len(w.inBuf) > 0 && !w.s.barrier {
+	if w.inMsgs > 0 && !w.s.barrier {
 		if mode == ModeAAP && w.aapDelay > 0.5 && !w.s.allOthersIdle(w.id) {
 			if w.aapStallUntil < w.now {
 				// Start (or extend) one stall window per round gap.

@@ -2,8 +2,10 @@ package gap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"argan/internal/ace"
@@ -12,6 +14,7 @@ import (
 	"argan/internal/fault"
 	"argan/internal/graph"
 	"argan/internal/obs"
+	"argan/internal/partition"
 )
 
 // faultPlan parses a spec, failing the test on error.
@@ -165,27 +168,51 @@ func TestSimPermanentCrashDoesNotConverge(t *testing.T) {
 	}
 }
 
-// TestSimLinkFaultsIdempotent: drop (with retransmit), dup and reorder over
-// an idempotent min-aggregation must not change the answer.
-func TestSimLinkFaultsIdempotent(t *testing.T) {
-	g := testGraph(true, 9)
-	want := algorithms.SeqSSSP(g, 0)
+// TestSimLinkFaultsExactlyOnce: drop (with retransmit), dup and reorder
+// must not change the answer of SSSP, PageRank or WCC. The exactly-once
+// layer drops each duplicate and restores each link's order, so even
+// PageRank's accumulative h_in folds every batch exactly once.
+func TestSimLinkFaultsExactlyOnce(t *testing.T) {
 	cfg := Config{
 		Mode:   ModeGAP,
 		Adapt:  adapt.PolicyGAwD,
 		Faults: faultPlan(t, "seed=11; drop=0.1; dup=0.05; reorder=0.05"),
 	}
-	res, err := RunSim(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, app := range []string{"sssp", "pr", "wcc"} {
+		t.Run(app, func(t *testing.T) {
+			g := testGraph(app != "wcc", 9)
+			q := ace.Query{Source: 0, Eps: 1e-3}
+			if _, err := algorithms.DispatchLive(app, simVsRef[float64](g, q, cfg),
+				simVsRef[int32](g, q, cfg), simVsRef[uint32](g, q, cfg)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if !res.Metrics.Converged {
-		t.Fatal("did not converge")
-	}
-	for v, d := range want {
-		if res.Values[v] != d {
-			t.Fatalf("dist[%d] = %v, want %v", v, res.Values[v], d)
+}
+
+// simVsRef returns a DispatchLive callback that runs the app under the sim
+// over g on 4 workers and fails unless the run converged to values its
+// Equal accepts against its sequential reference.
+func simVsRef[V any](g *graph.Graph, q ace.Query, cfg Config) func(*algorithms.LiveApp[V]) (*Metrics, error) {
+	return func(a *algorithms.LiveApp[V]) (*Metrics, error) {
+		fs, err := partition.Partition(g, partition.Hash{}, 4)
+		if err != nil {
+			return nil, err
 		}
+		res, err := RunSim(fs, a.Factory, q, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if !res.Metrics.Converged {
+			return nil, fmt.Errorf("%s: did not converge", a.Name)
+		}
+		want := a.Ref(g, q)
+		for v := range want {
+			if !a.Equal(res.Values[v], want[v]) {
+				return nil, fmt.Errorf("%s: vertex %d = %v, want %v", a.Name, v, res.Values[v], want[v])
+			}
+		}
+		return &res.Metrics, nil
 	}
 }
 
@@ -300,6 +327,22 @@ func TestSimCrashRejectsBarrierModes(t *testing.T) {
 	}
 }
 
+// TestSimRejectsRecoveryWithoutAlgebra: as under the live driver, a
+// restartable crash over a program whose algebra is not Recoverable (Color's
+// replacement laws) is refused before the run starts; a permanent crash,
+// which needs no repair, is not.
+func TestSimRejectsRecoveryWithoutAlgebra(t *testing.T) {
+	g := testGraph(false, 2)
+	cfg := Config{Mode: ModeGAP, Adapt: adapt.PolicyGAwD, Faults: faultPlan(t, "crash=1@300+50")}
+	if _, err := RunSim(frags(t, g, 4), algorithms.NewColor(), ace.Query{}, cfg); !errors.Is(err, ErrNoRecoveryAlgebra) {
+		t.Fatalf("restartable crash over Color: err = %v, want ErrNoRecoveryAlgebra", err)
+	}
+	cfg.Faults = faultPlan(t, "crash=1@300")
+	if _, err := RunSim(frags(t, g, 4), algorithms.NewColor(), ace.Query{}, cfg); err != nil {
+		t.Fatalf("permanent crash over Color: %v", err)
+	}
+}
+
 // TestSimTinyCheckpointIntervalTerminates is the regression test for a
 // checkpoint-chain livelock: with CheckpointEvery smaller than the cost a
 // snapshot bills each worker, every worker's clock was pushed past the
@@ -331,5 +374,100 @@ func TestSimTinyCheckpointIntervalTerminates(t *testing.T) {
 	}
 	if res.Metrics.Recoveries != 1 {
 		t.Fatalf("recoveries=%d, want 1", res.Metrics.Recoveries)
+	}
+}
+
+// TestSimChaosSweep runs seeded crash and link-fault storms over SSSP,
+// PageRank and WCC on tiny graphs, under every asynchronous discipline.
+// Each plan must reach the answer the app's sequential reference gives, and
+// must replay bit-exact from its seed: a second run yields the same values
+// and metrics. A failure names the seed and the plan, which reproduce it.
+func TestSimChaosSweep(t *testing.T) {
+	plans := 1002
+	if testing.Short() {
+		plans = 120
+	}
+	base := (chaosSeed(t) - 1) * int64(plans)
+	apps := []string{"sssp", "pr", "wcc"}
+	for i := 0; i < plans; i++ {
+		seed := base + int64(i) + 1
+		app := apps[i%len(apps)]
+		if _, err := algorithms.DispatchLive(app, chaosPlan[float64](seed),
+			chaosPlan[int32](seed), chaosPlan[uint32](seed)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// chaosPlan returns a DispatchLive callback that runs the app's seeded
+// chaos plan twice and checks both runs against the reference and each
+// other. The seed picks the graph, the discipline, the checkpoint interval
+// and the storm: one to three crashes after an update count (fault.Storm),
+// every other plan one more at a fraction of the fault-free response time,
+// restarts from 0 to 500 cost units, and link noise.
+func chaosPlan[V any](seed int64) func(*algorithms.LiveApp[V]) (struct{}, error) {
+	return func(a *algorithms.LiveApp[V]) (struct{}, error) {
+		u := uint64(seed)
+		g := graph.PowerLaw(graph.GenConfig{N: 100 + int(u%101), M: 600 + int(u%401),
+			Directed: a.Name != "wcc", Seed: seed, MaxW: 20})
+		fs, err := partition.Partition(g, partition.Hash{}, 4)
+		if err != nil {
+			return struct{}{}, err
+		}
+		q := ace.Query{Source: 0, Eps: 1e-3}
+		modes := []Config{
+			{Mode: ModeGAP, Adapt: adapt.PolicyGAwD},
+			{Mode: ModeGAP, Adapt: adapt.PolicyGA},
+			{Mode: ModeAPGC},
+			{Mode: ModeAPVC},
+			{Mode: ModeAAP},
+		}
+		cfg := modes[u/3%uint64(len(modes))]
+		clean, err := RunSim(fs, a.Factory, q, cfg)
+		if err != nil {
+			return struct{}{}, err
+		}
+		cm := clean.Metrics
+		link := []float64{0, 0.03, 0.08}
+		plan := fault.Storm(seed, 4, fault.StormOpts{
+			Crashes: 1 + int(u/5%3),
+			Span:    max(1, cm.Updates/8),
+			Restart: []float64{0.5, 5, 50, 500}[u/7%4],
+			Drop:    link[u/11%3],
+			Dup:     link[u/13%3],
+			Reorder: link[u/17%3],
+		})
+		if u%2 == 0 {
+			plan.Crashes = append(plan.Crashes, fault.Crash{Worker: int(u / 19 % 4),
+				At: cm.RespTime * float64(1+u/23%9) / 10, Restart: 20})
+		}
+		cfg.Faults = plan
+		cfg.FT.CheckpointEvery = cm.RespTime / float64(2+u/29%30)
+		spec := plan.String()
+		var first *Result[V]
+		for run := 0; run < 2; run++ {
+			res, err := RunSim(fs, a.Factory, q, cfg)
+			if err != nil {
+				return struct{}{}, fmt.Errorf("%s %v plan %q: %v", a.Name, cfg.Mode, spec, err)
+			}
+			if run == 1 {
+				if !reflect.DeepEqual(res.Values, first.Values) || !reflect.DeepEqual(res.Metrics, first.Metrics) {
+					return struct{}{}, fmt.Errorf("%s %v plan %q: replay differs from the first run", a.Name, cfg.Mode, spec)
+				}
+				break
+			}
+			first = res
+			if !res.Metrics.Converged {
+				return struct{}{}, fmt.Errorf("%s %v plan %q: did not converge", a.Name, cfg.Mode, spec)
+			}
+			want := a.Ref(g, q)
+			for v := range want {
+				if !a.Equal(res.Values[v], want[v]) {
+					return struct{}{}, fmt.Errorf("%s %v plan %q: vertex %d = %v, want %v",
+						a.Name, cfg.Mode, spec, v, res.Values[v], want[v])
+				}
+			}
+		}
+		return struct{}{}, nil
 	}
 }

@@ -13,9 +13,7 @@ import (
 // batchPool recycles message batches between senders and receivers: takeOut
 // hands a filled batch to the transport and replaces the accumulator's
 // backing slice from the pool; the receiver returns the batch after h_in.
-// A nil pool never recycles: every replacement is a fresh slice, so a
-// shipped batch stays immutable for as long as its receiver holds it (the
-// sim's flight registry re-ships delivered batches on rollback).
+// A nil pool never recycles: every replacement is a fresh slice.
 // A bounded mutex-guarded free list is used instead of sync.Pool so a put
 // never allocates (boxing a slice into an interface would) and reuse is
 // deterministic under test.
@@ -71,7 +69,7 @@ func (bp *batchPool[V]) put(s []ace.Message[V]) {
 	bp.mu.Unlock()
 }
 
-// trim releases the free list under memory pressure; batches in flight are
+// trim releases the free list under memory pressure; batches in transit are
 // untouched and the pool refills organically once pressure clears.
 func (bp *batchPool[V]) trim() {
 	bp.mu.Lock()
@@ -122,11 +120,10 @@ type workerState[V any] struct {
 	// pool supplies takeOut's batches (nil: fresh slices).
 	pool *batchPool[V]
 
-	// rs is the live driver's exactly-once ingestion and localized-recovery
-	// state (per-peer sequence cursors, reorder buffers, sender incarnations,
-	// undo log). nil unless the live driver runs with link faults or
-	// recoverable crashes — the default pipeline carries no sequencing
-	// overhead.
+	// rs is the exactly-once ingestion and localized-recovery state
+	// (per-peer sequence cursors, reorder buffers, sender incarnations, undo
+	// log). nil unless the run has link faults or recoverable crashes — the
+	// default pipeline carries no sequencing overhead.
 	rs *recoverState[V]
 
 	// The sim's bookkeeping, set before init. vcost holds the Category II
@@ -269,14 +266,20 @@ func (st *workerState[V]) activateDeps(lv uint32) {
 }
 
 // wake re-activates what a change to lv's value, folded in from outside the
-// update function by live recovery (which keeps no streaks), affects: lv
-// itself under a push program (when owned), its dependents otherwise.
+// update function by the exactly-once layer (a sequenced h_in, a rollback's
+// inversion), affects: lv itself under a push program (when owned, closing
+// its Category II streak as ingest does), its dependents otherwise.
 func (st *workerState[V]) wake(lv uint32) {
 	if st.deps != ace.DepSelf {
 		st.activateDeps(lv)
 		return
 	}
-	st.ctx.Activate(lv)
+	if st.frag.IsOwned(lv) {
+		if st.vcost != nil && st.cat == ace.CategoryII {
+			st.noteChange(lv)
+		}
+		st.active.Push(lv)
+	}
 }
 
 // noteChange records that the observable value of an owned vertex changed:
@@ -398,8 +401,8 @@ func (st *workerState[V]) finalPsi(into []V) {
 
 // stateSnap is the checkpoint of a workerState: status variables,
 // program-private aux state, the active set and the ids pending in each
-// out-buffer (their values are in psi). Each runner keeps its own extras
-// beside it (the sim's B⁺ and η, the live driver's sequence cursors).
+// out-buffer (their values are in psi). A localized-recovery checkpoint
+// (localSnap) keeps the sequence state of the exactly-once layer beside it.
 type stateSnap[V any] struct {
 	psi    []V
 	aux    any
