@@ -86,14 +86,12 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"argan/internal/ace"
 	"argan/internal/algorithms"
 	"argan/internal/core"
 	"argan/internal/fault"
@@ -121,7 +119,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("arganrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	app := fs.String("app", "sssp", "application: sssp, bfs, wcc, color, pr, core, sim, mst")
+	app := fs.String("app", "sssp", "application: "+strings.Join(algorithms.AppNames(), ", ")+", mst")
 	file := fs.String("graph", "", "edge-list file (see graph.ReadEdgeList)")
 	dataset := fs.String("dataset", "", "built-in dataset stand-in (HW, DP, LJ, TW, FS, UK)")
 	scale := fs.Float64("scale", 0.25, "dataset scale")
@@ -245,12 +243,12 @@ func runMain(stdout, stderr io.Writer, o options) error {
 			st.AvgDegree, st.MaxDegree, st.DegreeP99, st.Skew, st.PowerLawAlpha, 100*st.GiantComponentFrac)
 		return nil
 	}
+	env := core.Env{Workers: o.n, Hetero: o.hetero}
+	frags, err := env.Fragments(g)
+	if err != nil {
+		return err
+	}
 	if o.app == "mst" {
-		env := core.Env{Workers: o.n, Hetero: o.hetero}
-		frags, err := env.Fragments(g)
-		if err != nil {
-			return err
-		}
 		edges, total, rounds, err := core.MST(g, frags, env.DefaultConfig())
 		if err != nil {
 			return err
@@ -260,110 +258,6 @@ func runMain(stdout, stderr io.Writer, o options) error {
 		return nil
 	}
 
-	if o.soak != 0 {
-		return runLiveSoak(stdout, stderr, o, g)
-	}
-
-	sys, err := systems.ByName(o.system)
-	if err != nil {
-		return err
-	}
-	env := core.Env{Workers: o.n, Hetero: o.hetero}
-	frags, err := env.Fragments(g)
-	if err != nil {
-		return err
-	}
-	job, err := sys.Job(o.app)
-	if err != nil {
-		return err
-	}
-
-	q := ace.Query{Source: graph.VID(o.source), Eps: o.eps}
-	if o.app == "sim" {
-		q.Pattern = algorithms.RandomPattern(g, 4, 5, 42)
-	}
-	cfg := sys.Config(env.DefaultConfig())
-	if o.faults != "" {
-		plan, err := fault.Load(o.faults)
-		if err != nil {
-			return err
-		}
-		if o.noRecover {
-			for i := range plan.Crashes {
-				plan.Crashes[i].Restart = -1
-			}
-		}
-		cfg.Faults = plan
-		cfg.FT.CheckpointEvery = o.ckptEvery
-	}
-	var rec *obs.Recorder
-	if o.wantsRecorder() {
-		rec = obs.NewRecorder(o.n, 0)
-		cfg.Tracer = rec
-	}
-	if o.serveAddr != "" {
-		srv, err := startTelemetry(stdout, o, rec, nil, "sim")
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-	m, err := runJob(stderr, job, frags, q, cfg, rec, o.progress)
-	if err != nil {
-		return err
-	}
-	if rec != nil {
-		if o.traceFile != "" {
-			if err := writeExport(o.traceFile, rec.WriteChromeTrace); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "trace         : %s (%d workers, %d events dropped)\n", o.traceFile, rec.Workers(), rec.Dropped())
-		}
-		if o.metricsOut != "" {
-			if err := writeExport(o.metricsOut, rec.WriteCSV); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "metrics       : %s\n", o.metricsOut)
-		}
-		if err := writeReports(stdout, rec, o); err != nil {
-			return err
-		}
-	}
-	if !m.Converged {
-		if m.Crashes > m.Recoveries {
-			fmt.Fprintln(stdout, "result: NA (a crashed worker was never recovered)")
-		} else {
-			fmt.Fprintln(stdout, "result: NA (did not converge — oscillating synchronous execution)")
-		}
-		return nil
-	}
-	fmt.Fprintf(stdout, "response time : %.0f cost units\n", m.RespTime)
-	fmt.Fprintf(stdout, "updates       : %d over %d rounds, %d messages (%d bytes)\n",
-		m.Updates, m.Rounds, m.MsgsSent, m.BytesSent)
-	fmt.Fprintf(stdout, "composition   : busy=%.0f  T_w=%.0f  T_c=%.0f  T_a=%.0f  phi=%.1f%%\n",
-		m.TotalBusy, m.TotalTw, m.TotalTc, m.TotalTa, 100*m.Phi)
-	if o.faults != "" {
-		fmt.Fprintf(stdout, "faults        : crashes=%d recoveries=%d checkpoints=%d T_f=%.0f\n",
-			m.Crashes, m.Recoveries, m.Checkpoints, m.TotalTf)
-	}
-
-	printTop(stdout, g, env, o.app, q, o.top, o.source)
-	return nil
-}
-
-// runLiveSoak is the -soak path: execute the application under the LIVE
-// driver (real goroutines, wall-clock fault plans) one or more times, verify
-// every run against the sequential reference, and summarize. Any incorrect
-// vertex makes the whole soak fail with a non-zero exit.
-func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
-	if o.soak < 0 {
-		return fmt.Errorf("-soak must be >= 0, got %d", o.soak)
-	}
-	env := core.Env{Workers: o.n, Hetero: o.hetero}
-	frags, err := env.Fragments(g)
-	if err != nil {
-		return err
-	}
 	var plan *fault.Plan
 	if o.faults != "" {
 		if plan, err = fault.Load(o.faults); err != nil {
@@ -375,254 +269,235 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 			}
 		}
 	}
-	cfg := gap.LiveConfig{Mode: gap.ModeGAP, NoRecover: o.noRecover}
+	var d driver
+	if o.soak != 0 {
+		d, err = soakDriver(stdout, o, g, frags, plan)
+	} else {
+		d, err = simDriver(stdout, o, g, frags, plan)
+	}
+	if err != nil {
+		return err
+	}
 	var rec *obs.Recorder
 	if o.wantsRecorder() {
-		// One recorder spans every iteration (n worker tracks plus the
-		// monitor's coordinator track), so recovery spans and replay marks
-		// of the whole soak land in one export.
-		rec = obs.NewRecorder(o.n+1, 0)
-		cfg.Tracer = rec
+		rec = obs.NewRecorder(d.tracks, 0)
+	}
+	if o.serveAddr != "" {
+		srv, err := startTelemetry(stdout, o, rec, d)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+	}
+	var report func() error
+	ticking(stderr, o.progress, rec, d.health, func() { report, err = d.run(rec) })
+	if err != nil {
+		return err
+	}
+	if rec != nil {
+		if err := writeOutputs(stdout, rec, o); err != nil {
+			return err
+		}
+	}
+	return report()
+}
+
+// driver is the one fork of the CLI's run path: which driver executes the
+// app. Loading the fault plan, the recorder, the telemetry plane, the
+// progress line and the exports are the same for both.
+type driver struct {
+	name   string // "sim" or "live", for the telemetry plane's run info
+	tracks int    // the recorder's tracks
+	// health is the live control plane's view, nil under the sim.
+	health *gap.HealthTracker
+	// metrics are extra families for the telemetry plane.
+	metrics []serve.Metric
+	// run executes the app, tracing to rec when it is not nil, and returns
+	// what prints the result once the exports are written.
+	run func(rec *obs.Recorder) (report func() error, err error)
+}
+
+// simDriver runs the app once under the sim driver, configured as -system.
+func simDriver(stdout io.Writer, o options, g *graph.Graph, frags []*graph.Fragment, plan *fault.Plan) (driver, error) {
+	sys, err := systems.ByName(o.system)
+	if err != nil {
+		return driver{}, err
+	}
+	job, err := sys.Job(o.app)
+	if err != nil {
+		return driver{}, err
+	}
+	q := job.Reads.Query(func() graph.VID { return graph.VID(o.source) }, o.eps,
+		func() *graph.Graph { return algorithms.RandomPattern(g, 4, 5, 42) })
+	cfg := sys.Config(core.Env{Workers: o.n, Hetero: o.hetero}.DefaultConfig())
+	if plan != nil {
+		cfg.Faults = plan
+		cfg.FT.CheckpointEvery = o.ckptEvery
+	}
+	return driver{name: "sim", tracks: o.n, run: func(rec *obs.Recorder) (func() error, error) {
+		if rec != nil {
+			cfg.Tracer = rec
+		}
+		m, err := job.Run(frags, q, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return func() error {
+			if !m.Converged {
+				if m.Crashes > m.Recoveries {
+					fmt.Fprintln(stdout, "result: NA (a crashed worker was never recovered)")
+				} else {
+					fmt.Fprintln(stdout, "result: NA (did not converge — oscillating synchronous execution)")
+				}
+				return nil
+			}
+			fmt.Fprintf(stdout, "response time : %.0f cost units\n", m.RespTime)
+			fmt.Fprintf(stdout, "updates       : %d over %d rounds, %d messages (%d bytes)\n",
+				m.Updates, m.Rounds, m.MsgsSent, m.BytesSent)
+			fmt.Fprintf(stdout, "composition   : busy=%.0f  T_w=%.0f  T_c=%.0f  T_a=%.0f  phi=%.1f%%\n",
+				m.TotalBusy, m.TotalTw, m.TotalTc, m.TotalTa, 100*m.Phi)
+			if plan != nil {
+				fmt.Fprintf(stdout, "faults        : crashes=%d recoveries=%d checkpoints=%d T_f=%.0f\n",
+					m.Crashes, m.Recoveries, m.Checkpoints, m.TotalTf)
+			}
+			fmt.Fprint(stdout, m.Summary(o.top))
+			return nil
+		}, nil
+	}}, nil
+}
+
+// soakDriver is the -soak path: execute the application under the LIVE
+// driver (real goroutines, wall-clock fault plans) o.soak times, verify every
+// run against the sequential reference, and summarize. Any incorrect vertex
+// makes the whole soak fail with a non-zero exit.
+func soakDriver(stdout io.Writer, o options, g *graph.Graph, frags []*graph.Fragment, plan *fault.Plan) (driver, error) {
+	if o.soak < 0 {
+		return driver{}, fmt.Errorf("-soak must be >= 0, got %d", o.soak)
+	}
+	// The per-iteration runner: execute one live run and count wrong
+	// vertices against the precomputed sequential reference.
+	once, err := core.LiveJobFor(o.app, g, frags, o.source, o.eps)
+	if err != nil {
+		return driver{}, err
 	}
 	// The health tracker outlives individual iterations, so /healthz and
 	// /readyz report continuously across the soak.
 	health := &gap.HealthTracker{}
-	cfg.Health = health
 	var iterDone int64 // completed soak iterations, for the telemetry plane
-	if o.serveAddr != "" {
-		srv, err := startTelemetry(stdout, o, rec, health, "live")
-		if err != nil {
-			return err
-		}
-		if err := srv.RegisterMetric(serve.Metric{
+	d := driver{
+		// One recorder spans every iteration (n worker tracks plus the
+		// monitor's coordinator track), so recovery spans and replay marks
+		// of the whole soak land in one export.
+		name: "live", tracks: o.n + 1, health: health,
+		metrics: []serve.Metric{{
 			Name: "argan_soak_iterations_total",
 			Help: "Soak iterations finished under this process.",
 			Type: "counter",
 			Collect: func() []serve.Sample {
 				return []serve.Sample{{Value: float64(atomic.LoadInt64(&iterDone))}}
 			},
-		}); err != nil {
-			return err
-		}
-		defer srv.Close()
+		}},
 	}
-	if o.progress > 0 && rec != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			tick := time.NewTicker(o.progress)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					printLiveProgress(stderr, rec, health)
-				}
+	d.run = func(rec *obs.Recorder) (func() error, error) {
+		cfg := gap.LiveConfig{Mode: gap.ModeGAP, Health: health}
+		if rec != nil {
+			cfg.Tracer = rec
+		}
+		iters := o.soak
+		governed := o.memBudget > 0 || o.spillDir != ""
+		var crashes, recoveries, replayed int64
+		var memPeak, spilled, replayedDisk, forcedCkpts int64
+		bad := 0
+		for it := 0; it < iters; it++ {
+			c := cfg
+			if plan != nil {
+				// Re-derive the link-fault stream per iteration so a soak
+				// explores distinct (but reproducible) schedules.
+				p := *plan
+				p.Seed = plan.Seed + int64(it)
+				c.Faults = &p
 			}
-		}()
-	}
-
-	// The per-iteration runner: execute one live run and count wrong
-	// vertices against the precomputed sequential reference.
-	once, err := core.LiveJobFor(o.app, g, frags, o.source, o.eps)
-	if err != nil {
-		return err
-	}
-
-	iters := o.soak
-	governed := o.memBudget > 0 || o.spillDir != ""
-	var crashes, recoveries, replayed int64
-	var memPeak, spilled, replayedDisk, forcedCkpts int64
-	bad := 0
-	for it := 0; it < iters; it++ {
-		c := cfg
-		if plan != nil {
-			// Re-derive the link-fault stream per iteration so a soak
-			// explores distinct (but reproducible) schedules.
-			p := *plan
-			p.Seed = plan.Seed + int64(it)
-			c.Faults = &p
-		}
-		var gov *mem.Governor
-		if governed {
-			// A fresh governor per iteration: budgets, spill files and peak
-			// accounting must not leak across runs.
-			gov = mem.NewGovernor(o.memBudget, o.spillDir)
-			c.Mem = gov
-		}
-		lm, wrong, err := once(c)
-		gov.Close()
-		if err != nil {
-			return fmt.Errorf("soak run %d/%d: %w", it+1, iters, err)
-		}
-		crashes += lm.Crashes
-		recoveries += lm.Recoveries
-		replayed += lm.Replayed
-		if lm.MemPeakBytes > memPeak {
-			memPeak = lm.MemPeakBytes
-		}
-		spilled += lm.SpilledBytes
-		replayedDisk += lm.ReplayedFromDisk
-		forcedCkpts += lm.ForcedCkpts
-		status := "ok"
-		if wrong > 0 {
-			status = fmt.Sprintf("%d wrong vertices", wrong)
-			bad++
-		}
-		fmt.Fprintf(stdout, "soak %d/%d: %s (wall=%v crashes=%d recoveries=%d replayed=%d updates=%d rounds=%d batches=%d)\n",
-			it+1, iters, status, lm.WallTime.Round(time.Millisecond),
-			lm.Crashes, lm.Recoveries, lm.Replayed, lm.Updates, lm.Rounds, lm.Batches)
-		if gov != nil {
-			fmt.Fprintf(stdout, "  mem: peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d throttles=%d\n",
-				lm.MemPeakBytes, lm.SpilledBytes, lm.ReplayedFromDisk, lm.ForcedCkpts, lm.Throttles)
-		}
-		atomic.AddInt64(&iterDone, 1)
-	}
-	fmt.Fprintf(stdout, "soak summary  : %d/%d correct; crashes=%d recoveries=%d replayed=%d\n",
-		iters-bad, iters, crashes, recoveries, replayed)
-	if governed {
-		fmt.Fprintf(stdout, "mem summary   : budget=%d peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d\n",
-			o.memBudget, memPeak, spilled, replayedDisk, forcedCkpts)
-	}
-	if rec != nil {
-		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(stdout, "WARNING: the trace ring dropped %d events; exports and reports are missing the oldest data\n", d)
-		}
-		if o.traceFile != "" {
-			if err := writeExport(o.traceFile, rec.WriteChromeTrace); err != nil {
-				return err
+			var gov *mem.Governor
+			if governed {
+				// A fresh governor per iteration: budgets, spill files and
+				// peak accounting must not leak across runs.
+				gov = mem.NewGovernor(o.memBudget, o.spillDir)
+				c.Mem = gov
 			}
-			fmt.Fprintf(stdout, "trace         : %s (%d tracks, %d events dropped)\n", o.traceFile, rec.Workers(), rec.Dropped())
-		}
-		if o.metricsOut != "" {
-			if err := writeExport(o.metricsOut, rec.WriteCSV); err != nil {
-				return err
+			lm, wrong, err := once(c)
+			gov.Close()
+			if err != nil {
+				return nil, fmt.Errorf("soak run %d/%d: %w", it+1, iters, err)
 			}
-			fmt.Fprintf(stdout, "metrics       : %s\n", o.metricsOut)
+			crashes += lm.Crashes
+			recoveries += lm.Recoveries
+			replayed += lm.Replayed
+			if lm.MemPeakBytes > memPeak {
+				memPeak = lm.MemPeakBytes
+			}
+			spilled += lm.SpilledBytes
+			replayedDisk += lm.ReplayedFromDisk
+			forcedCkpts += lm.ForcedCkpts
+			status := "ok"
+			if wrong > 0 {
+				status = fmt.Sprintf("%d wrong vertices", wrong)
+				bad++
+			}
+			fmt.Fprintf(stdout, "soak %d/%d: %s (wall=%v crashes=%d recoveries=%d replayed=%d updates=%d rounds=%d batches=%d)\n",
+				it+1, iters, status, lm.WallTime.Round(time.Millisecond),
+				lm.Crashes, lm.Recoveries, lm.Replayed, lm.Updates, lm.Rounds, lm.Batches)
+			if gov != nil {
+				fmt.Fprintf(stdout, "  mem: peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d throttles=%d\n",
+					lm.MemPeakBytes, lm.SpilledBytes, lm.ReplayedFromDisk, lm.ForcedCkpts, lm.Throttles)
+			}
+			atomic.AddInt64(&iterDone, 1)
 		}
-		if err := writeReports(stdout, rec, o); err != nil {
-			return err
-		}
+		return func() error {
+			fmt.Fprintf(stdout, "soak summary  : %d/%d correct; crashes=%d recoveries=%d replayed=%d\n",
+				iters-bad, iters, crashes, recoveries, replayed)
+			if governed {
+				fmt.Fprintf(stdout, "mem summary   : budget=%d peak=%d spilled=%d replayed-from-disk=%d forced-ckpts=%d\n",
+					o.memBudget, memPeak, spilled, replayedDisk, forcedCkpts)
+			}
+			if bad > 0 {
+				return fmt.Errorf("%d of %d soak runs diverged from the sequential reference", bad, iters)
+			}
+			return nil
+		}, nil
 	}
-	if bad > 0 {
-		return fmt.Errorf("%d of %d soak runs diverged from the sequential reference", bad, iters)
-	}
-	return nil
+	return d, nil
 }
 
-// printTop recomputes the answer under Argan's defaults and prints a small
-// result sample, so the tool is useful beyond timing.
-func printTop(out io.Writer, g *graph.Graph, env core.Env, app string, q ace.Query, k, source int) {
-	cfg := env.DefaultConfig()
-	switch app {
-	case "sssp":
-		res, err := core.SSSP(g, graph.VID(source), env, cfg)
-		if err != nil {
-			return
-		}
-		type pair struct {
-			v graph.VID
-			d float64
-		}
-		var ps []pair
-		for v, d := range res.Values {
-			if d > 0 && d < algorithms.Inf {
-				ps = append(ps, pair{graph.VID(v), d})
-			}
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i].d < ps[j].d })
-		fmt.Fprintf(out, "nearest %d vertices from %d:\n", k, source)
-		for i := 0; i < k && i < len(ps); i++ {
-			fmt.Fprintf(out, "  v%-8d dist %.1f\n", ps[i].v, ps[i].d)
-		}
-	case "pr":
-		res, err := core.PageRank(g, q.Eps, env, cfg)
-		if err != nil {
-			return
-		}
-		type pair struct {
-			v graph.VID
-			r float64
-		}
-		ps := make([]pair, len(res.Values))
-		for v, r := range res.Values {
-			ps[v] = pair{graph.VID(v), r}
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i].r > ps[j].r })
-		fmt.Fprintf(out, "top %d by PageRank:\n", k)
-		for i := 0; i < k && i < len(ps); i++ {
-			fmt.Fprintf(out, "  v%-8d rank %.4f\n", ps[i].v, ps[i].r)
-		}
-	case "color":
-		res, err := core.Color(g, env, cfg)
-		if err != nil {
-			return
-		}
-		max := int32(0)
-		for _, c := range res.Values {
-			if c > max {
-				max = c
-			}
-		}
-		fmt.Fprintf(out, "colors used: %d\n", max+1)
-	case "core":
-		res, err := core.CoreDecomposition(g, env, cfg)
-		if err != nil {
-			return
-		}
-		max := int32(0)
-		for _, c := range res.Values {
-			if c > max {
-				max = c
-			}
-		}
-		fmt.Fprintf(out, "degeneracy (max coreness): %d\n", max)
-	case "sim":
-		res, err := core.Simulation(g, q.Pattern, env, cfg)
-		if err != nil {
-			return
-		}
-		matches := 0
-		for _, m := range res.Values {
-			if m != 0 {
-				matches++
-			}
-		}
-		fmt.Fprintf(out, "vertices simulating some pattern vertex: %d\n", matches)
-	}
-}
-
-// runJob executes the job, optionally polling the recorder for live
-// progress: the engine runs in its own goroutine while the main goroutine
-// prints a per-tick status line assembled from Recorder.Snapshot.
-func runJob(stderr io.Writer, job core.Job, frags []*graph.Fragment, q ace.Query, cfg gap.Config, rec *obs.Recorder, every time.Duration) (gap.Metrics, error) {
+// ticking calls run, and while it runs prints a progress line every `every`
+// when a recorder is attached.
+func ticking(stderr io.Writer, every time.Duration, rec *obs.Recorder, health *gap.HealthTracker, run func()) {
 	if rec == nil || every <= 0 {
-		return job(frags, q, cfg)
+		run()
+		return
 	}
-	type result struct {
-		m   gap.Metrics
-		err error
-	}
-	done := make(chan result, 1)
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		m, err := job(frags, q, cfg)
-		done <- result{m, err}
-	}()
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case r := <-done:
-			return r.m, r.err
-		case <-tick.C:
-			printProgress(stderr, rec)
+		defer close(done)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				printProgress(stderr, rec, health)
+			}
 		}
-	}
+	}()
+	run()
+	close(stop)
+	<-done
 }
 
-// printProgress renders one live status line from the recorder snapshot.
-func printProgress(stderr io.Writer, rec *obs.Recorder) {
+// printProgress renders one status line from the recorder snapshot; under
+// the live driver (health set) it adds the control plane's view: dead
+// workers, the watchdog's progress age, the governor stage and spilled bytes.
+func printProgress(stderr io.Writer, rec *obs.Recorder, health *gap.HealthTracker) {
 	st := rec.Snapshot()
 	var upd, msgs int64
 	var vt, backlog float64
@@ -643,39 +518,15 @@ func printProgress(stderr io.Writer, rec *obs.Recorder) {
 			etaHi = math.Max(etaHi, w.Eta)
 		}
 	}
-	line := fmt.Sprintf("progress: t=%.0f busy=%d/%d updates=%d msgs=%d backlog=%.0f",
-		vt, busy, len(st.Workers), upd, msgs, backlog)
-	if etaLo <= etaHi {
-		line += fmt.Sprintf(" eta=[%.0f..%.0f]", etaLo, etaHi)
+	h := health.Health() // the zero Health under the sim
+	var line string
+	if health == nil {
+		line = fmt.Sprintf("progress: t=%.0f busy=%d/%d updates=%d msgs=%d backlog=%.0f",
+			vt, busy, len(st.Workers), upd, msgs, backlog)
+	} else {
+		line = fmt.Sprintf("progress: busy=%d/%d updates=%d msgs=%d dead=%d age=%v",
+			busy, len(st.Workers), upd, msgs, h.Dead, h.ProgressAge.Round(time.Millisecond))
 	}
-	if st.Dropped > 0 {
-		line += fmt.Sprintf(" DROPPED=%d(!)", st.Dropped)
-	}
-	fmt.Fprintln(stderr, line)
-}
-
-// printLiveProgress renders one live-soak status line: recorder snapshot
-// plus the control plane's health view (governor stage, spilled bytes,
-// watchdog progress age).
-func printLiveProgress(stderr io.Writer, rec *obs.Recorder, health *gap.HealthTracker) {
-	st := rec.Snapshot()
-	var upd, msgs int64
-	busy := 0
-	etaLo, etaHi := math.Inf(1), math.Inf(-1)
-	for _, w := range st.Workers {
-		upd += w.Updates
-		msgs += w.MsgsSent
-		if !w.Idle {
-			busy++
-		}
-		if w.HasEta {
-			etaLo = math.Min(etaLo, w.Eta)
-			etaHi = math.Max(etaHi, w.Eta)
-		}
-	}
-	h := health.Health()
-	line := fmt.Sprintf("progress: busy=%d/%d updates=%d msgs=%d dead=%d age=%v",
-		busy, len(st.Workers), upd, msgs, h.Dead, h.ProgressAge.Round(time.Millisecond))
 	if etaLo <= etaHi {
 		line += fmt.Sprintf(" eta=[%.0f..%.0f]", etaLo, etaHi)
 	}
@@ -689,26 +540,19 @@ func printLiveProgress(stderr io.Writer, rec *obs.Recorder, health *gap.HealthTr
 }
 
 // startTelemetry brings up the telemetry plane and points it at this run.
-func startTelemetry(stdout io.Writer, o options, rec *obs.Recorder, health *gap.HealthTracker, driver string) (*serve.Server, error) {
+func startTelemetry(stdout io.Writer, o options, rec *obs.Recorder, d driver) (*serve.Server, error) {
 	srv := serve.New()
 	srv.SetRecorder(rec)
-	if health != nil {
-		srv.SetHealth(func() serve.Health {
-			h := health.Health()
-			return serve.Health{
-				Running: h.Running, Completed: h.Completed, Failed: h.Failed, Err: h.Err,
-				Draining: h.Draining,
-				Workers:  h.Workers, Idle: h.Idle, Dead: h.Dead,
-				Unrecoverable: h.Unrecoverable,
-				Sent:          h.Sent, Recv: h.Recv, Updates: h.Updates,
-				ProgressAge: h.ProgressAge, Watchdog: h.Watchdog,
-				MemStage: h.MemStage, SpilledBytes: h.SpilledBytes,
-				UpdatedAt: h.UpdatedAt,
-			}
-		})
+	if d.health != nil {
+		srv.SetHealth(d.health.Health)
+	}
+	for _, m := range d.metrics {
+		if err := srv.RegisterMetric(m); err != nil {
+			return nil, err
+		}
 	}
 	info := map[string]string{
-		"app": o.app, "system": o.system, "driver": driver,
+		"app": o.app, "system": o.system, "driver": d.name,
 		"workers": strconv.Itoa(o.n),
 	}
 	if o.dataset != "" {
@@ -724,6 +568,27 @@ func startTelemetry(stdout io.Writer, o options, rec *obs.Recorder, health *gap.
 	}
 	fmt.Fprintf(stdout, "telemetry     : http://%s/metrics (also /status /healthz /readyz /debug/pprof)\n", addr)
 	return srv, nil
+}
+
+// writeOutputs writes the trace, the metrics CSV and the straggler reports
+// the options ask for.
+func writeOutputs(stdout io.Writer, rec *obs.Recorder, o options) error {
+	if d := rec.Dropped(); d > 0 {
+		fmt.Fprintf(stdout, "WARNING: the trace ring dropped %d events; exports and reports are missing the oldest data\n", d)
+	}
+	if o.traceFile != "" {
+		if err := writeExport(o.traceFile, rec.WriteChromeTrace); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trace         : %s (%d tracks, %d events dropped)\n", o.traceFile, rec.Workers(), rec.Dropped())
+	}
+	if o.metricsOut != "" {
+		if err := writeExport(o.metricsOut, rec.WriteCSV); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "metrics       : %s\n", o.metricsOut)
+	}
+	return writeReports(stdout, rec, o)
 }
 
 // writeReports runs the critical-path analyzer over the retained trace and

@@ -7,6 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"argan/internal/ace"
+	"argan/internal/algorithms"
+	"argan/internal/core"
+	"argan/internal/graph"
+	"argan/internal/systems"
 )
 
 // runCLI invokes the command body the way main does, capturing both streams.
@@ -161,5 +167,54 @@ func TestServeTelemetry(t *testing.T) {
 	if !strings.Contains(stdout, "telemetry     : http://127.0.0.1:") ||
 		!strings.Contains(stdout, "/metrics") {
 		t.Fatalf("stdout missing telemetry endpoint line:\n%s", stdout)
+	}
+}
+
+// TestAnswerLine: every app of the table prints a summary of its answer, and
+// the summary is of the CLI's own run — under a non-Argan -system too.
+func TestAnswerLine(t *testing.T) {
+	heads := map[string]string{
+		"sssp": "nearest 5 vertices from 0:", "bellman-ford": "nearest 5 vertices from 0:",
+		"bfs": "reached from 0: 550 of 550 vertices", "wcc": "weakly connected components: 1,",
+		"color": "colors used: ", "pr": "top 5 by PageRank:", "core": "degeneracy (max coreness): ",
+		"sim": "vertices simulating some pattern vertex: ",
+	}
+	for _, app := range algorithms.AppNames() {
+		code, stdout, stderr := runCLI("-dataset", "HW", "-scale", "0.05", "-n", "4", "-app", app)
+		if code != 0 {
+			t.Fatalf("%s: exit code = %d, stderr: %s", app, code, stderr)
+		}
+		if heads[app] == "" || !strings.Contains(stdout, "\n"+heads[app]) {
+			t.Errorf("%s: no answer line %q in:\n%s", app, heads[app], stdout)
+		}
+	}
+
+	g, err := graph.LoadDataset("HW", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := core.Env{Workers: 4}
+	frags, err := env.Fragments(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(sys systems.System) string {
+		job, err := sys.Job("pr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := job.Run(frags, ace.Query{Eps: 1e-3}, sys.Config(env.DefaultConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Summary(5)
+	}
+	grape, argan := answer(systems.Grape), answer(systems.Argan)
+	if grape == argan {
+		t.Fatal("Grape and Argan rank HW alike; the check below would not tell their runs apart")
+	}
+	_, stdout, _ := runCLI("-dataset", "HW", "-scale", "0.05", "-n", "4", "-app", "pr", "-system", "Grape")
+	if !strings.HasSuffix(stdout, "\n"+grape) {
+		t.Fatalf("-system Grape printed:\n%s\nwant Grape's own answer:\n%s", stdout, grape)
 	}
 }

@@ -3,24 +3,38 @@ package algorithms
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"argan/internal/ace"
 	"argan/internal/graph"
 )
 
-// LiveApp is one row of the live-app table: everything a caller needs to
-// run an application under the live driver and judge its answer — the
-// program, its sequential reference, how the two compare, how a retained
-// fixpoint is carried across an edge mutation, and what a client sees of the
-// result. Callers reach a row through DispatchLive, which hands it over at
-// its value type V.
-type LiveApp[V any] struct {
+// App is one row of the application table: everything a caller needs to run
+// an application and report its answer — the program, the query fields it
+// reads and a summary of the answer. The rows the live driver runs also say
+// how their answer is judged: the sequential reference, how the two compare,
+// how a retained fixpoint is carried across an edge mutation, and what a
+// client sees of the result. Callers reach a row through Dispatch (or
+// DispatchLive), which hands it over at its value type V.
+type App[V any] struct {
 	Name    string
 	Factory ace.Factory[V]
-	// TakesSource marks traversal queries, whose Query.Source must name a
-	// vertex of the graph (see CheckSource).
-	TakesSource bool
+	// Naive, when set, is the variant the synchronous vertex-centric systems
+	// run instead of Factory: the symmetric greedy coloring, which
+	// oscillates there.
+	Naive ace.Factory[V]
+	// Reads is the set of query fields the program reads.
+	Reads Reads
+	// Paper marks the applications of the paper's evaluation (§VI).
+	Paper bool
+	// Summary renders a short account of an answer to q; k bounds the
+	// vertices it lists.
+	Summary func(values []V, q ace.Query, k int) string
+
+	// The live columns follow; they are nil on the rows the live driver does
+	// not run.
+
 	// Ref is the sequential reference, expressed in the engine's value
 	// domain so that got and want compare position by position.
 	Ref func(g *graph.Graph, q ace.Query) []V
@@ -35,12 +49,47 @@ type LiveApp[V any] struct {
 	Num func(V) float64
 }
 
+// Reads is a set of ace.Query fields.
+type Reads uint8
+
+const (
+	// ReadsSource marks traversal queries, whose Query.Source must name a
+	// vertex of the graph (see CheckSource).
+	ReadsSource Reads = 1 << iota
+	ReadsEps
+	ReadsPattern
+)
+
+// Query assembles a query of the fields in r. The source and the pattern are
+// asked for only when r holds them.
+func (r Reads) Query(source func() graph.VID, eps float64, pattern func() *graph.Graph) ace.Query {
+	var q ace.Query
+	if r&ReadsSource != 0 {
+		q.Source = source()
+	}
+	if r&ReadsEps != 0 {
+		q.Eps = eps
+	}
+	if r&ReadsPattern != 0 {
+		q.Pattern = pattern()
+	}
+	return q
+}
+
 func exact[V comparable](got, want V) bool { return got == want }
 
-// liveApps is the table. Each row is a *LiveApp[V] for its own V.
-var liveApps = []interface{ name() string }{
-	&LiveApp[float64]{
-		Name: "sssp", Factory: NewSSSP(), TakesSource: true,
+// row is what the table knows of a row without its value type.
+type row interface {
+	name() string
+	live() bool
+	paper() bool
+}
+
+// apps is the table: the paper's applications in its order, with the other
+// traversals after SSSP. Each row is an *App[V] for its own V.
+var apps = []row{
+	&App[float64]{
+		Name: "sssp", Factory: NewSSSP(), Reads: ReadsSource, Paper: true, Summary: nearest,
 		Ref:   func(g *graph.Graph, q ace.Query) []float64 { return SeqSSSP(g, q.Source) },
 		Equal: exact[float64],
 		Warm: func(oldG, newG *graph.Graph, touched []graph.VID, _, dist []float64, q ace.Query) *ace.WarmState[float64] {
@@ -53,8 +102,19 @@ var liveApps = []interface{ name() string }{
 			return d
 		},
 	},
-	&LiveApp[int32]{
-		Name: "bfs", Factory: NewBFS(), TakesSource: true,
+	&App[float64]{Name: "bellman-ford", Factory: NewBellmanFord(), Reads: ReadsSource, Summary: nearest},
+	&App[int32]{
+		Name: "bfs", Factory: NewBFS(), Reads: ReadsSource,
+		Summary: func(hops []int32, q ace.Query, _ int) string {
+			reached, far := 0, int32(0)
+			for _, h := range hops {
+				if h != bfsInf {
+					reached++
+					far = max(far, h)
+				}
+			}
+			return fmt.Sprintf("reached from %d: %d of %d vertices, the farthest %d hops away\n", q.Source, reached, len(hops), far)
+		},
 		Ref:   func(g *graph.Graph, q ace.Query) []int32 { return seqHops(g, q.Source) },
 		Equal: exact[int32],
 		Warm: func(oldG, newG *graph.Graph, touched []graph.VID, _, hops []int32, q ace.Query) *ace.WarmState[int32] {
@@ -67,8 +127,17 @@ var liveApps = []interface{ name() string }{
 			return float64(h)
 		},
 	},
-	&LiveApp[uint32]{
+	&App[uint32]{
 		Name: "wcc", Factory: NewWCC(),
+		Summary: func(labels []uint32, _ ace.Query, _ int) string {
+			size := map[uint32]int{}
+			largest := 0
+			for _, l := range labels {
+				size[l]++
+				largest = max(largest, size[l])
+			}
+			return fmt.Sprintf("weakly connected components: %d, the largest %d vertices\n", len(size), largest)
+		},
 		Ref:   func(g *graph.Graph, _ ace.Query) []uint32 { return SeqWCC(g) },
 		Equal: exact[uint32],
 		Warm: func(oldG, newG *graph.Graph, touched []graph.VID, _, labels []uint32, _ ace.Query) *ace.WarmState[uint32] {
@@ -76,8 +145,31 @@ var liveApps = []interface{ name() string }{
 		},
 		Num: func(l uint32) float64 { return float64(l) },
 	},
-	&LiveApp[float64]{
-		Name: "pr", Factory: NewPageRank(),
+	&App[int32]{
+		Name: "color", Factory: NewColor(), Naive: NewNaiveColor(), Paper: true,
+		Summary: func(colors []int32, _ ace.Query, _ int) string {
+			return fmt.Sprintf("colors used: %d\n", maxOf(colors)+1)
+		},
+	},
+	&App[float64]{
+		Name: "pr", Factory: NewPageRank(), Reads: ReadsEps, Paper: true,
+		Summary: func(ranks []float64, _ ace.Query, k int) string {
+			type pair struct {
+				v graph.VID
+				r float64
+			}
+			ps := make([]pair, len(ranks))
+			for v, r := range ranks {
+				ps[v] = pair{graph.VID(v), r}
+			}
+			sort.Slice(ps, func(i, j int) bool { return ps[i].r > ps[j].r })
+			var b strings.Builder
+			fmt.Fprintf(&b, "top %d by PageRank:\n", k)
+			for i := 0; i < k && i < len(ps); i++ {
+				fmt.Fprintf(&b, "  v%-8d rank %.4f\n", ps[i].v, ps[i].r)
+			}
+			return b.String()
+		},
 		Ref: func(g *graph.Graph, q ace.Query) []float64 { return SeqPageRank(g, q.Eps) },
 		// Parked sub-eps deltas depend on execution order, so ranks
 		// legitimately differ within ~eps of each other.
@@ -87,69 +179,155 @@ var liveApps = []interface{ name() string }{
 		},
 		Num: func(r float64) float64 { return r },
 	},
+	&App[int32]{
+		Name: "core", Factory: NewCore(), Paper: true,
+		Summary: func(coreness []int32, _ ace.Query, _ int) string {
+			return fmt.Sprintf("degeneracy (max coreness): %d\n", maxOf(coreness))
+		},
+	},
+	&App[SimSet]{
+		Name: "sim", Factory: NewSim(), Reads: ReadsPattern, Paper: true,
+		Summary: func(sim []SimSet, _ ace.Query, _ int) string {
+			matches := 0
+			for _, m := range sim {
+				if m != 0 {
+					matches++
+				}
+			}
+			return fmt.Sprintf("vertices simulating some pattern vertex: %d\n", matches)
+		},
+	},
 }
 
-// DispatchLive is the one dispatch on a live app's name: it finds the row
-// and calls the callback of the row's value type with it. Callers pass the
-// same generic function instantiated three ways. An unknown name is
-// CheckLiveApp's error.
-func DispatchLive[R any](name string,
-	f64 func(*LiveApp[float64]) (R, error),
-	i32 func(*LiveApp[int32]) (R, error),
-	u32 func(*LiveApp[uint32]) (R, error)) (R, error) {
-	for _, row := range liveApps {
+// nearest is the shortest-path summary: the k nearest vertices other than the
+// source, by distance.
+func nearest(dist []float64, q ace.Query, k int) string {
+	type pair struct {
+		v graph.VID
+		d float64
+	}
+	var ps []pair
+	for v, d := range dist {
+		if d > 0 && d < Inf {
+			ps = append(ps, pair{graph.VID(v), d})
+		}
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].d < ps[j].d })
+	var b strings.Builder
+	fmt.Fprintf(&b, "nearest %d vertices from %d:\n", k, q.Source)
+	for i := 0; i < k && i < len(ps); i++ {
+		fmt.Fprintf(&b, "  v%-8d dist %.1f\n", ps[i].v, ps[i].d)
+	}
+	return b.String()
+}
+
+// maxOf is the largest value, or 0.
+func maxOf(values []int32) int32 {
+	m := int32(0)
+	for _, v := range values {
+		m = max(m, v)
+	}
+	return m
+}
+
+// Dispatch is the one dispatch on an app's name: it finds the row and calls
+// the callback of the row's value type with it. Callers pass the same generic
+// function instantiated four ways. An unknown name is CheckApp's error.
+func Dispatch[R any](name string,
+	f64 func(*App[float64]) (R, error),
+	i32 func(*App[int32]) (R, error),
+	u32 func(*App[uint32]) (R, error),
+	u64 func(*App[SimSet]) (R, error)) (R, error) {
+	for _, row := range apps {
 		if row.name() != name {
 			continue
 		}
 		switch a := row.(type) {
-		case *LiveApp[float64]:
+		case *App[float64]:
 			return f64(a)
-		case *LiveApp[int32]:
+		case *App[int32]:
 			return i32(a)
-		case *LiveApp[uint32]:
+		case *App[uint32]:
 			return u32(a)
+		case *App[SimSet]:
+			return u64(a)
 		}
 	}
 	var zero R
-	return zero, CheckLiveApp(name)
+	return zero, CheckApp(name)
 }
 
-func (a *LiveApp[V]) name() string { return a.Name }
-
-// LiveAppNames lists the table's apps in row order.
-func LiveAppNames() []string {
-	names := make([]string, len(liveApps))
-	for i, row := range liveApps {
-		names[i] = row.name()
+// DispatchLive is Dispatch over the rows the live driver runs, whose values
+// are of the first three types. Any other name is CheckLiveApp's error.
+func DispatchLive[R any](name string,
+	f64 func(*App[float64]) (R, error),
+	i32 func(*App[int32]) (R, error),
+	u32 func(*App[uint32]) (R, error)) (R, error) {
+	if err := CheckLiveApp(name); err != nil {
+		var zero R
+		return zero, err
 	}
-	return names
+	return Dispatch(name, f64, i32, u32, nil)
 }
 
-// CheckLiveApp returns nil when name is in the table, else the error every
-// caller reports for an app the live driver does not run.
+func (a *App[V]) name() string { return a.Name }
+func (a *App[V]) live() bool   { return a.Ref != nil }
+func (a *App[V]) paper() bool  { return a.Paper }
+
+// names lists the rows keep admits, in row order.
+func names(keep func(row) bool) []string {
+	var out []string
+	for _, row := range apps {
+		if keep(row) {
+			out = append(out, row.name())
+		}
+	}
+	return out
+}
+
+// AppNames lists the table's apps in row order.
+func AppNames() []string { return names(func(row) bool { return true }) }
+
+// PaperAppNames lists the apps of the paper's evaluation in its order.
+func PaperAppNames() []string { return names(row.paper) }
+
+// LiveAppNames lists the apps the live driver runs, in row order.
+func LiveAppNames() []string { return names(row.live) }
+
+// CheckApp returns nil when name is in the table, else the error every caller
+// reports for an unknown app.
+func CheckApp(name string) error {
+	return checkIn(name, AppNames(), "is not an application")
+}
+
+// CheckLiveApp returns nil when the live driver runs name, else the error
+// every caller reports for an app it does not run.
 func CheckLiveApp(name string) error {
-	names := LiveAppNames()
+	return checkIn(name, LiveAppNames(), "does not run under the live driver")
+}
+
+func checkIn(name string, names []string, not string) error {
 	for _, n := range names {
 		if n == name {
 			return nil
 		}
 	}
-	return fmt.Errorf("app %q does not run under the live driver (want %s)", name, strings.Join(names, ", "))
+	return fmt.Errorf("app %q %s (want %s)", name, not, strings.Join(names, ", "))
 }
 
 // CheckSource rejects a query source that is not a vertex of an n-vertex
-// graph, for the apps that take one. source is the caller's untruncated
+// graph, for the apps that read one. source is the caller's untruncated
 // integer: a negative or oversized value would otherwise wrap in graph.VID
 // and index out of range inside the reference or the planner.
-func (a *LiveApp[V]) CheckSource(source, n int) error {
-	if a.TakesSource && (source < 0 || source >= n) {
+func (a *App[V]) CheckSource(source, n int) error {
+	if a.Reads&ReadsSource != 0 && (source < 0 || source >= n) {
 		return fmt.Errorf("%s: source %d outside [0, %d)", a.Name, source, n)
 	}
 	return nil
 }
 
 // Wrong counts the positions where got differs from the reference want.
-func (a *LiveApp[V]) Wrong(got, want []V) int {
+func (a *App[V]) Wrong(got, want []V) int {
 	wrong := 0
 	for i := range want {
 		if !a.Equal(got[i], want[i]) {
@@ -160,7 +338,7 @@ func (a *LiveApp[V]) Wrong(got, want []V) int {
 }
 
 // Checksum sums the values' checksum projections.
-func (a *LiveApp[V]) Checksum(values []V) float64 {
+func (a *App[V]) Checksum(values []V) float64 {
 	var sum float64
 	for _, v := range values {
 		sum += a.Num(v)

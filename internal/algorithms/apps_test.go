@@ -15,8 +15,8 @@ import (
 // from its declared algebra), and its fixpoint survives the snapshot codec at
 // the row's own value type — the kind tag follows from V, nothing states it
 // per app.
-func checkLiveRow[V any](t *testing.T) func(*LiveApp[V]) (struct{}, error) {
-	return func(app *LiveApp[V]) (struct{}, error) {
+func checkLiveRow[V any](t *testing.T) func(*App[V]) (struct{}, error) {
+	return func(app *App[V]) (struct{}, error) {
 		p := app.Factory()
 		if p.Name() != app.Name {
 			t.Errorf("row %q builds program %q", app.Name, p.Name())
@@ -37,11 +37,12 @@ func checkLiveRow[V any](t *testing.T) func(*LiveApp[V]) (struct{}, error) {
 		if got, ok := back.Entries[0].Values.([]V); !ok || len(got) != len(values) {
 			t.Errorf("%s: fixpoint came back as %T, want %T", app.Name, back.Entries[0].Values, values)
 		}
-		if err := app.CheckSource(-1, 3); (err != nil) != app.TakesSource {
-			t.Errorf("%s: CheckSource(-1) = %v with TakesSource %v", app.Name, err, app.TakesSource)
+		reads := app.Reads&ReadsSource != 0
+		if err := app.CheckSource(-1, 3); (err != nil) != reads {
+			t.Errorf("%s: CheckSource(-1) = %v, reading the source %v", app.Name, err, reads)
 		}
-		if err := app.CheckSource(3, 3); (err != nil) != app.TakesSource {
-			t.Errorf("%s: CheckSource(|V|) = %v with TakesSource %v", app.Name, err, app.TakesSource)
+		if err := app.CheckSource(3, 3); (err != nil) != reads {
+			t.Errorf("%s: CheckSource(|V|) = %v, reading the source %v", app.Name, err, reads)
 		}
 		if err := app.CheckSource(2, 3); err != nil {
 			t.Errorf("%s: CheckSource(|V|-1) = %v", app.Name, err)
@@ -57,7 +58,7 @@ func checkLiveRow[V any](t *testing.T) func(*LiveApp[V]) (struct{}, error) {
 // engine's ghost cache, cold and warm: a ghost's InitValue is no better than
 // its owner's, so a send that does not improve the ghost cannot improve the
 // owner either and may be dropped at the sender.
-func checkGhostCache[V any](t *testing.T, app *LiveApp[V]) {
+func checkGhostCache[V any](t *testing.T, app *App[V]) {
 	oldG := graph.PowerLaw(graph.GenConfig{N: 300, M: 1800, Directed: true, Seed: 9, MaxW: 20})
 	q := ace.Query{Source: 3, Eps: DefaultPREps}
 	b := churnBatch(oldG, 9, 8)

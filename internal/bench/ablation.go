@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"argan/internal/ace"
 	"argan/internal/algorithms"
 	"argan/internal/core"
 	"argan/internal/gap"
@@ -30,7 +31,7 @@ func Ablation(o Options) error {
 	if err != nil {
 		return err
 	}
-	q := queryFor("sssp", g, 0)
+	q := ace.Query{Source: pickSource(g)}
 
 	variants := []struct {
 		name string

@@ -159,22 +159,13 @@ func pickSource(g *graph.Graph) graph.VID {
 	return best
 }
 
-// queryFor builds the per-application query over g.
-func queryFor(app string, g *graph.Graph, rep int) ace.Query {
-	switch app {
-	case "sssp", "bfs", "bellman-ford":
-		src := pickSource(g)
-		if rep > 0 {
-			// Vary the source across repetitions deterministically.
-			src = graph.VID((int(src) + rep*7919) % g.NumVertices())
-		}
-		return ace.Query{Source: src}
-	case "pr":
-		return ace.Query{Eps: 1e-3}
-	case "sim":
-		return ace.Query{Pattern: algorithms.RandomPattern(g, 4, 5, int64(42+rep))}
-	}
-	return ace.Query{}
+// trialQuery is repetition rep's query over g, of the fields reads holds: a
+// high-coverage source varied across repetitions, ε = 1e-3, and a seeded
+// random pattern.
+func trialQuery(reads algorithms.Reads, g *graph.Graph, rep int) ace.Query {
+	return reads.Query(func() graph.VID {
+		return graph.VID((int(pickSource(g)) + rep*7919) % g.NumVertices())
+	}, 1e-3, func() *graph.Graph { return algorithms.RandomPattern(g, 4, 5, int64(42+rep)) })
 }
 
 // runPoint measures one (system, app, graph, n) point, averaged over
@@ -191,20 +182,20 @@ func runPoint(o Options, sys systems.System, app string, g *graph.Graph, n int) 
 	}
 	var total float64
 	for rep := 0; rep < o.Queries; rep++ {
-		q := queryFor(app, g, rep)
+		q := trialQuery(job.Reads, g, rep)
 		cfg := sys.Config(env.DefaultConfig())
 		if o.Trace != nil {
 			cfg.Tracer = o.Trace(fmt.Sprintf("%s/%s/n=%d/rep%d", sys.Name, app, n, rep))
 		}
-		met, err := job(frags, q, cfg)
+		out, err := job.Run(frags, q, cfg)
 		if err != nil {
 			return 0, m, false, err
 		}
-		if !met.Converged {
-			return 0, met, false, nil
+		if !out.Converged {
+			return 0, out.Metrics, false, nil
 		}
-		total += met.RespTime
-		m = met
+		total += out.RespTime
+		m = out.Metrics
 	}
 	return total / float64(o.Queries), m, true, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"argan/internal/algorithms"
 	"argan/internal/graph"
 	"argan/internal/obs"
 )
@@ -109,20 +110,20 @@ func TestPickSourceDeterministicAndReaches(t *testing.T) {
 	}
 }
 
-func TestQueryFor(t *testing.T) {
+func TestTrialQuery(t *testing.T) {
 	g, err := graph.LoadDataset("DP", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q0 := queryFor("sssp", g, 0)
-	q1 := queryFor("sssp", g, 1)
-	if q0.Source == q1.Source {
-		t.Fatal("repetitions must vary the source")
+	q0 := trialQuery(algorithms.ReadsSource, g, 0)
+	q1 := trialQuery(algorithms.ReadsSource, g, 1)
+	if q0.Source != pickSource(g) || q0.Source == q1.Source {
+		t.Fatal("the first repetition takes the picked source, and repetitions must vary it")
 	}
-	if queryFor("pr", g, 0).Eps <= 0 {
-		t.Fatal("pr query needs eps")
+	if q := trialQuery(algorithms.ReadsEps, g, 0); q.Eps <= 0 || q.Pattern != nil {
+		t.Fatalf("pr query needs eps and nothing else: %+v", q)
 	}
-	if queryFor("sim", g, 0).Pattern == nil {
+	if trialQuery(algorithms.ReadsPattern, g, 0).Pattern == nil {
 		t.Fatal("sim query needs a pattern")
 	}
 }

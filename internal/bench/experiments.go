@@ -175,7 +175,7 @@ func Fig5(o Options) error {
 	fmt.Fprintf(o.Out, "== fig5: all systems over TW (|V|=%d, arcs=%d, n=%d) — response time ==\n",
 		g.NumVertices(), g.NumEdges(), n)
 	fmt.Fprintf(o.Out, "%-16s", "system")
-	for _, app := range core.Apps() {
+	for _, app := range algorithms.PaperAppNames() {
 		fmt.Fprintf(o.Out, "%12s", app)
 	}
 	fmt.Fprintln(o.Out)
@@ -183,7 +183,7 @@ func Fig5(o Options) error {
 	argan := map[string]float64{}
 	for _, sys := range systems.All() {
 		fmt.Fprintf(o.Out, "%-16s", sys.Name)
-		for _, app := range core.Apps() {
+		for _, app := range algorithms.PaperAppNames() {
 			resp, _, ok, err := runPoint(o, sys, app, g, n)
 			if err != nil {
 				return err
@@ -202,7 +202,7 @@ func Fig5(o Options) error {
 		fmt.Fprintln(o.Out)
 	}
 	fmt.Fprintf(o.Out, "Argan vs best competitor:")
-	for _, app := range core.Apps() {
+	for _, app := range algorithms.PaperAppNames() {
 		if argan[app] > 0 && best[app] > 0 {
 			fmt.Fprintf(o.Out, "  %s %.0f%% faster", app, 100*(best[app]-argan[app])/argan[app])
 		}
@@ -225,7 +225,7 @@ func Fig6l(o Options) error {
 	}
 	fmt.Fprintf(o.Out, "== fig6l: Argan scalability, n=%d, power-law alpha=2.5, |G| swept x5 ==\n", n)
 	fmt.Fprintf(o.Out, "%-12s", "|G|")
-	apps := core.Apps()
+	apps := algorithms.PaperAppNames()
 	for _, app := range apps {
 		fmt.Fprintf(o.Out, "%12s", app)
 	}

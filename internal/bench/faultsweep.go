@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"argan/internal/ace"
 	"argan/internal/algorithms"
 	"argan/internal/core"
 	"argan/internal/fault"
@@ -36,7 +37,7 @@ func FaultSweep(o Options) error {
 	if err != nil {
 		return err
 	}
-	q := queryFor("sssp", g, 0)
+	q := ace.Query{Source: pickSource(g)}
 
 	baseCfg := env.DefaultConfig()
 	base, err := gap.RunSim(frags, algorithms.NewSSSP(), q, baseCfg)

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -79,43 +78,6 @@ type incVersion struct {
 	churnOps int
 }
 
-// incChurn draws a deterministic 1%-churn batch against g: half the budget
-// deletes existing arcs, half inserts fresh ones.
-func incChurn(g *graph.Graph, frac float64, seed int64) graph.MutationBatch {
-	r := rand.New(rand.NewSource(seed))
-	var edges []graph.Edge
-	for v := 0; v < g.NumVertices(); v++ {
-		adj, ws := g.OutNeighbors(graph.VID(v)), g.OutWeights(graph.VID(v))
-		for i, u := range adj {
-			edges = append(edges, graph.Edge{Src: graph.VID(v), Dst: u, W: ws[i]})
-		}
-	}
-	k := int(float64(len(edges)) * frac / 2)
-	if k < 1 {
-		k = 1
-	}
-	var b graph.MutationBatch
-	seen := map[[2]graph.VID]bool{}
-	for _, i := range r.Perm(len(edges))[:k] {
-		e := edges[i]
-		if seen[[2]graph.VID{e.Src, e.Dst}] {
-			continue
-		}
-		seen[[2]graph.VID{e.Src, e.Dst}] = true
-		b.Deletes = append(b.Deletes, graph.Edge{Src: e.Src, Dst: e.Dst})
-	}
-	n := g.NumVertices()
-	for len(b.Inserts) < k {
-		u, v := graph.VID(r.Intn(n)), graph.VID(r.Intn(n))
-		if u == v || g.HasEdge(u, v) || seen[[2]graph.VID{u, v}] {
-			continue
-		}
-		seen[[2]graph.VID{u, v}] = true
-		b.Inserts = append(b.Inserts, graph.Edge{Src: u, Dst: v, W: float64(1 + r.Intn(9))})
-	}
-	return b
-}
-
 // incVersions builds the evolving chain v0..v_rounds once, shared by every
 // application: each step applies one churn batch and COW-updates the
 // fragment partitions.
@@ -131,7 +93,7 @@ func incVersions(nv, rounds int) ([]incVersion, error) {
 	vs := []incVersion{{g: g, frags: frags}}
 	for r := 0; r < rounds; r++ {
 		cur := vs[len(vs)-1]
-		b := incChurn(cur.g, incChurnFrac, int64(1000+r))
+		b := graph.Churn(cur.g, int64(1000+r), max(1, int(float64(cur.g.NumEdges())*incChurnFrac/2)))
 		ng, _, err := cur.g.ApplyMutations(b)
 		if err != nil {
 			return nil, err
@@ -156,8 +118,8 @@ func incVersions(nv, rounds int) ([]incVersion, error) {
 // its fixpoint becomes the prior for the next round — so the chain measures
 // repeated increments, not one.
 func measureIncremental[V any](vs []incVersion, reps int, q ace.Query, cfg gap.LiveConfig,
-	enforced bool) func(*algorithms.LiveApp[V]) (IncrementalAppResult, error) {
-	return func(app *algorithms.LiveApp[V]) (IncrementalAppResult, error) {
+	enforced bool) func(*algorithms.App[V]) (IncrementalAppResult, error) {
+	return func(app *algorithms.App[V]) (IncrementalAppResult, error) {
 		ar := IncrementalAppResult{App: app.Name, RatioTarget: incRatioTarget, Enforced: enforced}
 		timed := func(run func() (*gap.Result[V], error)) (*gap.Result[V], float64, error) {
 			var best float64

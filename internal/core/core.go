@@ -5,8 +5,6 @@
 package core
 
 import (
-	"fmt"
-
 	"argan/internal/ace"
 	"argan/internal/adapt"
 	"argan/internal/algorithms"
@@ -115,19 +113,45 @@ func Simulation(g *graph.Graph, pattern *graph.Graph, env Env, cfg gap.Config) (
 	return run(g, env, cfg, algorithms.NewSim(), ace.Query{Pattern: pattern})
 }
 
-// Job runs an application over pre-built fragments and returns only the
-// metrics; the benchmark harness drives everything through this type so it
-// can be generic over the value types of the programs.
-type Job func(frags []*graph.Fragment, q ace.Query, cfg gap.Config) (gap.Metrics, error)
+// Outcome is one sim run of an application: its metrics and its answer.
+type Outcome struct {
+	gap.Metrics
+	// Summary renders the answer through its row's algorithms.App.Summary;
+	// k bounds the vertices it lists.
+	Summary func(k int) string
+}
 
-func jobOf[V any](factory ace.Factory[V]) Job {
-	return func(frags []*graph.Fragment, q ace.Query, cfg gap.Config) (gap.Metrics, error) {
-		res, err := gap.RunSim(frags, factory, q, cfg)
-		if err != nil {
-			return gap.Metrics{}, err
+// Job is one application of algorithms' table bound for sim runs: the query
+// fields it reads and its run over pre-built fragments. The benchmark harness
+// and the CLI drive every app through this type, so they need not be generic
+// over the programs' value types.
+type Job struct {
+	Reads algorithms.Reads
+	Run   func(frags []*graph.Fragment, q ace.Query, cfg gap.Config) (Outcome, error)
+}
+
+func jobOf[V any](naive bool) func(*algorithms.App[V]) (Job, error) {
+	return func(app *algorithms.App[V]) (Job, error) {
+		factory := app.Factory
+		if naive && app.Naive != nil {
+			factory = app.Naive
 		}
-		return res.Metrics, nil
+		return Job{Reads: app.Reads, Run: func(frags []*graph.Fragment, q ace.Query, cfg gap.Config) (Outcome, error) {
+			res, err := gap.RunSim(frags, factory, q, cfg)
+			if err != nil {
+				return Outcome{}, err
+			}
+			return Outcome{Metrics: res.Metrics, Summary: func(k int) string { return app.Summary(res.Values, q, k) }}, nil
+		}}, nil
 	}
+}
+
+// JobFor resolves an application of algorithms' table to a Job. naive selects
+// the row's variant for the synchronous vertex-centric systems, where it has
+// one.
+func JobFor(app string, naive bool) (Job, error) {
+	return algorithms.Dispatch(app,
+		jobOf[float64](naive), jobOf[int32](naive), jobOf[uint32](naive), jobOf[algorithms.SimSet](naive))
 }
 
 // LiveJob is Job's counterpart under the live driver: one run under cfg,
@@ -135,8 +159,8 @@ func jobOf[V any](factory ace.Factory[V]) Job {
 // the application's sequential reference.
 type LiveJob func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error)
 
-func liveJobOf[V any](g *graph.Graph, frags []*graph.Fragment, source int, eps float64) func(*algorithms.LiveApp[V]) (LiveJob, error) {
-	return func(app *algorithms.LiveApp[V]) (LiveJob, error) {
+func liveJobOf[V any](g *graph.Graph, frags []*graph.Fragment, source int, eps float64) func(*algorithms.App[V]) (LiveJob, error) {
+	return func(app *algorithms.App[V]) (LiveJob, error) {
 		if err := app.CheckSource(source, g.NumVertices()); err != nil {
 			return nil, err
 		}
@@ -157,35 +181,4 @@ func liveJobOf[V any](g *graph.Graph, frags []*graph.Fragment, source int, eps f
 func LiveJobFor(app string, g *graph.Graph, frags []*graph.Fragment, source int, eps float64) (LiveJob, error) {
 	return algorithms.DispatchLive(app,
 		liveJobOf[float64](g, frags, source, eps), liveJobOf[int32](g, frags, source, eps), liveJobOf[uint32](g, frags, source, eps))
-}
-
-// Apps lists the application names accepted by JobFor, in the paper's
-// order.
-func Apps() []string { return []string{"sssp", "color", "pr", "core", "sim"} }
-
-// JobFor resolves an application name to a Job. naiveColor selects the
-// symmetric greedy coloring used by the vertex-centric competitors.
-func JobFor(app string, naiveColor bool) (Job, error) {
-	switch app {
-	case "sssp":
-		return jobOf(algorithms.NewSSSP()), nil
-	case "bellman-ford":
-		return jobOf(algorithms.NewBellmanFord()), nil
-	case "bfs":
-		return jobOf(algorithms.NewBFS()), nil
-	case "wcc":
-		return jobOf(algorithms.NewWCC()), nil
-	case "color":
-		if naiveColor {
-			return jobOf(algorithms.NewNaiveColor()), nil
-		}
-		return jobOf(algorithms.NewColor()), nil
-	case "pr":
-		return jobOf(algorithms.NewPageRank()), nil
-	case "core":
-		return jobOf(algorithms.NewCore()), nil
-	case "sim":
-		return jobOf(algorithms.NewSim()), nil
-	}
-	return nil, fmt.Errorf("core: unknown application %q", app)
 }

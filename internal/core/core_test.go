@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"argan/internal/ace"
 	"argan/internal/algorithms"
 	"argan/internal/gap"
 	"argan/internal/graph"
@@ -114,21 +113,22 @@ func TestJobFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range append(Apps(), "bfs", "wcc", "bellman-ford") {
+	for _, app := range algorithms.AppNames() {
 		job, err := JobFor(app, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := ace.Query{Source: 0, Eps: 1e-3}
-		if app == "sim" {
-			q.Pattern = algorithms.RandomPattern(g, 4, 5, 1)
-		}
-		m, err := job(frags, q, env.DefaultConfig())
+		q := job.Reads.Query(func() graph.VID { return 0 }, 1e-3,
+			func() *graph.Graph { return algorithms.RandomPattern(g, 4, 5, 1) })
+		out, err := job.Run(frags, q, env.DefaultConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		if !m.Converged || m.Updates == 0 {
-			t.Fatalf("%s: bad metrics %+v", app, m)
+		if !out.Converged || out.Updates == 0 {
+			t.Fatalf("%s: bad metrics %+v", app, out.Metrics)
+		}
+		if out.Summary(3) == "" {
+			t.Fatalf("%s: empty summary", app)
 		}
 	}
 	if _, err := JobFor("nope", false); err == nil {
@@ -136,7 +136,7 @@ func TestJobFor(t *testing.T) {
 	}
 	// The naive color variant is a distinct program.
 	j, err := JobFor("color", true)
-	if err != nil || j == nil {
+	if err != nil || j.Run == nil {
 		t.Fatal("naive color job missing")
 	}
 }

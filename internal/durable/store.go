@@ -67,9 +67,6 @@ func (s *Store) keyDir(key string) (string, error) {
 	return dir, syncDir(s.dir)
 }
 
-// Dir returns the state directory root.
-func (s *Store) Dir() string { return s.dir }
-
 func validKey(key string) error {
 	if key == "" || strings.ContainsAny(key, "/\\") || key == "." || key == ".." {
 		return fmt.Errorf("durable: invalid dataset key %q", key)

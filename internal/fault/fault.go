@@ -421,24 +421,6 @@ func NewInjector(plan *Plan) *Injector {
 // Plan returns the plan the injector interprets (possibly nil).
 func (in *Injector) Plan() *Plan { return in.plan }
 
-// TimeCrashes returns the not-yet-fired time-triggered crashes, for the
-// sim driver to pre-schedule as events. It does not mark them fired;
-// use Take when the event executes.
-func (in *Injector) TimeCrashes() []Crash {
-	if in.plan == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var out []Crash
-	for i, c := range in.plan.Crashes {
-		if c.AfterUpdates == 0 && !in.fired[i] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Take marks crash index i fired and returns it; the second result is
 // false if it had already fired. Index order matches Plan.Crashes.
 func (in *Injector) Take(i int) (Crash, bool) {

@@ -50,10 +50,6 @@ type LiveConfig struct {
 	// Recoverable; RunLive rejects the combination of a restartable crash
 	// and a program without one up front, with ErrNoRecoveryAlgebra.
 	Faults *fault.Plan
-	// NoRecover disables checkpointing and recovery even when the plan's
-	// crashes carry restart delays: a crashed worker then stays dead and
-	// the watchdog eventually fails the run with a descriptive error.
-	NoRecover bool
 	// Recovery selects nothing: localized recovery is the only strategy, and
 	// the field accepts only "" and RecoveryLocal. It is kept solely because
 	// benchmark/replay.go sets it and benchmark/ is closed to the change that
@@ -116,8 +112,8 @@ var ErrCanceled = errors.New("gap: run canceled")
 // run starts, when the fault plan schedules a crash with a restart over a
 // program whose declared ace.Algebra is not Recoverable: a survivor that
 // folded in a rolled-back sender's messages could neither un-apply them nor
-// tolerate their replay. Fault-free runs, link-fault-only runs and NoRecover
-// runs of such a program are unaffected.
+// tolerate their replay. Fault-free runs, link-fault-only runs and runs whose
+// crashes are all permanent (Restart < 0) of such a program are unaffected.
 var ErrNoRecoveryAlgebra = errors.New("gap: crash recovery needs a program whose aggregate is a semilattice join or has an inverse (ace.Algebra)")
 
 // ErrWorkerPanic is the failure RunLive returns when an Update function (or
@@ -400,7 +396,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.inj = fault.NewInjector(cfg.Faults)
 		d.retrySleep = time.Duration(d.inj.RetryDelay(1) * float64(time.Millisecond))
 	}
-	seqOn, recovers := exactlyOnce(cfg.Faults, cfg.NoRecover)
+	seqOn, recovers := exactlyOnce(cfg.Faults)
 	d.recover = recovers
 	// Recovery needs a program whose survivors the protocol can repair.
 	alg := ace.AlgebraOf(factory())

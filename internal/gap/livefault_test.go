@@ -169,7 +169,6 @@ func TestLiveDeadWorkerWatchdog(t *testing.T) {
 		CheckEvery:       16,
 		HeartbeatTimeout: 50 * time.Millisecond,
 		Watchdog:         400 * time.Millisecond,
-		NoRecover:        true,
 	}
 	cfg.Faults = faultPlan(t, "crash=1@u30") // permanent: no restart
 	start := time.Now()

@@ -3,74 +3,23 @@ package gap
 import (
 	"sync"
 	"time"
+
+	"argan/internal/obs"
 )
 
-// Health is a point-in-time view of the live driver's control plane: worker
-// liveness from the heartbeat detector, progress from the watchdog's
-// counters, and the memory governor's degradation stage. It is what the
-// telemetry plane's /healthz and /readyz endpoints are wired to.
-type Health struct {
-	// Running reports whether a live run is currently executing under the
-	// tracker. Between soak iterations (and after the last one) it is
-	// false; the tracker then reports the last run's outcome.
-	Running bool
-	// Completed and Failed count runs finished under this tracker.
-	Completed int64
-	Failed    int64
-	// Err is the most recent run failure ("" when every run succeeded).
-	Err string
-	// Draining reports that the process hosting the tracker is shutting
-	// down gracefully: no new runs will be admitted, running ones are
-	// finishing. Set by SetDraining; never reset by runStarted, so a
-	// readiness probe stays red for the rest of the process's life.
-	Draining bool
-
-	// Workers is the cluster size; Idle of them are at f_term with empty
-	// mailboxes; Dead have stale heartbeats and are not yet restored.
-	Workers int
-	Idle    int
-	Dead    int
-	// Unrecoverable reports that the control plane has given up on a
-	// permanently dead worker and is waiting for the watchdog to fail the
-	// run.
-	Unrecoverable bool
-
-	// Sent/Recv are the termination ledger's transport counts; Updates is
-	// the cumulative f_xv invocation count. Workers count updates locally
-	// and publish at each indicator check and round end, so mid-run it
-	// lags by at most one CheckEvery per worker.
-	Sent, Recv int64
-	Updates    int64
-	// ProgressAge is how long the watchdog has seen no progress (reports,
-	// updates or sends). Compare against the configured watchdog budget to
-	// decide liveness.
-	ProgressAge time.Duration
-	// Watchdog is the configured stuck-run budget (0 = disabled), exported
-	// so a health endpoint can scale ProgressAge without knowing the config.
-	Watchdog time.Duration
-
-	// MemStage is the governor's degradation rung ("" when ungoverned);
-	// SpilledBytes is governed state currently resident on disk.
-	MemStage     string
-	SpilledBytes int64
-
-	// UpdatedAt stamps the publication (wall clock).
-	UpdatedAt time.Time
-}
-
-// HealthTracker is a concurrency-safe mailbox for Health snapshots. One
+// HealthTracker is a concurrency-safe mailbox for obs.Health snapshots. One
 // tracker outlives individual runs: arganrun attaches the same tracker to
 // every soak iteration's LiveConfig, so an HTTP poller sees a continuous
 // health stream across iterations. The zero value is ready to use.
 type HealthTracker struct {
 	mu sync.Mutex
-	h  Health
+	h  obs.Health
 }
 
 // Health returns the latest published snapshot.
-func (t *HealthTracker) Health() Health {
+func (t *HealthTracker) Health() obs.Health {
 	if t == nil {
-		return Health{}
+		return obs.Health{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -78,7 +27,7 @@ func (t *HealthTracker) Health() Health {
 }
 
 // publish applies mutate under the lock and stamps the snapshot.
-func (t *HealthTracker) publish(mutate func(*Health)) {
+func (t *HealthTracker) publish(mutate func(*obs.Health)) {
 	if t == nil {
 		return
 	}
@@ -90,7 +39,7 @@ func (t *HealthTracker) publish(mutate func(*Health)) {
 
 // runStarted resets the per-run fields at the top of RunLive.
 func (t *HealthTracker) runStarted(workers int, watchdog time.Duration) {
-	t.publish(func(h *Health) {
+	t.publish(func(h *obs.Health) {
 		h.Running = true
 		h.Workers = workers
 		h.Idle, h.Dead = 0, 0
@@ -106,12 +55,12 @@ func (t *HealthTracker) runStarted(workers int, watchdog time.Duration) {
 // readiness probes). Unlike the per-run fields it survives runStarted:
 // draining is a property of the process, not of any one run.
 func (t *HealthTracker) SetDraining(v bool) {
-	t.publish(func(h *Health) { h.Draining = v })
+	t.publish(func(h *obs.Health) { h.Draining = v })
 }
 
 // runEnded records the run's outcome.
 func (t *HealthTracker) runEnded(err error) {
-	t.publish(func(h *Health) {
+	t.publish(func(h *obs.Health) {
 		h.Running = false
 		if err != nil {
 			h.Failed++
@@ -134,7 +83,7 @@ func (d *liveDriver[V]) publishHealth(progressAge time.Duration) {
 	d.ctrl.mu.Lock()
 	dead, unrec := d.ctrl.nDead, d.ctrl.unrecoverable
 	d.ctrl.mu.Unlock()
-	t.publish(func(h *Health) {
+	t.publish(func(h *obs.Health) {
 		h.Idle = idle
 		h.Dead = dead
 		h.Unrecoverable = unrec

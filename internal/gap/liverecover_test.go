@@ -283,7 +283,7 @@ func opaqueFactory(f ace.Factory[float64]) ace.Factory[float64] {
 // TestLiveRejectsRecoveryWithoutAlgebra: a restartable crash over a program
 // that declares no recovery algebra is refused up front with a typed error —
 // there is no second strategy to fall back to — while the same program still
-// converges fault-free, under link faults, and with NoRecover.
+// converges fault-free and under link faults.
 func TestLiveRejectsRecoveryWithoutAlgebra(t *testing.T) {
 	g := testGraph(true, 3)
 	want := algorithms.SeqSSSP(g, 0)
@@ -450,7 +450,6 @@ func TestLiveWatchdogStuckDetail(t *testing.T) {
 		CheckEvery:       16,
 		HeartbeatTimeout: 50 * 1e6, // 50ms
 		Watchdog:         400 * 1e6,
-		NoRecover:        true,
 	}
 	cfg.Faults = faultPlan(t, "crash=1@u30") // permanent: no restart
 	_, _, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)

@@ -166,12 +166,12 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	}
 
 	// Degraded: the heartbeat detector reports a dead worker.
-	tr.publish(func(h *Health) { h.Dead = 1 })
+	tr.publish(func(h *obs.Health) { h.Dead = 1 })
 	if h := tr.Health(); h.Dead != 1 || !h.Running {
 		t.Fatalf("degraded: %+v", h)
 	}
 	// Resurrected: localized recovery restores the worker.
-	tr.publish(func(h *Health) { h.Dead = 0 })
+	tr.publish(func(h *obs.Health) { h.Dead = 0 })
 	if h := tr.Health(); h.Dead != 0 || !h.Running {
 		t.Fatalf("back to ready: %+v", h)
 	}

@@ -593,11 +593,11 @@ type localSnap[V any] struct {
 }
 
 // exactlyOnce derives from a fault plan what the exactly-once layer must
-// do: recover when some crash restarts (and noRecover is unset); stamp
-// batches (seqOn) when recovering or when link faults can duplicate and
-// reorder them.
-func exactlyOnce(plan *fault.Plan, noRecover bool) (seqOn, recovers bool) {
-	if plan != nil && !noRecover {
+// do: recover when some crash restarts (Restart >= 0; a plan says a crash is
+// permanent with Restart < 0); stamp batches (seqOn) when recovering or when
+// link faults can duplicate and reorder them.
+func exactlyOnce(plan *fault.Plan) (seqOn, recovers bool) {
+	if plan != nil {
 		for _, c := range plan.Crashes {
 			if c.Restart >= 0 {
 				recovers = true

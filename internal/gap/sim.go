@@ -58,7 +58,7 @@ func RunSimTruth[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Q
 	if cfg.Faults.HasCrashes() && (s.barrier || s.mode == ModePowerSwitch) {
 		return nil, fmt.Errorf("gap: crash injection requires an asynchronous mode, not %v", s.mode)
 	}
-	seqOn, recovers := exactlyOnce(cfg.Faults, false)
+	seqOn, recovers := exactlyOnce(cfg.Faults)
 	alg := ace.AlgebraOf(factory())
 	if recovers && !alg.Recoverable() {
 		return nil, ErrNoRecoveryAlgebra

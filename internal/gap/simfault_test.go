@@ -193,8 +193,8 @@ func TestSimLinkFaultsExactlyOnce(t *testing.T) {
 // simVsRef returns a DispatchLive callback that runs the app under the sim
 // over g on 4 workers and fails unless the run converged to values its
 // Equal accepts against its sequential reference.
-func simVsRef[V any](g *graph.Graph, q ace.Query, cfg Config) func(*algorithms.LiveApp[V]) (*Metrics, error) {
-	return func(a *algorithms.LiveApp[V]) (*Metrics, error) {
+func simVsRef[V any](g *graph.Graph, q ace.Query, cfg Config) func(*algorithms.App[V]) (*Metrics, error) {
+	return func(a *algorithms.App[V]) (*Metrics, error) {
 		fs, err := partition.Partition(g, partition.Hash{}, 4)
 		if err != nil {
 			return nil, err
@@ -405,8 +405,8 @@ func TestSimChaosSweep(t *testing.T) {
 // and the storm: one to three crashes after an update count (fault.Storm),
 // every other plan one more at a fraction of the fault-free response time,
 // restarts from 0 to 500 cost units, and link noise.
-func chaosPlan[V any](seed int64) func(*algorithms.LiveApp[V]) (struct{}, error) {
-	return func(a *algorithms.LiveApp[V]) (struct{}, error) {
+func chaosPlan[V any](seed int64) func(*algorithms.App[V]) (struct{}, error) {
+	return func(a *algorithms.App[V]) (struct{}, error) {
 		u := uint64(seed)
 		g := graph.PowerLaw(graph.GenConfig{N: 100 + int(u%101), M: 600 + int(u%401),
 			Directed: a.Name != "wcc", Seed: seed, MaxW: 20})

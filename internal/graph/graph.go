@@ -87,10 +87,6 @@ func (g *Graph) Label(v VID) int32 {
 	return g.labels[v]
 }
 
-// Labels returns the underlying label slice (nil when unlabeled). The slice
-// must not be modified.
-func (g *Graph) Labels() []int32 { return g.labels }
-
 // OutDegree returns the out-degree of v.
 func (g *Graph) OutDegree(v VID) int { return int(g.outIndex[v+1] - g.outIndex[v]) }
 

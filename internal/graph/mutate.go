@@ -3,6 +3,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 )
 
@@ -275,4 +276,41 @@ func UpdateFragments(oldFrags []*Fragment, newG *Graph, touched []VID) ([]*Fragm
 	}
 	fillMissing(out, func(i int) *Fragment { return oldFrags[i].patch(newG, touched) })
 	return out, derived, nil
+}
+
+// Churn draws a deterministic churn batch against g: up to k deletes of
+// existing arcs and up to k fresh inserts (weights 1–9), the same batch for
+// the same graph, seed and k. k is clamped to the arc count, and the insert
+// draw gives up after 64k tries, so a graph with fewer than k fresh arcs (a
+// complete one) gets fewer inserts instead of a draw that never ends.
+func Churn(g *Graph, seed int64, k int) MutationBatch {
+	r := rand.New(rand.NewSource(seed))
+	var edges []Edge
+	for v := 0; v < g.NumVertices(); v++ {
+		adj, ws := g.OutNeighbors(VID(v)), g.OutWeights(VID(v))
+		for i, u := range adj {
+			edges = append(edges, Edge{Src: VID(v), Dst: u, W: ws[i]})
+		}
+	}
+	k = min(k, len(edges))
+	var b MutationBatch
+	seen := map[[2]VID]bool{}
+	for _, i := range r.Perm(len(edges))[:k] {
+		e := edges[i]
+		if seen[[2]VID{e.Src, e.Dst}] {
+			continue
+		}
+		seen[[2]VID{e.Src, e.Dst}] = true
+		b.Deletes = append(b.Deletes, Edge{Src: e.Src, Dst: e.Dst})
+	}
+	n := g.NumVertices()
+	for tries := 0; len(b.Inserts) < k && tries < 64*k; tries++ {
+		u, v := VID(r.Intn(n)), VID(r.Intn(n))
+		if u == v || g.HasEdge(u, v) || seen[[2]VID{u, v}] {
+			continue
+		}
+		seen[[2]VID{u, v}] = true
+		b.Inserts = append(b.Inserts, Edge{Src: u, Dst: v, W: float64(1 + r.Intn(9))})
+	}
+	return b
 }

@@ -343,3 +343,57 @@ func TestUndirectedFragmentsShareAdjacency(t *testing.T) {
 		aliased("patched", patched[i])
 	}
 }
+
+// TestChurn holds the one churn generator (serve -churn, -exp incremental) to
+// its contract: deterministic per seed, deletes of existing arcs and fresh
+// inserts that apply as one batch, and a bounded draw where k fresh arcs do
+// not exist.
+func TestChurn(t *testing.T) {
+	g := testGraph(t, true, 5)
+	b := Churn(g, 7, 40)
+	if !reflect.DeepEqual(b, Churn(g, 7, 40)) {
+		t.Fatal("the same seed drew two batches")
+	}
+	if reflect.DeepEqual(b, Churn(g, 8, 40)) {
+		t.Fatal("two seeds drew the same batch")
+	}
+	if len(b.Deletes) != 40 || len(b.Inserts) != 40 {
+		t.Fatalf("batch has %d deletes and %d inserts, want 40 each", len(b.Deletes), len(b.Inserts))
+	}
+	for _, e := range b.Deletes {
+		if !g.HasEdge(e.Src, e.Dst) {
+			t.Fatalf("delete %d->%d names no arc", e.Src, e.Dst)
+		}
+	}
+	for _, e := range b.Inserts {
+		if e.Src == e.Dst || g.HasEdge(e.Src, e.Dst) {
+			t.Fatalf("insert %d->%d is not a fresh arc", e.Src, e.Dst)
+		}
+	}
+	ng, _, err := g.ApplyMutations(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ng.NumEdges() != g.NumEdges() {
+		t.Fatalf("arcs %d -> %d, want unchanged", g.NumEdges(), ng.NumEdges())
+	}
+
+	// A complete graph has no fresh arc: the draw returns, deleting up to
+	// every arc and inserting none.
+	bld := NewBuilder(5, true)
+	for u := VID(0); u < 5; u++ {
+		for v := VID(0); v < 5; v++ {
+			if u != v {
+				bld.AddEdge(u, v)
+			}
+		}
+	}
+	k5 := bld.MustBuild()
+	b = Churn(k5, 1, 100)
+	if len(b.Deletes) != k5.NumEdges() || len(b.Inserts) != 0 {
+		t.Fatalf("complete graph: %d deletes, %d inserts; want %d and 0", len(b.Deletes), len(b.Inserts), k5.NumEdges())
+	}
+	if _, _, err := k5.ApplyMutations(b); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -28,9 +28,7 @@
 package mem
 
 import (
-	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -183,32 +181,6 @@ func (g *Governor) SpillWritten() int64 {
 		return 0
 	}
 	return g.spillWritten.Load()
-}
-
-// Breakdown renders the per-account usage sorted by name, for diagnostics.
-func (g *Governor) Breakdown() string {
-	if g == nil {
-		return ""
-	}
-	g.mu.Lock()
-	names := make([]string, 0, len(g.accounts))
-	for n := range g.accounts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	accts := make([]*Account, len(names))
-	for i, n := range names {
-		accts[i] = g.accounts[n]
-	}
-	g.mu.Unlock()
-	s := ""
-	for i, a := range accts {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", a.name, a.Used())
-	}
-	return s
 }
 
 // Close closes and removes every spill file the governor opened. Call after

@@ -227,8 +227,6 @@ const (
 	// MarkSpill fires on a worker's track when a checkpoint's bulky parts
 	// page out to the spill tier.
 	MarkSpill
-
-	numMarks = int(MarkSpill) + 1
 )
 
 func (m Mark) String() string {
@@ -291,18 +289,9 @@ func (Nop) Mark(int, Mark, float64) {}
 
 var _ Tracer = Nop{}
 
-// AllPhases, AllCounters, AllGauges and AllMarks enumerate the event
-// vocabularies in code order, for exporters (the telemetry plane, the
-// critical-path analyzer) that must cover every series without hard-coding
-// the constants.
-func AllPhases() []Phase {
-	ps := make([]Phase, numPhases)
-	for i := range ps {
-		ps[i] = Phase(i)
-	}
-	return ps
-}
-
+// AllCounters and AllGauges enumerate the counter and gauge vocabularies in
+// code order, for exporters (the telemetry plane, the critical-path
+// analyzer) that must cover every series without hard-coding the constants.
 func AllCounters() []Counter {
 	cs := make([]Counter, numCounters)
 	for i := range cs {
@@ -317,12 +306,4 @@ func AllGauges() []Gauge {
 		gs[i] = Gauge(i)
 	}
 	return gs
-}
-
-func AllMarks() []Mark {
-	ms := make([]Mark, numMarks)
-	for i := range ms {
-		ms[i] = Mark(i)
-	}
-	return ms
 }

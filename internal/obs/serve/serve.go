@@ -32,33 +32,6 @@ import (
 	"argan/internal/obs"
 )
 
-// Health mirrors the live driver's control-plane view (gap.Health) without
-// importing the driver: the binary that wires the two together adapts one
-// struct to the other. Field meanings are identical, plus Resident: the
-// health is a long-lived service's rather than one run's, so there is no run
-// to wait for and it is ready from the moment it is attached (the service
-// attaches after its state and preloads are in place).
-type Health struct {
-	Running       bool          `json:"running"`
-	Resident      bool          `json:"resident,omitempty"`
-	Completed     int64         `json:"completed"`
-	Failed        int64         `json:"failed"`
-	Err           string        `json:"err,omitempty"`
-	Draining      bool          `json:"draining,omitempty"`
-	Workers       int           `json:"workers"`
-	Idle          int           `json:"idle"`
-	Dead          int           `json:"dead"`
-	Unrecoverable bool          `json:"unrecoverable"`
-	Sent          int64         `json:"sent"`
-	Recv          int64         `json:"recv"`
-	Updates       int64         `json:"updates"`
-	ProgressAge   time.Duration `json:"progress_age_ns"`
-	Watchdog      time.Duration `json:"watchdog_ns"`
-	MemStage      string        `json:"mem_stage,omitempty"`
-	SpilledBytes  int64         `json:"spilled_bytes"`
-	UpdatedAt     time.Time     `json:"updated_at"`
-}
-
 // Sample is one labeled value of a registered Metric.
 type Sample struct {
 	Labels map[string]string
@@ -82,7 +55,7 @@ var metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 type Server struct {
 	mu       sync.Mutex
 	rec      *obs.Recorder
-	healthFn func() Health
+	healthFn func() obs.Health
 	runInfo  map[string]string
 	extras   []Metric
 	names    map[string]bool
@@ -121,7 +94,7 @@ func (s *Server) SetRecorder(r *obs.Recorder) {
 
 // SetHealth installs the health callback backing /healthz, /readyz and the
 // argan_run_* families. The callback is invoked once per request.
-func (s *Server) SetHealth(fn func() Health) {
+func (s *Server) SetHealth(fn func() obs.Health) {
 	s.mu.Lock()
 	s.healthFn = fn
 	s.mu.Unlock()
@@ -282,7 +255,7 @@ type statusWorker struct {
 
 type statusDoc struct {
 	Run     map[string]string `json:"run,omitempty"`
-	Health  *Health           `json:"health,omitempty"`
+	Health  *obs.Health       `json:"health,omitempty"`
 	Dropped int64             `json:"dropped"`
 	Workers []statusWorker    `json:"workers"`
 }

@@ -27,8 +27,8 @@ func testRecorder() *obs.Recorder {
 	return rec
 }
 
-func testHealth() Health {
-	return Health{
+func testHealth() obs.Health {
+	return obs.Health{
 		Running: true, Workers: 2, Idle: 1,
 		MemStage: "ok",
 		Sent:     9, Recv: 9, Updates: 12,
@@ -41,7 +41,7 @@ func testServer(t *testing.T) *Server {
 	t.Helper()
 	s := New()
 	s.SetRecorder(testRecorder())
-	s.SetHealth(func() Health { return testHealth() })
+	s.SetHealth(testHealth)
 	s.SetRunInfo(map[string]string{"dataset": "hw", "algo": "pagerank", "bad key!": `quo"te`})
 	if err := s.RegisterMetric(Metric{
 		Name: "argan_soak_iterations_total", Help: "Soak iterations finished.", Type: "counter",
@@ -181,7 +181,7 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("/status: %d %q", code, hdr.Get("Content-Type"))
 	}
 	var doc struct {
-		Health  *Health `json:"health"`
+		Health  *obs.Health `json:"health"`
 		Workers []struct {
 			Worker   int              `json:"worker"`
 			Phase    string           `json:"phase"`
@@ -210,7 +210,7 @@ func TestEndpoints(t *testing.T) {
 	}
 
 	// Wedged run: watchdog blown → liveness fails; unrecoverable → both fail.
-	s.SetHealth(func() Health {
+	s.SetHealth(func() obs.Health {
 		h := testHealth()
 		h.ProgressAge = 2 * time.Second
 		return h
@@ -218,7 +218,7 @@ func TestEndpoints(t *testing.T) {
 	if code, body, _ = get(t, base+"/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz stuck run: %d %q", code, body)
 	}
-	s.SetHealth(func() Health {
+	s.SetHealth(func() obs.Health {
 		h := testHealth()
 		h.Unrecoverable = true
 		return h

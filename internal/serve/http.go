@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"argan/internal/graph"
+	"argan/internal/obs"
 	obsserve "argan/internal/obs/serve"
 )
 
@@ -163,11 +164,11 @@ func (s *Service) Attach(srv *obsserve.Server) error {
 // the service is "running" while any job is, ready while idle (Attach comes
 // after Open and the preloads), and stops being ready the moment a drain
 // starts.
-func (s *Service) healthFn() func() obsserve.Health {
-	return func() obsserve.Health {
+func (s *Service) healthFn() func() obs.Health {
+	return func() obs.Health {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		h := obsserve.Health{
+		h := obs.Health{
 			Running:   s.running > 0,
 			Resident:  true,
 			Draining:  s.draining,

@@ -117,8 +117,8 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 //     cold full run and record why in JobResult.Fallback.
 //  4. On a clean (non-diverged) finish, retain this run's fixpoint for the
 //     next increment.
-func runApp[V any](pin pinned, sp JobSpec, cfg gap.LiveConfig) func(*algorithms.LiveApp[V]) (*JobResult, error) {
-	return func(app *algorithms.LiveApp[V]) (*JobResult, error) {
+func runApp[V any](pin pinned, sp JobSpec, cfg gap.LiveConfig) func(*algorithms.App[V]) (*JobResult, error) {
+	return func(app *algorithms.App[V]) (*JobResult, error) {
 		if err := app.CheckSource(sp.Source, pin.g.NumVertices()); err != nil {
 			return nil, fmt.Errorf("%w (dataset version %d)", err, pin.version)
 		}

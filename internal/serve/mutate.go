@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"argan/internal/graph"
 )
@@ -110,7 +109,7 @@ func (s *Service) Churn(dataset string, scale float64, seed int64, ops int) (*Mu
 	if err != nil {
 		return nil, err
 	}
-	b := synthChurn(p.g, seed, ops)
+	b := graph.Churn(p.g, seed, ops/2)
 	// Guard on the drawn-against version: if a concurrent writer moved the
 	// dataset, the batch's deletes may name arcs that no longer exist.
 	expect := p.version
@@ -118,41 +117,4 @@ func (s *Service) Churn(dataset string, scale float64, seed int64, ops int) (*Mu
 		Scale: scale, ExpectVersion: &expect,
 		Inserts: b.Inserts, Deletes: b.Deletes,
 	})
-}
-
-// synthChurn draws a deterministic churn batch against g: ops/2 deletes of
-// existing arcs and ops/2 fresh inserts.
-func synthChurn(g *graph.Graph, seed int64, ops int) graph.MutationBatch {
-	r := rand.New(rand.NewSource(seed))
-	var edges []graph.Edge
-	for v := 0; v < g.NumVertices(); v++ {
-		adj, ws := g.OutNeighbors(graph.VID(v)), g.OutWeights(graph.VID(v))
-		for i, u := range adj {
-			edges = append(edges, graph.Edge{Src: graph.VID(v), Dst: u, W: ws[i]})
-		}
-	}
-	k := ops / 2
-	if k > len(edges) {
-		k = len(edges)
-	}
-	var b graph.MutationBatch
-	seen := map[[2]graph.VID]bool{}
-	for _, i := range r.Perm(len(edges))[:k] {
-		e := edges[i]
-		if seen[[2]graph.VID{e.Src, e.Dst}] {
-			continue
-		}
-		seen[[2]graph.VID{e.Src, e.Dst}] = true
-		b.Deletes = append(b.Deletes, graph.Edge{Src: e.Src, Dst: e.Dst})
-	}
-	n := g.NumVertices()
-	for tries := 0; len(b.Inserts) < k && tries < 64*k; tries++ {
-		u, v := graph.VID(r.Intn(n)), graph.VID(r.Intn(n))
-		if u == v || g.HasEdge(u, v) || seen[[2]graph.VID{u, v}] {
-			continue
-		}
-		seen[[2]graph.VID{u, v}] = true
-		b.Inserts = append(b.Inserts, graph.Edge{Src: u, Dst: v, W: float64(1 + r.Intn(9))})
-	}
-	return b
 }

@@ -89,8 +89,8 @@ func parseDSKey(key string) (dataset string, scale float64, ok bool) {
 // an n-vertex graph. An entry whose arrays contradict its app (or that names
 // an app the table does not hold) is corruption or format drift and is
 // skipped at reseed.
-func fixpointFits[V any](e durable.WarmFixpoint, n int) func(*algorithms.LiveApp[V]) (bool, error) {
-	return func(*algorithms.LiveApp[V]) (bool, error) {
+func fixpointFits[V any](e durable.WarmFixpoint, n int) func(*algorithms.App[V]) (bool, error) {
+	return func(*algorithms.App[V]) (bool, error) {
 		values, okV := e.Values.([]V)
 		psi, okP := e.Psi.([]V)
 		return okV && okP && len(values) == n && len(psi) == n, nil

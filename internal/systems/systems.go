@@ -85,5 +85,5 @@ func (s System) Config(base gap.Config) gap.Config {
 // Job returns the runnable job of an application under this system,
 // selecting the system's application variant where relevant.
 func (s System) Job(app string) (core.Job, error) {
-	return core.JobFor(app, s.NaiveColor && app == "color")
+	return core.JobFor(app, s.NaiveColor)
 }

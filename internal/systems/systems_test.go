@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"argan/internal/ace"
+	"argan/internal/algorithms"
 	"argan/internal/core"
 	"argan/internal/gap"
 	"argan/internal/graph"
@@ -61,7 +62,7 @@ func TestColorVariantSelection(t *testing.T) {
 		}
 		cfg := s.Config(env.DefaultConfig())
 		cfg.MaxUpdatesPerVertex = 40
-		m, err := job(frags, ace.Query{}, cfg)
+		m, err := job.Run(frags, ace.Query{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestColorVariantSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := job(frags, ace.Query{}, Argan.Config(env.DefaultConfig()))
+	m, err := job.Run(frags, ace.Query{}, Argan.Config(env.DefaultConfig()))
 	if err != nil || !m.Converged {
 		t.Fatalf("Argan color must converge: %v %+v", err, m)
 	}
@@ -89,18 +90,15 @@ func TestAllSystemsRunAllApps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range All() {
-		for _, app := range core.Apps() {
+		for _, app := range algorithms.AppNames() {
 			job, err := s.Job(app)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := ace.Query{Source: 0, Eps: 1e-3}
-			if app == "sim" {
-				q.Pattern = graphPattern(g)
-			}
+			q := job.Reads.Query(func() graph.VID { return 0 }, 1e-3, func() *graph.Graph { return graphPattern(g) })
 			cfg := s.Config(env.DefaultConfig())
 			cfg.MaxUpdatesPerVertex = 120
-			m, err := job(frags, q, cfg)
+			m, err := job.Run(frags, q, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", s.Name, app, err)
 			}
