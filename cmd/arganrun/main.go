@@ -24,6 +24,8 @@
 //	                   seed is re-derived per iteration), verify every run
 //	                   against the sequential reference, and print a soak
 //	                   summary. Any mismatch makes the exit code non-zero.
+//	                   -system picks the mode; the live driver runs those
+//	                   of Argan, Grape*, GraphLab_async and Maiter only.
 //	                   Plan times are wall-clock milliseconds here; crashes
 //	                   with a restart are repaired by per-worker logging
 //	                   checkpoints, survivor-local repair and message replay.
@@ -100,7 +102,8 @@ import (
 	"argan/internal/mem"
 	"argan/internal/obs"
 	"argan/internal/obs/crit"
-	"argan/internal/obs/serve"
+	obsserve "argan/internal/obs/serve"
+	"argan/internal/serve"
 	"argan/internal/systems"
 )
 
@@ -311,7 +314,7 @@ type driver struct {
 	// health is the live control plane's view, nil under the sim.
 	health *gap.HealthTracker
 	// metrics are extra families for the telemetry plane.
-	metrics []serve.Metric
+	metrics []obsserve.Metric
 	// run executes the app, tracing to rec when it is not nil, and returns
 	// what prints the result once the exports are written.
 	run func(rec *obs.Recorder) (report func() error, err error)
@@ -325,6 +328,9 @@ func simDriver(stdout io.Writer, o options, g *graph.Graph, frags []*graph.Fragm
 	}
 	job, err := sys.Job(o.app)
 	if err != nil {
+		return driver{}, err
+	}
+	if err := job.Reads.CheckSource(o.app, o.source, g.NumVertices()); err != nil {
 		return driver{}, err
 	}
 	q := job.Reads.Query(func() graph.VID { return graph.VID(o.source) }, o.eps,
@@ -374,9 +380,15 @@ func soakDriver(stdout io.Writer, o options, g *graph.Graph, frags []*graph.Frag
 	if o.soak < 0 {
 		return driver{}, fmt.Errorf("-soak must be >= 0, got %d", o.soak)
 	}
+	// The live driver refuses the modes it lacks (the synchronous and
+	// PowerSwitch systems) when the first iteration starts.
+	sys, err := systems.ByName(o.system)
+	if err != nil {
+		return driver{}, err
+	}
 	// The per-iteration runner: execute one live run and count wrong
 	// vertices against the precomputed sequential reference.
-	once, err := core.LiveJobFor(o.app, g, frags, o.source, o.eps)
+	once, err := serve.LiveJobFor(o.app, g, frags, o.source, o.eps)
 	if err != nil {
 		return driver{}, err
 	}
@@ -389,17 +401,17 @@ func soakDriver(stdout io.Writer, o options, g *graph.Graph, frags []*graph.Frag
 		// monitor's coordinator track), so recovery spans and replay marks
 		// of the whole soak land in one export.
 		name: "live", tracks: o.n + 1, health: health,
-		metrics: []serve.Metric{{
+		metrics: []obsserve.Metric{{
 			Name: "argan_soak_iterations_total",
 			Help: "Soak iterations finished under this process.",
 			Type: "counter",
-			Collect: func() []serve.Sample {
-				return []serve.Sample{{Value: float64(atomic.LoadInt64(&iterDone))}}
+			Collect: func() []obsserve.Sample {
+				return []obsserve.Sample{{Value: float64(atomic.LoadInt64(&iterDone))}}
 			},
 		}},
 	}
 	d.run = func(rec *obs.Recorder) (func() error, error) {
-		cfg := gap.LiveConfig{Mode: gap.ModeGAP, Health: health}
+		cfg := gap.LiveConfig{Mode: sys.Mode, Health: health}
 		if rec != nil {
 			cfg.Tracer = rec
 		}
@@ -540,8 +552,8 @@ func printProgress(stderr io.Writer, rec *obs.Recorder, health *gap.HealthTracke
 }
 
 // startTelemetry brings up the telemetry plane and points it at this run.
-func startTelemetry(stdout io.Writer, o options, rec *obs.Recorder, d driver) (*serve.Server, error) {
-	srv := serve.New()
+func startTelemetry(stdout io.Writer, o options, rec *obs.Recorder, d driver) (*obsserve.Server, error) {
+	srv := obsserve.New()
 	srv.SetRecorder(rec)
 	if d.health != nil {
 		srv.SetHealth(d.health.Health)

@@ -41,6 +41,10 @@ func TestBadInputsExitNonZero(t *testing.T) {
 		{"unknown_dataset", []string{"-dataset", "NOPE"}, "unknown dataset"},
 		{"bad_fault_spec", []string{"-dataset", "HW", "-scale", "0.05", "-faults", "crash=oops"}, "fault"},
 		{"unknown_system", []string{"-dataset", "HW", "-scale", "0.05", "-system", "NoSuch"}, "unknown system"},
+		{"sim_source_too_large", []string{"-dataset", "HW", "-scale", "0.05", "-app", "sssp", "-source", "99999"}, "source 99999 outside [0, "},
+		{"sim_negative_source", []string{"-dataset", "HW", "-scale", "0.05", "-app", "bfs", "-source", "-1"}, "source -1 outside [0, "},
+		{"soak_unknown_system", []string{"-dataset", "HW", "-scale", "0.05", "-soak", "1", "-system", "NoSuch"}, "unknown system"},
+		{"soak_sync_system", []string{"-dataset", "HW", "-scale", "0.05", "-soak", "1", "-system", "Grape"}, "live driver supports GAP/AP modes"},
 		{"negative_soak", []string{"-dataset", "HW", "-scale", "0.05", "-soak", "-3"}, "-soak must be >= 0"},
 		{"live_unsupported_app", []string{"-dataset", "HW", "-scale", "0.05", "-app", "color", "-soak", "1"}, "does not run under the live driver"},
 		{"live_bad_source", []string{"-dataset", "HW", "-scale", "0.05", "-app", "bfs", "-soak", "1", "-source", "-1"}, "source -1 outside [0, "},

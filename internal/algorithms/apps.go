@@ -76,6 +76,18 @@ func (r Reads) Query(source func() graph.VID, eps float64, pattern func() *graph
 	return q
 }
 
+// CheckSource rejects a query source that is not a vertex of an n-vertex
+// graph when r reads one; app names the application in the error. source is
+// the caller's untruncated integer: a negative or oversized value would
+// otherwise wrap in graph.VID and index out of range inside the engine, the
+// reference or the planner.
+func (r Reads) CheckSource(app string, source, n int) error {
+	if r&ReadsSource != 0 && (source < 0 || source >= n) {
+		return fmt.Errorf("%s: source %d outside [0, %d)", app, source, n)
+	}
+	return nil
+}
+
 func exact[V comparable](got, want V) bool { return got == want }
 
 // row is what the table knows of a row without its value type.
@@ -315,16 +327,8 @@ func checkIn(name string, names []string, not string) error {
 	return fmt.Errorf("app %q %s (want %s)", name, not, strings.Join(names, ", "))
 }
 
-// CheckSource rejects a query source that is not a vertex of an n-vertex
-// graph, for the apps that read one. source is the caller's untruncated
-// integer: a negative or oversized value would otherwise wrap in graph.VID
-// and index out of range inside the reference or the planner.
-func (a *App[V]) CheckSource(source, n int) error {
-	if a.Reads&ReadsSource != 0 && (source < 0 || source >= n) {
-		return fmt.Errorf("%s: source %d outside [0, %d)", a.Name, source, n)
-	}
-	return nil
-}
+// CheckSource is Reads.CheckSource for the row's own reads and name.
+func (a *App[V]) CheckSource(source, n int) error { return a.Reads.CheckSource(a.Name, source, n) }
 
 // Wrong counts the positions where got differs from the reference want.
 func (a *App[V]) Wrong(got, want []V) int {

@@ -12,6 +12,7 @@ import (
 	"argan/internal/gap"
 	"argan/internal/graph"
 	"argan/internal/mem"
+	"argan/internal/serve"
 )
 
 // memWorkers is the live worker count of the memory experiment.
@@ -133,9 +134,9 @@ func Memory(o Options) error {
 	if reps < 3 {
 		reps = 3
 	}
-	runs := make(map[string]core.LiveJob)
+	runs := make(map[string]serve.LiveJob)
 	for _, name := range algorithms.LiveAppNames() {
-		if runs[name], err = core.LiveJobFor(name, g, frags, 0, 1e-3); err != nil {
+		if runs[name], err = serve.LiveJobFor(name, g, frags, 0, 1e-3); err != nil {
 			return err
 		}
 	}

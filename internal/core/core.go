@@ -153,32 +153,3 @@ func JobFor(app string, naive bool) (Job, error) {
 	return algorithms.Dispatch(app,
 		jobOf[float64](naive), jobOf[int32](naive), jobOf[uint32](naive), jobOf[algorithms.SimSet](naive))
 }
-
-// LiveJob is Job's counterpart under the live driver: one run under cfg,
-// returning the driver metrics and the number of vertices that differ from
-// the application's sequential reference.
-type LiveJob func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error)
-
-func liveJobOf[V any](g *graph.Graph, frags []*graph.Fragment, source int, eps float64) func(*algorithms.App[V]) (LiveJob, error) {
-	return func(app *algorithms.App[V]) (LiveJob, error) {
-		if err := app.CheckSource(source, g.NumVertices()); err != nil {
-			return nil, err
-		}
-		q := ace.Query{Source: graph.VID(source), Eps: eps}
-		want := app.Ref(g, q)
-		return func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			res, lm, err := gap.RunLive(frags, app.Factory, q, cfg)
-			if err != nil {
-				return nil, 0, err
-			}
-			return lm, app.Wrong(res.Values, want), nil
-		}, nil
-	}
-}
-
-// LiveJobFor resolves a live application (algorithms.LiveAppNames) to a
-// LiveJob over g's fragments, computing the sequential reference once.
-func LiveJobFor(app string, g *graph.Graph, frags []*graph.Fragment, source int, eps float64) (LiveJob, error) {
-	return algorithms.DispatchLive(app,
-		liveJobOf[float64](g, frags, source, eps), liveJobOf[int32](g, frags, source, eps), liveJobOf[uint32](g, frags, source, eps))
-}

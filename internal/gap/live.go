@@ -197,29 +197,27 @@ type LiveMetrics struct {
 // liveCoord detects global quiescence: every worker idle and every sent
 // message received. It also carries the run's failure slot (watchdog or
 // internal errors) and a progress counter the watchdog samples.
+//
+// The termination ledger is two shared counters bumped at ship and drain
+// time, so a crashed goroutine leaves nothing unreported behind it. sent is
+// the run's message count (liveDriver.msgsSent), bumped before an envelope
+// becomes visible, so sent > recv whenever a message is in transit and
+// quiescence cannot close early.
 type liveCoord struct {
 	mu       sync.Mutex
 	idle     []bool
 	nIdle    int
-	sent     int64
-	recv     int64
 	done     chan struct{}
 	closed   bool
 	err      error
 	progress int64 // bumped on every report; a watchdog progress signal
 
-	// Runs that can recover a crash count transport events in crash-safe
-	// atomics bumped at ship/drain time instead of worker-local deltas: a
-	// crashed goroutine's unreported deltas would unbalance the ledger
-	// forever. Ships are counted before the envelope becomes
-	// visible, so asent >= arecv whenever a message is in transit and
-	// quiescence cannot close early.
-	atomicCnt    bool
-	asent, arecv atomic.Int64
+	sent *atomic.Int64
+	recv atomic.Int64
 }
 
-func newLiveCoord(n int) *liveCoord {
-	c := &liveCoord{idle: make([]bool, n), done: make(chan struct{})}
+func newLiveCoord(n int, sent *atomic.Int64) *liveCoord {
+	c := &liveCoord{idle: make([]bool, n), done: make(chan struct{}), sent: sent}
 	if n == 0 {
 		// Zero workers are vacuously quiescent.
 		c.closed = true
@@ -228,7 +226,7 @@ func newLiveCoord(n int) *liveCoord {
 	return c
 }
 
-func (c *liveCoord) report(id int, idle bool, sentDelta, recvDelta int64) {
+func (c *liveCoord) report(id int, idle bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.progress++
@@ -240,13 +238,7 @@ func (c *liveCoord) report(id int, idle bool, sentDelta, recvDelta int64) {
 			c.nIdle--
 		}
 	}
-	c.sent += sentDelta
-	c.recv += recvDelta
-	sent, recv := c.sent, c.recv
-	if c.atomicCnt {
-		sent, recv = c.asent.Load(), c.arecv.Load()
-	}
-	if !c.closed && c.nIdle == len(c.idle) && sent == recv {
+	if !c.closed && c.nIdle == len(c.idle) && c.sent.Load() == c.recv.Load() {
 		c.closed = true
 		close(c.done)
 	}
@@ -292,11 +284,7 @@ func (c *liveCoord) failure() error {
 func (c *liveCoord) status() (idle, total int, sent, recv, progress int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sent, recv = c.sent, c.recv
-	if c.atomicCnt {
-		sent, recv = c.asent.Load(), c.arecv.Load()
-	}
-	return c.nIdle, len(c.idle), sent, recv, c.progress
+	return c.nIdle, len(c.idle), c.sent.Load(), c.recv.Load(), c.progress
 }
 
 // liveDriver holds one RunLive invocation's shared state.
@@ -417,7 +405,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	for i := range d.chans {
 		d.chans[i] = make(chan envelope[V], liveMailboxCap)
 	}
-	d.coord = newLiveCoord(n)
+	d.coord = newLiveCoord(n, &d.msgsSent)
 	d.ctrl = newLiveCtrl(n)
 	d.pool = &batchPool[V]{}
 	d.states = make([]*workerState[V], n)
@@ -434,7 +422,6 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.wacked = make([]atomic.Int64, n)
 	}
 	if d.recover {
-		d.coord.atomicCnt = true
 		d.noticeQ = make([][]rollNotice, n)
 		d.noticeFlag = make([]atomic.Bool, n)
 		d.ckptReq = make([]atomic.Bool, n)
@@ -597,9 +584,6 @@ type liveWorker[V any] struct {
 
 	// pub is the part of st.updates already added to the run's count.
 	pub int64
-	// localSent/localRecv reset at every report; they feed the termination
-	// detector.
-	localSent, localRecv int64
 	// hold keeps the batches a reorder fault holds past FIFO order (nil
 	// without link faults).
 	hold [][]ace.Message[V]
@@ -674,8 +658,7 @@ func (w *liveWorker[V]) next() bool {
 		d.ckEvery[w.id].Store(int32(d.cfg.CheckEvery))
 	}
 	w.publish()
-	d.coord.report(w.id, true, w.localSent, w.localRecv)
-	w.localSent, w.localRecv = 0, 0
+	d.coord.report(w.id, true)
 	return !w.idleWait() && w.gate()
 }
 
@@ -737,11 +720,7 @@ func (w *liveWorker[V]) crashed() bool {
 func (w *liveWorker[V]) ingest(env envelope[V]) {
 	d := w.d
 	k := int64(len(env.msgs))
-	if d.coord.atomicCnt {
-		d.coord.arecv.Add(k)
-	} else {
-		w.localRecv += k
-	}
+	d.coord.recv.Add(k)
 	if w.tr != nil {
 		w.tr.Count(w.id, obs.CounterMsgsRecv, w.clock(), k)
 	}
@@ -770,16 +749,11 @@ func (w *liveWorker[V]) drain() int {
 	}
 }
 
-// countSent books a shipped envelope. On a recovering run the count lands in
-// the coordinator's crash-safe atomics before the envelope is inserted, so
+// countSent books a shipped envelope. The count lands in msgsSent, the
+// termination ledger's sent side, before the envelope is inserted, so
 // quiescence can never close over an uncounted in-transit message.
 func (w *liveWorker[V]) countSent(k int64) {
 	d := w.d
-	if d.coord.atomicCnt {
-		d.coord.asent.Add(k)
-	} else {
-		w.localSent += k
-	}
 	if w.tr != nil {
 		traceSent(w.tr, w.id, w.clock(), k, 0)
 	}
@@ -950,7 +924,7 @@ func (w *liveWorker[V]) idleWait() bool {
 	for {
 		select {
 		case env := <-d.chans[id]:
-			d.coord.report(id, false, 0, 0)
+			d.coord.report(id, false)
 			if w.tr != nil {
 				w.tr.Mark(id, obs.MarkBusy, w.clock())
 			}
@@ -967,7 +941,7 @@ func (w *liveWorker[V]) idleWait() bool {
 			if !w.st.active.Empty() {
 				// A rollback notice un-applied contributions and
 				// re-activated their vertices: go process them.
-				d.coord.report(id, false, 0, 0)
+				d.coord.report(id, false)
 				return false
 			}
 		}

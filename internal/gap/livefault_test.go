@@ -6,6 +6,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,56 +219,60 @@ func TestLiveFaultTraceContent(t *testing.T) {
 	}
 }
 
-// TestLiveCoordEdgeCases exercises the termination detector directly.
+// TestLiveCoordEdgeCases exercises the termination detector directly,
+// driving its ledger the way countSent and ingest do.
 func TestLiveCoordEdgeCases(t *testing.T) {
-	t.Run("zero_workers", func(t *testing.T) {
-		c := newLiveCoord(0)
+	closed := func(c *liveCoord) bool {
 		select {
 		case <-c.done:
+			return true
 		default:
+			return false
+		}
+	}
+	t.Run("zero_workers", func(t *testing.T) {
+		if !closed(newLiveCoord(0, new(atomic.Int64))) {
 			t.Fatal("zero-worker coordinator should be quiescent immediately")
 		}
 	})
 	t.Run("idle_busy_idle_same_round", func(t *testing.T) {
-		c := newLiveCoord(2)
-		c.report(1, true, 0, 0)
-		c.report(0, true, 1, 0) // idle, but one sent message unaccounted
-		select {
-		case <-c.done:
+		var sent atomic.Int64
+		c := newLiveCoord(2, &sent)
+		c.report(1, true)
+		sent.Add(1) // worker 0 ships one message before it goes idle
+		c.report(0, true)
+		if closed(c) {
 			t.Fatal("closed with a message in transit")
-		default:
 		}
-		c.report(1, false, 0, 0) // woke up on the in-transit message
-		c.report(1, true, 0, 1)  // consumed it and went idle again
-		select {
-		case <-c.done:
-		default:
+		c.report(1, false) // woke up on the in-transit message
+		c.recv.Add(1)
+		c.report(1, true) // consumed it and went idle again
+		if !closed(c) {
 			t.Fatal("should be quiescent: all idle, sent==recv")
 		}
 	})
 	t.Run("duplicated_batch_counts_balance", func(t *testing.T) {
 		// A duplicated batch counts on both sides: 2 sent, 2 received.
-		c := newLiveCoord(2)
-		c.report(0, true, 2, 0)
-		select {
-		case <-c.done:
+		var sent atomic.Int64
+		c := newLiveCoord(2, &sent)
+		sent.Add(2)
+		c.report(0, true)
+		if closed(c) {
 			t.Fatal("closed with duplicated batch unaccounted")
-		default:
 		}
-		c.report(1, true, 0, 2)
-		select {
-		case <-c.done:
-		default:
+		c.recv.Add(2)
+		c.report(1, true)
+		if !closed(c) {
 			t.Fatal("should close once duplicate deliveries are counted")
 		}
 	})
 	t.Run("failure_wins", func(t *testing.T) {
-		c := newLiveCoord(1)
+		c := newLiveCoord(1, new(atomic.Int64))
 		c.fail(errNoFragments)
 		if c.failure() == nil {
 			t.Fatal("failure not recorded")
 		}
-		c.report(0, true, 0, 0) // must not panic or un-fail
+		c.report(0, true) // must not panic or un-fail
 		if c.failure() == nil {
 			t.Fatal("failure lost after report")
 		}

@@ -117,7 +117,6 @@ func (ds *dsState) noteWarmHit() {
 
 type dataCache struct {
 	mu     sync.Mutex
-	graphs map[string]*entry[*graph.Graph]
 	states map[dsKey]*entry[*dsState]
 
 	// store is the durable state directory (nil = ephemeral service). Set
@@ -137,28 +136,7 @@ type entry[T any] struct {
 }
 
 func newDataCache() dataCache {
-	return dataCache{
-		graphs: make(map[string]*entry[*graph.Graph]),
-		states: make(map[dsKey]*entry[*dsState]),
-	}
-}
-
-func (c *dataCache) graph(dataset string, scale float64) (*graph.Graph, error) {
-	key := fmt.Sprintf("%s@%g", dataset, scale)
-	c.mu.Lock()
-	e := c.graphs[key]
-	if e == nil {
-		e = &entry[*graph.Graph]{}
-		c.graphs[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		// LoadDataset memoizes and freezes internally (fingerprinted), so
-		// this is the single base build for the server's lifetime.
-		e.val, e.err = graph.LoadDataset(dataset, scale)
-		e.done.Store(true)
-	})
-	return e.val, e.err
+	return dataCache{states: make(map[dsKey]*entry[*dsState])}
 }
 
 // dsName is the durable-store identity of a (dataset, scale); %g keeps the
@@ -180,7 +158,10 @@ func (c *dataCache) state(dataset string, scale float64) (*dsState, error) {
 	c.mu.Unlock()
 	e.once.Do(func() {
 		defer e.done.Store(true)
-		g, err := c.graph(dataset, scale)
+		// LoadDataset memoizes and freezes internally (fingerprinted), and
+		// entry.once runs this once per (dataset, scale): the single base
+		// build for the server's lifetime.
+		g, err := graph.LoadDataset(dataset, scale)
 		if err != nil {
 			e.err = err
 			return

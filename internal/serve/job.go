@@ -147,13 +147,13 @@ func runApp[V any](pin pinned, sp JobSpec, cfg gap.LiveConfig) func(*algorithms.
 			want = pin.ds.reference(key, func() any { return app.Ref(pin.g, q) }).([]V)
 		}
 
-		res, lm, err := gap.RunLive(pin.frags, app.Factory, q, cfg)
+		res, lm, wrong, err := runChecked(app, pin.frags, q, cfg, want)
 		if err != nil {
 			return nil, err
 		}
 		out := &JobResult{
 			Vertices:   len(res.Values),
-			Wrong:      -1,
+			Wrong:      wrong,
 			Checksum:   app.Checksum(res.Values),
 			WallMS:     float64(lm.WallTime) / 1e6,
 			Updates:    lm.Updates,
@@ -170,14 +170,55 @@ func runApp[V any](pin pinned, sp JobSpec, cfg gap.LiveConfig) func(*algorithms.
 		if prior != nil {
 			out.IncrementalFrom = prior.version
 		}
-		if want != nil {
-			out.Wrong = app.Wrong(res.Values, want)
-		}
 		if out.Wrong <= 0 {
 			// Retain this fixpoint (raw Ψ and output view, global-indexed) so
 			// the next job on this key re-converges instead of recomputing.
 			pin.ds.storeWarm(wk, &warmEntry{version: pin.version, g: pin.g, values: res.Values, psi: res.Psi})
 		}
 		return out, nil
+	}
+}
+
+// runChecked is the one place a live app row runs under gap.RunLive: it runs
+// the row's program over frags and, when want is not nil, counts the vertices
+// whose values differ from that reference (-1 when there is none). Keeping it
+// the only instantiating call keeps one compiled copy of the live driver in
+// every binary that links this package.
+func runChecked[V any](app *algorithms.App[V], frags []*graph.Fragment, q ace.Query, cfg gap.LiveConfig, want []V) (*gap.Result[V], *gap.LiveMetrics, int, error) {
+	res, lm, err := gap.RunLive(frags, app.Factory, q, cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	wrong := -1
+	if want != nil {
+		wrong = app.Wrong(res.Values, want)
+	}
+	return res, lm, wrong, nil
+}
+
+// LiveJob is one verified live run of an app row outside the service: one
+// run under cfg, returning the driver metrics and the number of vertices
+// that differ from the row's sequential reference. arganrun -soak and
+// arganbench -exp memory drive the live apps through it.
+type LiveJob func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error)
+
+// LiveJobFor resolves a live application (algorithms.LiveAppNames) to a
+// LiveJob over g's fragments, computing the sequential reference once.
+func LiveJobFor(app string, g *graph.Graph, frags []*graph.Fragment, source int, eps float64) (LiveJob, error) {
+	return algorithms.DispatchLive(app,
+		liveJobOf[float64](g, frags, source, eps), liveJobOf[int32](g, frags, source, eps), liveJobOf[uint32](g, frags, source, eps))
+}
+
+func liveJobOf[V any](g *graph.Graph, frags []*graph.Fragment, source int, eps float64) func(*algorithms.App[V]) (LiveJob, error) {
+	return func(app *algorithms.App[V]) (LiveJob, error) {
+		if err := app.CheckSource(source, g.NumVertices()); err != nil {
+			return nil, err
+		}
+		q := ace.Query{Source: graph.VID(source), Eps: eps}
+		want := app.Ref(g, q)
+		return func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
+			_, lm, wrong, err := runChecked(app, frags, q, cfg, want)
+			return lm, wrong, err
+		}, nil
 	}
 }
